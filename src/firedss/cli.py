@@ -157,16 +157,30 @@ def cmd_query(args, config):
     query = semweb.parse_query(_read(args.query))
     result = semweb.execute(query, graph)
     if args.json:
-        print(json.dumps({
+        out = {
             "columns": list(result.columns),
             "rows": [[semweb.format_cell(c) for c in row] for row in result.rows],
             "type_clashes": result.type_clashes,
-        }, sort_keys=True))
+        }
+        if args.explain:
+            out["plan"] = [{"pattern": i + 1, "candidates": candidates, "bindings": n}
+                           for i, candidates, n in result.plan]
+        print(json.dumps(out, sort_keys=True))
     else:
+        if args.explain:
+            for step, (i, candidates, n) in enumerate(result.plan, 1):
+                print(f"# step {step}: pattern {i + 1} "
+                      f"[{_pattern_text(query.patterns[i])}] "
+                      f"candidates={candidates} bindings={n}")
         print("\t".join(result.columns))
         for row in result.rows:
             print("\t".join(semweb.format_cell(c) for c in row))
     return 0
+
+
+def _pattern_text(pattern):
+    return " ".join(f"?{t.name}" if isinstance(t, semweb.Var) else semweb.format_cell(t)
+                    for t in (pattern.subject, pattern.predicate, pattern.object))
 
 
 def cmd_metrics(args, config):
@@ -268,6 +282,9 @@ def build_parser():
     p.add_argument("graph")
     p.add_argument("query")
     p.add_argument("--json", action="store_true")
+    p.add_argument("--explain", action="store_true",
+                   help="also print the join order with per-pattern "
+                        "candidate and binding counts")
     p.set_defaults(fn=cmd_query)
 
     p = sub.add_parser("metrics", help="ontology schema metrics report")

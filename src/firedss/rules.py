@@ -19,6 +19,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .semweb import COMPARISONS
+
 
 class RuleError(ValueError):
     pass
@@ -110,8 +112,10 @@ class Atom:
         return all(is_ground(a) for a in self.args)
 
 
-BUILTIN_OPS = ("lessThan", "lessThanOrEqual", "greaterThan",
-               "greaterThanOrEqual", "equal", "notEqual")
+_BUILTIN_COMPARISONS = {name: COMPARISONS[symbol] for name, symbol in (
+    ("lessThan", "<"), ("lessThanOrEqual", "<="), ("greaterThan", ">"),
+    ("greaterThanOrEqual", ">="), ("equal", "="), ("notEqual", "!="))}
+BUILTIN_OPS = tuple(_BUILTIN_COMPARISONS)
 
 
 @dataclass(frozen=True)
@@ -430,20 +434,11 @@ def parse_facts(text: str) -> FactBase:
 def builtin_compare(op, a, b):
     """Evaluate one comparison builtin on two ground literal terms."""
     if isinstance(a, Num) and isinstance(b, Num):
-        x, y = a.value, b.value
-        return {
-            "lessThan": x < y,
-            "lessThanOrEqual": x <= y,
-            "greaterThan": x > y,
-            "greaterThanOrEqual": x >= y,
-            "equal": x == y,
-            "notEqual": x != y,
-        }[op]
+        return _BUILTIN_COMPARISONS[op](a.value, b.value)
     if op in ("equal", "notEqual"):
-        if isinstance(a, Str) and isinstance(b, Str):
-            return (a.value == b.value) if op == "equal" else (a.value != b.value)
-        if isinstance(a, Bool) and isinstance(b, Bool):
-            return (a.value == b.value) if op == "equal" else (a.value != b.value)
+        if (isinstance(a, Str) and isinstance(b, Str)) or \
+                (isinstance(a, Bool) and isinstance(b, Bool)):
+            return _BUILTIN_COMPARISONS[op](a.value, b.value)
         raise TypeClash(f"{op} on mismatched kinds "
                         f"{format_term(a)} / {format_term(b)}")
     raise TypeClash(f"{op} requires numbers, got "

@@ -9,6 +9,7 @@ a canonical order so query output is stable across runs.
 
 from __future__ import annotations
 
+import operator
 import re
 import statistics
 import time
@@ -111,15 +112,42 @@ class Triple:
     object: Iri | Literal
 
 
+_POSITIONS = ("subject", "predicate", "object")
+
+
 class Graph:
-    """Set of triples plus a prefix map. Treated as immutable once built."""
+    """Set of triples plus a prefix map. Treated as immutable once built:
+    queries share its lookup indexes, which `add` drops."""
 
     def __init__(self, triples=(), prefixes=None):
         self.triples = set(triples)
         self.prefixes = dict(prefixes or {})
+        self._indexes = {}
 
     def add(self, triple: Triple):
         self.triples.add(triple)
+        self._indexes = {}
+
+    def _index(self, positions):
+        """Triples grouped by their terms at `positions` (a tuple of
+        `_POSITIONS` names), built on first use. Threads racing on the
+        first build each build an equal dict and store it whole."""
+        index = self._indexes.get(positions)
+        if index is None:
+            # keys are tuples, as execute builds them; attrgetter makes
+            # them in C, which halves the build time of a Python loop
+            if len(positions) > 1:
+                key = operator.attrgetter(*positions)
+            elif positions:
+                term = operator.attrgetter(positions[0])
+                key = lambda t: (term(t),)
+            else:
+                key = lambda t: ()
+            index = {}
+            for t in self.triples:
+                index.setdefault(key(t), []).append(t)
+            self._indexes[positions] = index
+        return index
 
     def bind(self, prefix, iri):
         self.prefixes[prefix] = iri if isinstance(iri, str) else iri.value
@@ -149,10 +177,11 @@ def csv_to_graph(dataset, base, row_prefix="row") -> Graph:
     base = base.value if isinstance(base, Iri) else base
     g = Graph()
     g.bind("ds", base)
+    predicates = [Iri(base + col.name) for col in dataset.schema]
     for i, row in enumerate(dataset.rows):
         subject = Iri(f"{base}{row_prefix}{i}")
-        for col, value in zip(dataset.schema, row):
-            g.add(Triple(subject, Iri(base + col.name), literal_for(value)))
+        for predicate, value in zip(predicates, row):
+            g.add(Triple(subject, predicate, literal_for(value)))
     return g
 
 
@@ -267,9 +296,19 @@ def _unescape(text):
     return "".join(out)
 
 
+def _interned(iris, value):
+    """One Iri object per distinct IRI in a document: index and set
+    lookups then find equal terms by identity, without calling __eq__."""
+    iri = iris.get(value)
+    if iri is None:
+        iri = iris[value] = Iri(value)
+    return iri
+
+
 def parse_ntriples(text: str) -> Graph:
     """Parse N-Triples as produced by serialize(); duplicate lines collapse."""
     g = Graph()
+    iris = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -279,10 +318,10 @@ def parse_ntriples(text: str) -> Graph:
             reason = "missing terminal '.'" if not line.endswith(".") else "malformed triple"
             raise NTriplesSyntaxError(lineno, reason)
         try:
-            subject = Iri(m.group("s"))
-            predicate = Iri(m.group("p"))
+            subject = _interned(iris, m.group("s"))
+            predicate = _interned(iris, m.group("p"))
             if m.group("o_iri") is not None:
-                obj = Iri(m.group("o_iri"))
+                obj = _interned(iris, m.group("o_iri"))
             else:
                 lex = _unescape(m.group("o_lex"))
                 dt_iri = m.group("o_dt")
@@ -374,11 +413,19 @@ def _q_tokenize(text):
     return tokens
 
 
+# Bounds that keep the recursive parser and the recursive filter
+# evaluation well inside the interpreter's recursion limit.
+MAX_FILTER_DEPTH = 64
+MAX_FILTER_OPERATORS = 256
+
+
 class _QueryParser:
     def __init__(self, text):
         self.tokens = _q_tokenize(text)
         self.i = 0
         self.prefixes = {}
+        self.depth = 0              # open FILTER parentheses
+        self.operators = 0          # BoolExpr nodes built so far
 
     def peek(self):
         return self.tokens[self.i]
@@ -446,7 +493,7 @@ class _QueryParser:
                 expr = self.parse_or()
                 self.expect_punct(")")
                 filter_expr = expr if filter_expr is None else \
-                    BoolExpr("&&", filter_expr, expr)
+                    self.bool_expr("&&", filter_expr, expr, pos)
                 if self.peek()[0] == "punct" and self.peek()[1] == ".":
                     self.next()
                 continue
@@ -501,24 +548,37 @@ class _QueryParser:
             return Literal(text, "boolean")
         self.error(f"{position} term")
 
+    def bool_expr(self, op, left, right, pos):
+        self.operators += 1
+        if self.operators > MAX_FILTER_OPERATORS:
+            raise QuerySyntaxError(
+                pos, f"more than {MAX_FILTER_OPERATORS} '&&'/'||' operators in FILTER")
+        return BoolExpr(op, left, right)
+
     def parse_or(self):
         left = self.parse_and()
         while self.peek()[0] == "op" and self.peek()[1] == "||":
-            self.next()
-            left = BoolExpr("||", left, self.parse_and())
+            pos = self.next()[2]
+            left = self.bool_expr("||", left, self.parse_and(), pos)
         return left
 
     def parse_and(self):
         left = self.parse_primary()
         while self.peek()[0] == "op" and self.peek()[1] == "&&":
-            self.next()
-            left = BoolExpr("&&", left, self.parse_primary())
+            pos = self.next()[2]
+            left = self.bool_expr("&&", left, self.parse_primary(), pos)
         return left
 
     def parse_primary(self):
-        if self.peek()[0] == "punct" and self.peek()[1] == "(":
+        kind, text, pos = self.peek()
+        if kind == "punct" and text == "(":
+            if self.depth == MAX_FILTER_DEPTH:
+                raise QuerySyntaxError(
+                    pos, f"FILTER parentheses nested deeper than {MAX_FILTER_DEPTH}")
             self.next()
+            self.depth += 1
             expr = self.parse_or()
+            self.depth -= 1
             self.expect_punct(")")
             return expr
         left = self.parse_operand()
@@ -563,6 +623,10 @@ def parse_query(text: str) -> Query:
 
 # --- execution ---------------------------------------------------------------
 
+COMPARISONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+               ">=": operator.ge, "=": operator.eq, "!=": operator.ne}
+
+
 class _RejectBinding(Exception):
     """Filter comparison over incompatible kinds: drop the binding."""
 
@@ -582,10 +646,7 @@ def _compare(op, a, b):
             raise _RejectBinding
     else:
         raise _RejectBinding
-    return {
-        "<": x < y, "<=": x <= y, ">": x > y, ">=": x >= y,
-        "=": x == y, "!=": x != y,
-    }[op]
+    return COMPARISONS[op](x, y)
 
 
 def _eval_filter(expr, binding, clashes):
@@ -604,9 +665,13 @@ def _eval_filter(expr, binding, clashes):
 
 @dataclass(frozen=True)
 class ResultTable:
+    """Query answer. `plan` has one (pattern index, candidates, bindings out)
+    entry per pattern in the order the join ran them; it stops early at the
+    first pattern that left no bindings."""
     columns: tuple
     rows: tuple
     type_clashes: int = 0
+    plan: tuple = ()
 
     def __len__(self):
         return len(self.rows)
@@ -631,22 +696,40 @@ def _match_pattern(pattern, triple, binding):
 def execute(q: Query, g: Graph) -> ResultTable:
     """Natural join of pattern matches, filter, project, deduplicate.
 
+    Patterns run most-bound first: each step takes the remaining pattern
+    with the most positions fixed by a constant or an already-bound
+    variable (ties in query order), and looks its candidates up in the
+    graph index on exactly those positions. The multiset of full bindings
+    does not depend on that order.
+
     A filter comparison over incompatible kinds (IRI vs number, string vs
     decimal) evaluates as false instead of aborting the query; each such
     clash is counted on the result, and a binding whose filter comes out
     false is rejected. Rows come back in canonical lexicographic order.
     """
     bindings = [{}]
-    for pattern in q.patterns:
+    bound = set()
+    remaining = list(enumerate(q.patterns))
+    plan = []
+    while remaining and bindings:
+        step = max(remaining, key=lambda item: len(_bound_slots(item[1], bound)))
+        remaining.remove(step)
+        i, pattern = step
+        slots = _bound_slots(pattern, bound)
+        index = g._index(tuple(name for name, _ in slots))
         nxt = []
+        candidates = 0
         for b in bindings:
-            for triple in g.triples:
+            key = tuple([b[t.name] if isinstance(t, Var) else t for _, t in slots])
+            matches = index.get(key, ())
+            candidates += len(matches)
+            for triple in matches:
                 m = _match_pattern(pattern, triple, b)
                 if m is not None:
                     nxt.append(m)
         bindings = nxt
-        if not bindings:
-            break
+        bound |= pattern.variables()
+        plan.append((i, candidates, len(bindings)))
 
     clashes = [0]
     if q.filter is not None:
@@ -660,7 +743,15 @@ def execute(q: Query, g: Graph) -> ResultTable:
 
     rows = {tuple(b[name] for name in columns) for b in bindings}
     ordered = tuple(sorted(rows, key=lambda row: tuple(_term_nt(c) for c in row)))
-    return ResultTable(columns, ordered, clashes[0])
+    return ResultTable(columns, ordered, clashes[0], tuple(plan))
+
+
+def _bound_slots(pattern, bound):
+    """(position name, term) for each position that a constant or a
+    variable in `bound` fixes."""
+    return [(name, t) for name, t in zip(
+        _POSITIONS, (pattern.subject, pattern.predicate, pattern.object))
+        if not isinstance(t, Var) or t.name in bound]
 
 
 def _pattern_var_order(pattern, seen):

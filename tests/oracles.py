@@ -185,7 +185,9 @@ def brute_force_saturate(ruleset, facts):
 
 # --- query answering: enumerate all substitutions over graph terms --------------
 
-def brute_force_query(query, graph):
+def _brute_force_bindings(query, graph):
+    """Every assignment of graph terms to the pattern variables under which
+    each pattern instantiates to a triple of the graph."""
     variables = sorted(query.pattern_variables())
     index = {name: i for i, name in enumerate(variables)}
     terms = sorted(graph.terms(), key=W._term_nt)
@@ -202,7 +204,6 @@ def brute_force_query(query, graph):
                 slots.append((False, term))
         compiled.append(slots)
 
-    matches = []
     for combo in itertools.product(terms, repeat=len(variables)):
         ok = True
         for slots in compiled:
@@ -213,15 +214,39 @@ def brute_force_query(query, graph):
                     or (s, pr, o) not in triple_set:
                 ok = False
                 break
-        if not ok:
-            continue
-        binding = dict(zip(variables, combo))
-        if query.filter is not None and not _filter_holds(query.filter, binding):
-            continue
-        matches.append(binding)
+        if ok:
+            yield dict(zip(variables, combo))
+
+
+def brute_force_query(query, graph):
+    matches = [b for b in _brute_force_bindings(query, graph)
+               if query.filter is None or _filter_holds(query.filter, b)]
     columns = query.select
     rows = {tuple(b[name] for name in columns) for b in matches}
     return columns, sorted(rows, key=lambda row: tuple(W._term_nt(c) for c in row))
+
+
+def brute_force_clashes(query, graph):
+    """Comparison leaves over incompatible kinds, counted once per leaf on
+    every full binding; both sides of && and || are visited."""
+    if query.filter is None:
+        return 0
+    return sum(_leaf_clashes(query.filter, b)
+               for b in _brute_force_bindings(query, graph))
+
+
+def _leaf_clashes(expr, binding):
+    if isinstance(expr, W.BoolExpr):
+        return _leaf_clashes(expr.left, binding) + _leaf_clashes(expr.right, binding)
+    sides = [binding[t.name] if isinstance(t, W.Var) else t for t in (expr.left, expr.right)]
+    if any(isinstance(t, W.Iri) for t in sides):
+        return 1
+    kinds = {"integer" if t.datatype == "decimal" else t.datatype for t in sides}
+    if len(kinds) == 2:
+        return 1
+    if kinds == {"boolean"} and expr.op not in ("=", "!="):
+        return 1
+    return 0
 
 
 def _filter_holds(expr, binding):

@@ -140,6 +140,44 @@ class TestQuery:
         assert data["columns"] == ["region", "temperature", "humidity"]
         assert ["Pine Valley", "35", "25"] in data["rows"]
 
+    def test_explain_prints_plan_then_same_table(self, capsys):
+        args = ("query", str(data_path("regions_fixture.nt")),
+                str(data_path("hot_dry_regions.rq")))
+        _, plain, _ = run(capsys, *args)
+        code, stdout, _ = run(capsys, *args, "--explain")
+        assert code == 0
+        lines = stdout.splitlines()
+        assert lines[:4] == [
+            "# step 1: pattern 1 [?area http://www.w3.org/1999/02/22-rdf-syntax-ns#type "
+            "http://example.org/forest#ForestArea] candidates=4 bindings=4",
+            "# step 2: pattern 2 [?area http://example.org/forest#hasName ?region] "
+            "candidates=4 bindings=4",
+            "# step 3: pattern 3 [?area http://example.org/forest#hasTemperature "
+            "?temperature] candidates=4 bindings=4",
+            "# step 4: pattern 4 [?area http://example.org/forest#hasHumidity "
+            "?humidity] candidates=4 bindings=4",
+        ]
+        assert "\n".join(lines[4:]) + "\n" == plain
+
+    def test_explain_json_adds_plan_key_only(self, capsys):
+        args = ("query", str(data_path("regions_fixture.nt")),
+                str(data_path("hot_dry_regions.rq")), "--json")
+        _, plain, _ = run(capsys, *args)
+        _, stdout, _ = run(capsys, *args, "--explain")
+        data = json.loads(stdout)
+        assert data.pop("plan") == [
+            {"pattern": n, "candidates": 4, "bindings": 4} for n in (1, 2, 3, 4)]
+        assert data == json.loads(plain)
+
+    def test_deeply_nested_filter_exits_1(self, capsys, tmp_path):
+        q = tmp_path / "deep.rq"
+        q.write_text("SELECT ?s WHERE { ?s <http://example.org/p> ?v . FILTER ("
+                     + "(" * 2000 + "?v > 1" + ")" * 2000 + ") }", encoding="utf-8")
+        code, stdout, err = run(capsys, "query", str(data_path("regions_fixture.nt")),
+                                str(q))
+        assert code == 1 and stdout == ""
+        assert err.startswith("firedss: error: at ") and "nested deeper" in err
+
     def test_bad_query_file(self, capsys, tmp_path):
         q = tmp_path / "bad.rq"
         q.write_text("SELECT WHERE {", encoding="utf-8")

@@ -10,7 +10,7 @@ from firedss.semweb import (
     serialize, time_queries,
 )
 
-from oracles import brute_force_query
+from oracles import brute_force_clashes, brute_force_query
 
 EX = "http://example.org/t#"
 
@@ -216,6 +216,35 @@ class TestParseQuery:
         with pytest.raises(QuerySyntaxError):
             parse_query("SELECT ?x WHERE { ?x ")
 
+    @pytest.mark.parametrize("depth", [semweb.MAX_FILTER_DEPTH + 1, 2000, 100_000])
+    def test_deep_filter_parentheses_rejected(self, depth):
+        head = f"SELECT ?s WHERE {{ ?s <{EX}p> ?v . FILTER ("
+        text = head + "(" * depth + "?v > 1" + ")" * depth + ") }"
+        with pytest.raises(QuerySyntaxError) as info:
+            parse_query(text)
+        assert info.value.position == len(head) + semweb.MAX_FILTER_DEPTH
+
+    def test_filter_parentheses_at_limit_accepted(self):
+        depth = semweb.MAX_FILTER_DEPTH
+        text = (f"SELECT ?s WHERE {{ ?s <{EX}p> ?v . FILTER ("
+                + "(" * depth + "?v > 1" + ")" * depth + ") }")
+        g = Graph([Triple(iri("s"), iri("p"), Literal("2", "integer"))])
+        assert len(execute(parse_query(text), g)) == 1
+
+    @pytest.mark.parametrize("joiner", [" && ", " || ", ") FILTER ("])
+    def test_long_filter_chains_rejected(self, joiner):
+        limit = semweb.MAX_FILTER_OPERATORS
+        head = f"SELECT ?s WHERE {{ ?s <{EX}p> ?v . FILTER ("
+        leaf = "?v > 1"
+        g = Graph([Triple(iri("s"), iri("p"), Literal("2", "integer"))])
+        at_limit = head + joiner.join([leaf] * (limit + 1)) + ") }"
+        assert len(execute(parse_query(at_limit), g)) == 1
+        with pytest.raises(QuerySyntaxError) as info:
+            parse_query(head + joiner.join([leaf] * 3000) + ") }")
+        operator_offset = joiner.index(joiner.strip(" ()"))
+        assert info.value.position == (len(head) + limit * len(leaf + joiner)
+                                       + len(leaf) + operator_offset)
+
 
 def region_fixture_graph():
     g = Graph()
@@ -269,6 +298,53 @@ class TestExecute:
         g = Graph([Triple(iri("s"), iri("p"), Literal("2.5", "decimal"))])
         q = parse_query(f"SELECT ?v WHERE {{ ?s <{EX}p> ?v . FILTER (?v > 2) }}")
         assert len(execute(q, g)) == 1
+
+    def test_graph_add_after_query_is_seen(self):
+        g = region_fixture_graph()
+        q = parse_query(REGION_QUERY)
+        assert len(execute(q, g)) == 3
+        ns = "http://example.org/forest#"
+        s = Iri(ns + "SouthForest")
+        g.add(Triple(s, Iri(ns + "hasHumidity"), Literal("12", "integer")))
+        g.add(Triple(s, Iri(ns + "hasTemperature"), Literal("31", "integer")))
+        names = {semweb.format_cell(r[0]) for r in execute(q, g).rows}
+        assert names == {"Pine Valley", "Oak Ridge", "Maple Hill", "South Forest"}
+
+    def test_repeated_variable_pattern(self):
+        g = Graph([Triple(iri("a"), iri("p"), iri("a")),
+                   Triple(iri("a"), iri("p"), iri("b")),
+                   Triple(iri("b"), iri("q"), iri("b"))])
+        q = parse_query(f"SELECT ?x WHERE {{ ?x <{EX}p> ?x }}")
+        assert execute(q, g).rows == ((iri("a"),),)
+        q = parse_query(f"SELECT ?x ?p WHERE {{ ?x ?p ?x }}")
+        assert execute(q, g).rows == ((iri("a"), iri("p")), (iri("b"), iri("q")))
+
+    def test_literal_subject_matches_nothing(self):
+        g = Graph([Triple(iri("s"), iri("p"), Literal("5", "integer")),
+                   Triple(iri("s"), iri("q"), iri("o"))])
+        lit = Literal("5", "integer")
+        for pattern in (TriplePattern(lit, iri("p"), Var("o")),
+                        TriplePattern(lit, Var("p"), Var("o"))):
+            q = Query({}, ("o",), (pattern,), None)
+            assert execute(q, g).rows == ()
+        # a variable bound to a literal, then used as a subject, joins nothing
+        q = parse_query(f"SELECT ?v ?w WHERE {{ ?s <{EX}p> ?v . ?v ?p ?w }}")
+        assert execute(q, g).rows == ()
+
+    def test_plan_runs_most_bound_pattern_first(self):
+        g = region_fixture_graph()
+        q = parse_query("PREFIX ex: <http://example.org/forest#>\n"
+                        "SELECT ?r ?t WHERE { ?r ex:hasTemperature ?t . "
+                        "?r ex:hasName \"Oak Ridge\" }")
+        result = execute(q, g)
+        assert result.plan == ((1, 1, 1), (0, 1, 1))
+        assert [semweb.format_cell(c) for c in result.rows[0]] == [
+            "http://example.org/forest#OakRidge", "34"]
+        empty = execute(parse_query(
+            "PREFIX ex: <http://example.org/forest#>\n"
+            "SELECT ?r WHERE { ?r ex:hasTemperature ?t . ?r ex:nothing ?x . "
+            "?r ex:hasName ?n }"), g)
+        assert empty.plan == ((0, 4, 4), (1, 0, 0))
 
     def test_join_commutativity(self):
         rng = random.Random(17)
@@ -357,6 +433,7 @@ class TestOracleEquivalence:
             want_cols, want_rows = brute_force_query(q, g)
             assert got.columns == want_cols
             assert list(got.rows) == want_rows, f"case {case}"
+            assert got.type_clashes == brute_force_clashes(q, g), f"case {case}"
 
 
 class TestConcurrentReads:
@@ -369,6 +446,31 @@ class TestConcurrentReads:
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(lambda _: execute(q, g).rows, range(64)))
         assert all(rows == reference for rows in results)
+
+    def test_threads_race_on_first_query_of_fresh_graph(self):
+        import sys
+        import threading
+        from concurrent.futures import ThreadPoolExecutor
+
+        q = parse_query(REGION_QUERY)
+        reference = execute(q, region_fixture_graph()).rows
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                g = region_fixture_graph()
+                start = threading.Barrier(8, timeout=10)
+
+                def first_query(_):
+                    start.wait()
+                    return execute(q, g).rows
+
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    futures = [pool.submit(first_query, n) for n in range(8)]
+                    results = [f.result(timeout=30) for f in futures]
+                assert all(rows == reference for rows in results)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestTiming:
