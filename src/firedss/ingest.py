@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import random
@@ -214,13 +215,53 @@ def _parse_cell(rownum, name, text):
     return value
 
 
-def parse_record_fields(fields, rownum=0):
-    """Parse one headerless record given in canonical column order."""
+_LOWER_TO_CANONICAL = {name.lower(): name for name in CANONICAL_COLUMNS}
+_CANONICAL_ORDER = tuple(range(len(CANONICAL_COLUMNS)))
+
+
+def _header_order(fields):
+    """Index of each canonical column in a header row (any case, any order)."""
+    positions = {}
+    for i, raw in enumerate(fields):
+        canonical = _LOWER_TO_CANONICAL.get(raw.strip().lower())
+        if canonical is None:
+            raise UnknownColumn(raw.strip())
+        positions[canonical] = i
+    for name in CANONICAL_COLUMNS:
+        if name not in positions:
+            raise MissingColumn(name)
+    return tuple(positions[name] for name in CANONICAL_COLUMNS)
+
+
+def _parse_row(rownum, fields, order=_CANONICAL_ORDER):
     if len(fields) != len(CANONICAL_COLUMNS):
         raise BadCell(rownum, "<row>", ",".join(fields))
-    values = [_parse_cell(rownum, name, cell)
-              for name, cell in zip(CANONICAL_COLUMNS, fields)]
-    return WeatherRecord(*values)
+    return tuple(_parse_cell(rownum, name, fields[i])
+                 for name, i in zip(CANONICAL_COLUMNS, order))
+
+
+def _rows(lines, header):
+    """Value tuples in canonical column order from CSV lines; blank rows are
+    skipped and ``header`` is read as iter_records describes."""
+    rows = (f for f in csv.reader(lines) if len(f) > 1 or (f and f[0].strip()))
+    first = next(rows, None)
+    if first is None:
+        if header:
+            raise MissingColumn(CANONICAL_COLUMNS[0])
+        return
+    order = _CANONICAL_ORDER
+    if header or (header is None
+                  and {f.strip().lower() for f in first} == _LOWER_TO_CANONICAL.keys()):
+        order = _header_order(first)
+    else:
+        rows = itertools.chain([first], rows)
+    for rownum, fields in enumerate(rows):
+        yield _parse_row(rownum, fields, order)
+
+
+def parse_record_fields(fields, rownum=0):
+    """Parse one headerless record given in canonical column order."""
+    return WeatherRecord(*_parse_row(rownum, fields))
 
 
 def parse_dataset(csv_text):
@@ -231,75 +272,21 @@ def parse_dataset(csv_text):
     well formed, but this schema never needs quoting and malformed quoting
     surfaces as a BadCell (wrong cell count after CSV splitting).
     """
-    if isinstance(csv_text, str):
-        stream = io.StringIO(csv_text)
-    else:
-        stream = csv_text
-    reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise MissingColumn(CANONICAL_COLUMNS[0]) from None
-
-    lower_to_canonical = {name.lower(): name for name in CANONICAL_COLUMNS}
-    positions = {}
-    for i, raw in enumerate(header):
-        key = raw.strip().lower()
-        canonical = lower_to_canonical.get(key)
-        if canonical is None:
-            raise UnknownColumn(raw.strip())
-        positions[canonical] = i
-    for name in CANONICAL_COLUMNS:
-        if name not in positions:
-            raise MissingColumn(name)
-
-    rows = []
-    rownum = 0
-    for fields in reader:
-        if not fields or (len(fields) == 1 and not fields[0].strip()):
-            continue  # blank line
-        if len(fields) != len(CANONICAL_COLUMNS):
-            raise BadCell(rownum, "<row>", ",".join(fields))
-        rows.append(tuple(_parse_cell(rownum, name, fields[positions[name]])
-                          for name in CANONICAL_COLUMNS))
-        rownum += 1
-    return Dataset(_canonical_schema(), rows, ({"name": "parse"},))
+    lines = io.StringIO(csv_text) if isinstance(csv_text, str) else csv_text
+    return Dataset(_canonical_schema(), _rows(lines, header=True), ({"name": "parse"},))
 
 
 def iter_records(lines, header=True):
-    """Lazily parse records from an iterable of CSV lines.
+    """Lazily parse records from an iterable of CSV lines, by the same rules
+    as parse_dataset.
 
-    With header=True the first line must carry the 13 canonical names;
-    otherwise lines are headerless records in canonical order.
+    header=True requires the first non-blank row to name the 13 columns,
+    header=False reads every row as a record in canonical order, and
+    header=None takes the first row as a header exactly when its cells are
+    the 13 names.
     """
-    positions = None
-    rownum = 0
-    lower_to_canonical = {name.lower(): name for name in CANONICAL_COLUMNS}
-    for line in lines:
-        line = line.rstrip("\r\n")
-        if not line.strip():
-            continue
-        fields = next(csv.reader([line]))
-        if header and positions is None:
-            positions = {}
-            for i, raw in enumerate(fields):
-                canonical = lower_to_canonical.get(raw.strip().lower())
-                if canonical is None:
-                    raise UnknownColumn(raw.strip())
-                positions[canonical] = i
-            for name in CANONICAL_COLUMNS:
-                if name not in positions:
-                    raise MissingColumn(name)
-            continue
-        if positions is not None:
-            if len(fields) != len(CANONICAL_COLUMNS):
-                raise BadCell(rownum, "<row>", line)
-            record = WeatherRecord(*(_parse_cell(rownum, name, fields[positions[name]])
-                                     for name in CANONICAL_COLUMNS))
-        else:
-            record = parse_record_fields(fields, rownum)
-        yield record
-        rownum += 1
+    for values in _rows(lines, header):
+        yield WeatherRecord(*values)
 
 
 def serialize_csv(d: Dataset) -> str:
@@ -308,13 +295,6 @@ def serialize_csv(d: Dataset) -> str:
     for row in d.rows:
         out.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
     return "\n".join(out) + "\n"
-
-
-def record_to_fields(record: WeatherRecord):
-    values = (record.x, record.y, record.month, record.day, record.ffmc,
-              record.dmc, record.dc, record.isi, record.temp, record.rh,
-              record.wind, record.rain, record.area)
-    return [repr(v) if isinstance(v, float) else str(v) for v in values]
 
 
 def log_transform_area(d: Dataset) -> Dataset:

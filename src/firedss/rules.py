@@ -31,6 +31,7 @@ class RuleSyntaxError(RuleError):
         super().__init__(f"line {line}, column {column}: {message}")
         self.line = line
         self.column = column
+        self.message = message
 
 
 class UnsafeVariable(RuleError):
@@ -87,9 +88,6 @@ class Num:
 @dataclass(frozen=True)
 class Bool:
     value: bool
-
-
-LITERAL_KINDS = (Str, Num, Bool)
 
 
 def is_ground(term):
@@ -181,9 +179,6 @@ class FactBase:
 
     def derived(self):
         return {f for f in self.facts if f in self.derivations}
-
-    def asserted(self):
-        return {f for f in self.facts if f not in self.derivations}
 
 
 # --- textual forms -----------------------------------------------------------
@@ -408,23 +403,21 @@ def parse_rules(text: str) -> RuleSet:
     return RuleSet(rules)
 
 
-_FACT_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*\((.*)\)\s*$")
-
-
 def parse_facts(text: str) -> FactBase:
     """Parse ground atoms, one per line, into a FactBase (test/demo helper)."""
     facts = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        m = _FACT_RE.match(line)
-        if m is None:
-            raise RuleSyntaxError(lineno, 1, f"expected a ground atom, found {line!r}")
-        parser = _Parser(_tokenize(line))
-        atom = parser.parse_atom()
+    for lineno, line in enumerate(text.splitlines(), 1):
+        try:
+            parser = _Parser(_tokenize(line))
+            if parser.peek().kind == "eof":
+                continue  # blank or comment-only line
+            atom = parser.parse_atom()
+            if parser.peek().kind != "eof":
+                parser.error("end of line")
+        except RuleSyntaxError as exc:
+            raise RuleSyntaxError(lineno, exc.column, exc.message) from None
         if isinstance(atom, Builtin) or not atom.ground():
-            raise RuleSyntaxError(lineno, 1, f"not a ground atom: {line!r}")
+            raise RuleSyntaxError(lineno, 1, f"not a ground atom: {line.strip()!r}")
         facts.append(atom)
     return FactBase(facts)
 

@@ -537,16 +537,10 @@ class _QueryParser:
         if kind == "keyword" and text == "a" and position == "predicate":
             self.next()
             return Iri(RDF_TYPE)
-        if kind == "string":
-            self.next()
-            return Literal(_unescape(text[1:-1]), "string")
-        if kind == "number":
-            self.next()
-            return Literal(text, "integer" if re.fullmatch(r"-?\d+", text) else "decimal")
-        if kind == "keyword" and text in ("true", "false"):
-            self.next()
-            return Literal(text, "boolean")
-        self.error(f"{position} term")
+        literal = self.parse_literal()
+        if literal is None:
+            self.error(f"{position} term")
+        return literal
 
     def bool_expr(self, op, left, right, pos):
         self.operators += 1
@@ -594,16 +588,24 @@ class _QueryParser:
         if kind == "var":
             self.next()
             return Var(text[1:])
+        literal = self.parse_literal()
+        if literal is None:
+            self.error("filter operand")
+        return literal
+
+    def parse_literal(self):
+        """The number, string or boolean literal at the cursor, else None."""
+        kind, text, _ = self.peek()
         if kind == "number":
-            self.next()
-            return Literal(text, "integer" if re.fullmatch(r"-?\d+", text) else "decimal")
-        if kind == "string":
-            self.next()
-            return Literal(_unescape(text[1:-1]), "string")
-        if kind == "keyword" and text in ("true", "false"):
-            self.next()
-            return Literal(text, "boolean")
-        self.error("filter operand")
+            literal = Literal(text, "integer" if re.fullmatch(r"-?\d+", text) else "decimal")
+        elif kind == "string":
+            literal = Literal(_unescape(text[1:-1]), "string")
+        elif kind == "keyword" and text in ("true", "false"):
+            literal = Literal(text, "boolean")
+        else:
+            return None
+        self.next()
+        return literal
 
 
 def _filter_variables(expr):

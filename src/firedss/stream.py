@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import socket
 import sys
 import time
@@ -27,8 +28,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import fwi, ingest, rules as rules_mod
-
-ALERT_KINDS = ("FFMC_IGNITION", "DMC", "DC_MOPUP", "ISI_SPREAD", "BUI", "FWI", "RULE")
 
 # (alert kind, band quantity, code attribute) in emission order
 _QUANTITY_ALERTS = (
@@ -154,78 +153,77 @@ class StreamSource:
             yield offset, record
 
 
+@dataclass(frozen=True)
+class SourceSpec:
+    """A parsed source spec. source_id is the checkpoint identity."""
+    source_id: str
+    kind: str                   # "file" | "stdin" | "socket"
+    target: str                 # file path, "<host>:<port>", or "" for stdin
+    rate: float | None = None   # file replay records/s; inf means no delay
+
+
+def parse_source(spec):
+    """Parse a source spec: ``file:<path>`` (optionally ``?rate=<n>``, n > 0),
+    a bare path, ``socket:<host>:<port>``, or ``stdin:`` / ``-``. The rate is
+    not part of the source identity."""
+    if spec.startswith("socket:"):
+        return SourceSpec(spec, "socket", spec[len("socket:"):])
+    if spec in ("stdin:", "-"):
+        return SourceSpec("stdin:", "stdin", "")
+    path = spec[len("file:"):] if spec.startswith("file:") else spec
+    rate = None
+    if "?rate=" in path:
+        path, rate_text = path.split("?rate=", 1)
+        try:
+            rate = float(rate_text)
+        except ValueError:
+            rate = math.nan  # rejected with the other bad rates below
+        if not rate > 0:
+            raise StreamError(f"rate must be a number > 0, got {rate_text!r}")
+    return SourceSpec(f"file:{path}", "file", path, rate)
+
+
 def _file_records(path, start_offset, rate):
     with open(path, "r", encoding="utf-8") as fh:
-        skipped = 0
-        for record in ingest.iter_records(fh, header=True):
-            if skipped < start_offset:
-                skipped += 1
-                continue
+        records = ingest.iter_records(fh, header=True)
+        for record in itertools.islice(records, start_offset, None):
             if rate is not None:
                 time.sleep(1.0 / rate)
             yield record
 
 
-def _stdin_records():
-    first = sys.stdin.readline()
-    if not first:
-        return
-    fields = [f.strip().lower() for f in first.rstrip("\r\n").split(",")]
-    has_header = set(fields) == {c.lower() for c in ingest.CANONICAL_COLUMNS}
-    lines = itertools.chain([first], sys.stdin)
-    yield from ingest.iter_records(lines, header=has_header)
-
-
-def _socket_records(host, port, listener):
+def _socket_lines(listener):
     conn, _addr = listener.accept()
     try:
-        buffer = b""
-        while True:
-            chunk = conn.recv(65536)
-            if not chunk:
-                break
-            buffer += chunk
-            while b"\n" in buffer:
-                line, buffer = buffer.split(b"\n", 1)
-                text = line.decode("utf-8").strip()
-                if text:
-                    yield ingest.parse_record_fields(text.split(","))
-        text = buffer.decode("utf-8").strip()
-        if text:
-            yield ingest.parse_record_fields(text.split(","))
+        with conn.makefile("r", encoding="utf-8", newline="") as lines:
+            yield from lines
     finally:
         conn.close()
         listener.close()
 
 
 def open_source(spec, start_offset=0):
-    """Open a record source.
+    """Open the record source named by a spec (see parse_source).
 
-    spec forms: ``file:<path>`` (optionally ``file:<path>?rate=<n>``),
-    ``socket:<host>:<port>``, ``stdin:``. A bare path is read as a file.
-    File replay honors start_offset for checkpoint resume.
+    Files must start with a header, stdin may, and socket lines are
+    headerless records. File replay honors start_offset for checkpoint
+    resume.
     """
-    if spec.startswith("socket:"):
+    spec = parse_source(spec)
+    if spec.kind == "socket":
         try:
-            _, host, port = spec.split(":", 2)
+            host, port = spec.target.split(":", 1)
             listener = socket.create_server((host, int(port)))
         except (OSError, ValueError) as exc:
-            raise IoError(f"cannot bind {spec}: {exc}") from None
-        return StreamSource(spec, _socket_records(host, port, listener),
-                            start_offset)
-    if spec in ("stdin:", "-"):
-        return StreamSource("stdin:", _stdin_records(), start_offset)
-
-    path, rate = spec, None
-    if spec.startswith("file:"):
-        path = spec[len("file:"):]
-    if "?rate=" in path:
-        path, rate_text = path.split("?rate=", 1)
-        rate = float(rate_text)
-    if not Path(path).is_file():
-        raise IoError(f"no such file: {path}")
-    return StreamSource(f"file:{path}", _file_records(path, start_offset, rate),
-                        start_offset)
+            raise IoError(f"cannot bind {spec.source_id}: {exc}") from None
+        records = ingest.iter_records(_socket_lines(listener), header=False)
+    elif spec.kind == "stdin":
+        records = ingest.iter_records(sys.stdin, header=None)
+    elif not Path(spec.target).is_file():
+        raise IoError(f"no such file: {spec.target}")
+    else:
+        records = _file_records(spec.target, start_offset, spec.rate)
+    return StreamSource(spec.source_id, records, start_offset)
 
 
 def cut_batches(source, size=20, first_seq=0):
@@ -410,7 +408,7 @@ def run_pipeline(source_spec, sink_path, checkpoint_path=None, batch_size=20,
             raise BadCheckpoint(
                 "rule/band fingerprint changed since the checkpoint was written; "
                 "refusing to resume")
-        source_id = _source_id_for(source_spec)
+        source_id = parse_source(source_spec).source_id
         if cp.source_id != source_id:
             raise BadCheckpoint(
                 f"checkpoint belongs to {cp.source_id!r}, not {source_id!r}")
@@ -444,11 +442,3 @@ def run_pipeline(source_spec, sink_path, checkpoint_path=None, batch_size=20,
     stats.duration_ms = (time.perf_counter() - started) * 1000.0
     return stats
 
-
-def _source_id_for(spec):
-    if spec.startswith("socket:") or spec in ("stdin:", "-"):
-        return spec if spec != "-" else "stdin:"
-    path = spec[len("file:"):] if spec.startswith("file:") else spec
-    if "?rate=" in path:
-        path = path.split("?rate=", 1)[0]
-    return f"file:{path}"

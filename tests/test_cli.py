@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import firedss
 from firedss import cli, data_path
 
 
@@ -119,6 +124,68 @@ class TestStream:
     def test_missing_sink_is_error(self, capsys, dataset_csv):
         code, _, err = run(capsys, "stream", "--dataset", dataset_csv)
         assert code == 1 and "sink" in err
+
+    @pytest.mark.parametrize("rate", ["0", "-1", "nan", "abc"])
+    def test_bad_rate_exits_1_without_a_sink(self, capsys, tmp_path, small_csv, rate):
+        sink = tmp_path / "alerts.jsonl"
+        code, _, err = run(capsys, "stream", "--dataset", f"file:{small_csv}?rate={rate}",
+                           "--sink", str(sink))
+        assert code == 1 and "rate must be a number > 0" in err
+        assert not sink.exists()
+
+    def test_zero_byte_file_exits_1(self, capsys, tmp_path):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("", encoding="utf-8")
+        code, _, err = run(capsys, "stream", "--dataset", str(empty),
+                           "--sink", str(tmp_path / "alerts.jsonl"))
+        assert code == 1 and "missing column" in err
+
+
+def _stream_stdin(tmp_path, text):
+    """Run `firedss stream --dataset -` in a child process fed ``text``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(firedss.__file__).parents[1]))
+    sink = tmp_path / "stdin.jsonl"
+    done = subprocess.run(
+        [sys.executable, "-m", "firedss", "stream", "--dataset", "-",
+         "--sink", str(sink), "--batch-size", "2"],
+        input=text, capture_output=True, text=True, env=env, timeout=60)
+    events = [json.loads(line) for line in open(sink)] if sink.exists() else []
+    for e in events:
+        e.pop("ts_ms")
+    return done, events
+
+
+class TestStreamStdin:
+    REORDERED = "AREA,x,y,MONTH,day,ffmc,dmc,dc,isi,TEMP,rh,wind,rain"
+    REORDERED_ROW = "0.0,8,6,aug,mon,92.3,88.9,495.6,8.5,24.1,27,3.1,0.0"
+    CALM = "4,5,jan,tue,30.0,2.0,10.0,0.5,5.0,80,2.0,0.0,0.0"
+    CALM_REORDERED = "0.0,4,5,jan,tue,30.0,2.0,10.0,0.5,5.0,80,2.0,0.0"
+
+    @pytest.mark.parametrize("text", [
+        f"{HEADER}\n{ROW}\n{CALM}\n{ROW}\n",
+        f"{REORDERED}\n{REORDERED_ROW}\n{CALM_REORDERED}\n{REORDERED_ROW}\n",
+        f"{ROW}\n{CALM}\n{ROW}\n",
+    ], ids=["header", "reordered_upper_header", "no_header"])
+    def test_same_alerts_as_the_file(self, capsys, tmp_path, text):
+        path = tmp_path / "three.csv"
+        path.write_text(f"{HEADER}\n{ROW}\n{self.CALM}\n{ROW}\n", encoding="utf-8")
+        file_sink = tmp_path / "file.jsonl"
+        assert run(capsys, "stream", "--dataset", str(path), "--sink", str(file_sink),
+                   "--batch-size", "2")[0] == 0
+        expected = [json.loads(line) for line in open(file_sink)]
+        for e in expected:
+            e.pop("ts_ms")
+
+        done, events = _stream_stdin(tmp_path, text)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["records_in"] == 3
+        assert events == expected
+
+    def test_empty_stdin_is_zero_records(self, tmp_path):
+        done, events = _stream_stdin(tmp_path, "")
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["records_in"] == 0
+        assert events == []
 
 
 class TestQuery:

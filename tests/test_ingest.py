@@ -1,3 +1,5 @@
+import dataclasses
+import io
 import math
 import random
 
@@ -93,6 +95,65 @@ class TestParse:
         d = random_dataset(rng, 40)
         again = ingest.parse_dataset(ingest.serialize_csv(d))
         assert again.rows == d.rows and again.schema == d.schema
+
+
+# CSV edge inputs that every ingest path must treat alike
+EDGE_INPUTS = {
+    "zero_byte": "",
+    "blank_line_before_header": "\n" + make_csv(ROW1),
+    "empty_quoted_line": HEADER + "\n" + ROW1 + '\n""\n' + ROW1 + "\n",
+    "quoted_cell_spans_lines": HEADER + "\n" + ROW1.replace(",aug,", ',"aug\n",') + "\n",
+    "header_only": HEADER + "\n",
+    "crlf_and_blank_lines": HEADER + "\r\n\r\n" + ROW1 + "\r\n   \r\n",
+    "reordered_upper_header": "AREA,X,Y,MONTH,DAY,FFMC,DMC,DC,ISI,TEMP,RH,WIND,RAIN\n"
+                              "0.0,8,6,aug,mon,92.3,88.9,495.6,8.5,24.1,27,3.1,0.0\n",
+    "short_row": make_csv(ROW1.rsplit(",", 1)[0]),
+}
+
+
+def _outcome(parse):
+    try:
+        return parse()
+    except Exception as exc:  # compared by type across the two paths
+        return type(exc)
+
+
+class TestUnifiedReader:
+    @pytest.mark.parametrize("name", sorted(EDGE_INPUTS))
+    def test_parse_dataset_and_iter_records_agree(self, name):
+        text = EDGE_INPUTS[name]
+        batch = _outcome(lambda: ingest.parse_dataset(text).rows)
+        streamed = _outcome(lambda: tuple(
+            dataclasses.astuple(r) for r in ingest.iter_records(io.StringIO(text))))
+        assert batch == streamed
+
+    def test_edge_outcomes(self):
+        def rows(name):
+            return _outcome(lambda: ingest.parse_dataset(EDGE_INPUTS[name]).rows)
+        assert rows("zero_byte") is MissingColumn
+        assert len(rows("blank_line_before_header")) == 1
+        assert len(rows("empty_quoted_line")) == 2
+        (row,) = rows("quoted_cell_spans_lines")
+        assert row[2] == "aug"
+        assert rows("short_row") is BadCell
+
+    @pytest.mark.parametrize("text, expected", [
+        (make_csv(ROW1, ROW1), 2),
+        (EDGE_INPUTS["reordered_upper_header"], 1),
+        (ROW1 + "\n" + ROW1 + "\n", 2),
+        ("\n" + make_csv(ROW1), 1),
+        ("", 0),
+    ])
+    def test_detected_header(self, text, expected):
+        records = list(ingest.iter_records(io.StringIO(text), header=None))
+        assert [dataclasses.astuple(r) for r in records] == \
+            [ingest.parse_dataset(make_csv(ROW1)).rows[0]] * expected
+
+    def test_headerless_rows_in_canonical_order(self):
+        (record,) = ingest.iter_records([ROW1 + "\n"], header=False)
+        assert record == ingest.parse_record_fields(ROW1.split(","))
+        with pytest.raises(BadCell):
+            list(ingest.iter_records([HEADER + "\n"], header=False))
 
 
 class TestLogTransform:

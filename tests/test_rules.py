@@ -97,6 +97,23 @@ class TestParser:
         assert "fire_trigger" in rs.by_name
 
 
+class TestParseFacts:
+    def test_one_ground_atom_per_line(self):
+        base = rules.parse_facts('# situation\nA(x)\n\nhasRisk(x, 0.5)  # comment\n'
+                                 '  \thasName(x, "a#b")\n')
+        assert set(base.facts) == {atom("A", ind("x")), atom("hasRisk", ind("x"), Num(0.5)),
+                                   atom("hasName", ind("x"), Str("a#b"))}
+
+    @pytest.mark.parametrize("line", [
+        "A(x) B(y)", "A(x), B(y)", "A(x))", "A(x) ^ B(y)", "A(?x)",
+        "lessThan(1, 2)", "A(x", "A x", "ns:A(x)", "A(x) $",
+    ])
+    def test_bad_line_reports_its_number(self, line):
+        with pytest.raises(RuleSyntaxError) as err:
+            rules.parse_facts(f"A(a)\n\n{line}\nB(b)\n")
+        assert err.value.line == 3
+
+
 class TestBuiltinCompare:
     def test_inclusive_boundary(self):
         assert rules.builtin_compare("lessThanOrEqual", Num(1000), Num(1000)) is True

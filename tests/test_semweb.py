@@ -216,6 +216,27 @@ class TestParseQuery:
         with pytest.raises(QuerySyntaxError):
             parse_query("SELECT ?x WHERE { ?x ")
 
+    @pytest.mark.parametrize("token, literal", [
+        ("-12", Literal("-12", "integer")),
+        ("3.5", Literal("3.5", "decimal")),
+        ('"a \\"b\\""', Literal('a "b"', "string")),
+        ("true", Literal("true", "boolean")),
+    ])
+    def test_literal_same_in_object_and_filter(self, token, literal):
+        q = parse_query(f"SELECT ?s WHERE {{ ?s <{EX}p> {token} . "
+                        f"?s <{EX}q> ?v . FILTER (?v = {token}) }}")
+        assert q.patterns[0].object == literal
+        assert q.filter.right == literal
+
+    @pytest.mark.parametrize("text, message", [
+        (f"SELECT ?s WHERE {{ ?s <{EX}p> . }}", "expected object term"),
+        (f"SELECT ?s WHERE {{ ?s <{EX}p> ?v . FILTER (?v > <{EX}o>) }}",
+         "expected filter operand"),
+    ])
+    def test_literal_error_texts(self, text, message):
+        with pytest.raises(QuerySyntaxError, match=message):
+            parse_query(text)
+
     @pytest.mark.parametrize("depth", [semweb.MAX_FILTER_DEPTH + 1, 2000, 100_000])
     def test_deep_filter_parentheses_rejected(self, depth):
         head = f"SELECT ?s WHERE {{ ?s <{EX}p> ?v . FILTER ("

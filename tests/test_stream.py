@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import socket
 import threading
@@ -9,7 +10,8 @@ from firedss import fwi, ingest, rules, stream
 from firedss.stream import (
     BadCheckpoint, Batch, Checkpoint, CorruptCheckpoint, IoError,
     SimulatedCrash, StaleCheckpoint, StreamError, batch_evaluate,
-    checkpoint_load, checkpoint_save, cut_batches, open_source, run_pipeline,
+    checkpoint_load, checkpoint_save, cut_batches, open_source, parse_source,
+    run_pipeline,
 )
 
 HEADER = "X,Y,month,day,FFMC,DMC,DC,ISI,temp,RH,wind,rain,area"
@@ -96,6 +98,80 @@ class TestSources:
         t.join()
         assert len(records) == 2
         assert records[0][1].ffmc == 92.3
+
+
+    def test_socket_source_reads_csv_quoting(self):
+        listener_probe = socket.socket()
+        listener_probe.bind(("127.0.0.1", 0))
+        port = listener_probe.getsockname()[1]
+        listener_probe.close()
+
+        src = open_source(f"socket:127.0.0.1:{port}")
+        quoted = TRIGGER_ROW.replace(",aug,", ',"aug",').replace(",92.3,", ',"92.3",')
+
+        def feed():
+            client = socket.create_connection(("127.0.0.1", port))
+            client.sendall((quoted + "\r\n\n" + CALM_ROW).encode())
+            client.close()
+
+        t = threading.Thread(target=feed)
+        t.start()
+        records = [r for _, r in src]
+        t.join()
+        assert records == [ingest.parse_record_fields(TRIGGER_ROW.split(",")),
+                           ingest.parse_record_fields(CALM_ROW.split(","))]
+
+
+class TestSourceSpec:
+    @pytest.mark.parametrize("spec", ["x.csv", "file:x.csv", "file:x.csv?rate=5",
+                                      "x.csv?rate=inf"])
+    def test_rate_and_prefix_are_not_part_of_the_identity(self, spec):
+        assert parse_source(spec).source_id == "file:x.csv"
+
+    @pytest.mark.parametrize("spec, source_id, kind", [
+        ("-", "stdin:", "stdin"),
+        ("stdin:", "stdin:", "stdin"),
+        ("socket:127.0.0.1:9009", "socket:127.0.0.1:9009", "socket"),
+    ])
+    def test_stdin_and_socket(self, spec, source_id, kind):
+        parsed = parse_source(spec)
+        assert (parsed.source_id, parsed.kind) == (source_id, kind)
+
+    @pytest.mark.parametrize("rate", ["0", "-1", "-0.5", "nan", "-inf", "abc", ""])
+    def test_bad_rate_rejected_before_the_sink_opens(self, tmp_path, rate):
+        path = write_dataset(tmp_path / "r.csv", [CALM_ROW])
+        with pytest.raises(StreamError, match="rate"):
+            parse_source(f"file:{path}?rate={rate}")
+        sink = tmp_path / "alerts.jsonl"
+        with pytest.raises(StreamError, match="rate"):
+            run_pipeline(f"file:{path}?rate={rate}", sink)
+        assert not sink.exists()
+
+    def test_infinite_rate_means_no_delay(self, tmp_path):
+        path = write_dataset(tmp_path / "r.csv", [CALM_ROW] * 3)
+        assert parse_source(f"{path}?rate=inf").rate == math.inf
+        assert len(list(open_source(f"file:{path}?rate=inf"))) == 3
+
+    def test_checkpoint_resumes_across_spec_spellings(self, tmp_path):
+        path = write_dataset(tmp_path / "d.csv", [CALM_ROW, TRIGGER_ROW] * 10)
+        sink, cp = tmp_path / "alerts.jsonl", tmp_path / "cp"
+
+        def crash(point, seq):
+            if point == "after_checkpoint" and seq == 1:
+                raise SimulatedCrash("crash")
+
+        with pytest.raises(SimulatedCrash):
+            run_pipeline(path, sink, cp, batch_size=5, crash_hook=crash)
+        assert checkpoint_load(cp).source_id == f"file:{path}"
+        stats = run_pipeline(f"file:{path}?rate=100000", sink, cp, batch_size=5)
+        assert stats.batches_out == 2
+        assert sorted({e["batch"] for e in read_sink(sink)}) == [0, 1, 2, 3]
+
+    def test_zero_byte_file_has_no_header(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("", encoding="utf-8")
+        with pytest.raises(ingest.MissingColumn):
+            list(open_source(str(path)))
 
 
 class TestCutBatches:
