@@ -18,7 +18,7 @@ band thresholds and the fire-trigger predicate are configuration, not code.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 FFMC_START = 85.0
 DMC_START = 6.0
@@ -214,12 +214,9 @@ def compute_codes(record) -> FwiCodes:
 
 # --- classification ---------------------------------------------------------
 
-# quantities classified from each code; the first four drive
-# DangerClassification, all six drive the stream alerts
-QUANTITIES = ("ignition_potential", "dmc_class", "dc_class",
-              "spread_rate", "bui_class", "fwi_class")
-
-_CODE_FOR_QUANTITY = {
+# danger quantity -> the code it classifies, in stream alert order; the
+# quantities that are DangerClassification fields are also its labels
+QUANTITIES = {
     "ignition_potential": "ffmc",
     "dmc_class": "dmc",
     "dc_class": "dc",
@@ -238,6 +235,9 @@ class DangerClassification:
     fire_trigger: bool
 
 
+_LABELLED = {f.name for f in fields(DangerClassification)}
+
+
 class ClassBands:
     """Ordered (upper-bound, label) bands per quantity, partitioning [0, inf).
 
@@ -251,15 +251,7 @@ class ClassBands:
                       for q, bs in bands.items()}
         self.trigger = tuple((q, l) for q, l in trigger)
         for q, bs in self.bands.items():
-            if not bs:
-                raise BandConfigError(f"{q}: no bands")
-            uppers = [u for u, _ in bs]
-            if any(b <= a for a, b in zip(uppers, uppers[1:])):
-                raise BandConfigError(f"{q}: bounds not strictly increasing")
-            if uppers[-1] != math.inf:
-                raise BandConfigError(f"{q}: last band must be unbounded")
-            if any(not l for _, l in bs):
-                raise BandConfigError(f"{q}: empty label")
+            _check_bands(q, bs)
         for q, label in self.trigger:
             if q not in self.bands:
                 raise BandConfigError(f"trigger references unknown quantity {q}")
@@ -280,8 +272,16 @@ class ClassBands:
     def label_index(self, quantity, label):
         return self.labels(quantity).index(label)
 
-    def fingerprint_text(self):
-        return dump_bands(self)
+
+def _check_bands(quantity, bands, where=""):
+    uppers = [u for u, _ in bands]
+    # each bound > 0 and > the one before, phrased so that a NaN bound fails
+    if not all(lo < hi for lo, hi in zip([0.0] + uppers, uppers)):
+        raise BandConfigError(f"{where}{quantity}: bounds must be > 0 and increasing")
+    if uppers[-1:] != [math.inf]:
+        raise BandConfigError(f"{where}{quantity}: must end with an unbounded band")
+    if not all(l for _, l in bands):
+        raise BandConfigError(f"{where}{quantity}: empty label")
 
 
 DEFAULT_BANDS = ClassBands(
@@ -305,11 +305,9 @@ DEFAULT_BANDS = ClassBands(
 def classify(codes: FwiCodes, bands: ClassBands = DEFAULT_BANDS) -> DangerClassification:
     """Map a code vector onto danger labels plus the fire-trigger verdict."""
     def label_for(quantity):
-        value = getattr(codes, _CODE_FOR_QUANTITY[quantity])
-        return bands.classify_value(quantity, value)
+        return bands.classify_value(quantity, getattr(codes, QUANTITIES[quantity]))
 
-    labels = {q: label_for(q)
-              for q in ("ignition_potential", "dmc_class", "dc_class", "spread_rate")}
+    labels = {q: label_for(q) for q in QUANTITIES if q in _LABELLED}
     trigger = all(label_for(q) == lab for q, lab in bands.trigger)
     return DangerClassification(fire_trigger=trigger, **labels)
 
@@ -335,10 +333,13 @@ def load_bands(text: str) -> ClassBands:
     Format, one key per line (# starts a comment):
         <quantity> = <upper>:<label>, <upper>:<label>, ..., inf:<label>
         trigger = <quantity>=<label> & <quantity>=<label>
+
+    Every quantity in QUANTITIES is defined once, the trigger at most once.
     """
     bands = {}
-    trigger = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    trigger, trigger_line = None, 0
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -346,6 +347,8 @@ def load_bands(text: str) -> ClassBands:
             raise BandConfigError(f"line {lineno}: expected 'key = value'")
         key, value = line.split("=", 1)
         key = key.strip()
+        if key in bands or (key == "trigger" and trigger is not None):
+            raise BandConfigError(f"line {lineno}: {key} defined twice")
         if key == "trigger":
             pairs = []
             for clause in value.split("&"):
@@ -353,19 +356,23 @@ def load_bands(text: str) -> ClassBands:
                     raise BandConfigError(f"line {lineno}: bad trigger clause {clause!r}")
                 q, lab = clause.split("=", 1)
                 pairs.append((q.strip(), lab.strip()))
-            trigger = pairs
+            trigger, trigger_line = pairs, lineno
             continue
+        if key not in QUANTITIES:
+            raise BandConfigError(f"line {lineno}: unknown quantity {key!r}")
         entries = []
         for part in value.split(","):
-            if ":" not in part:
-                raise BandConfigError(f"line {lineno}: bad band {part!r}")
-            bound, label = part.split(":", 1)
-            bound = bound.strip()
-            upper = math.inf if bound == "inf" else float(bound)
-            entries.append((upper, label.strip()))
+            bound, _, label = part.partition(":")
+            try:
+                entries.append((float(bound), label.strip()))
+            except ValueError:
+                raise BandConfigError(f"line {lineno}: bad band {part.strip()!r}") from None
+        _check_bands(key, entries, f"line {lineno}: ")
         bands[key] = entries
-    if not bands:
-        raise BandConfigError("no band definitions found")
-    if trigger is None:
-        trigger = []
-    return ClassBands(bands, trigger)
+    missing = [q for q in QUANTITIES if q not in bands]
+    if missing:
+        raise BandConfigError(f"line {max(len(lines), 1)}: no bands for {', '.join(missing)}")
+    try:
+        return ClassBands(bands, trigger or [])
+    except BandConfigError as exc:  # the bands themselves passed line by line
+        raise BandConfigError(f"line {trigger_line}: {exc}") from None

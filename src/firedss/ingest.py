@@ -244,19 +244,25 @@ def _rows(lines, header):
     """Value tuples in canonical column order from CSV lines; blank rows are
     skipped and ``header`` is read as iter_records describes."""
     rows = (f for f in csv.reader(lines) if len(f) > 1 or (f and f[0].strip()))
-    first = next(rows, None)
-    if first is None:
-        if header:
-            raise MissingColumn(CANONICAL_COLUMNS[0])
-        return
-    order = _CANONICAL_ORDER
-    if header or (header is None
-                  and {f.strip().lower() for f in first} == _LOWER_TO_CANONICAL.keys()):
-        order = _header_order(first)
-    else:
-        rows = itertools.chain([first], rows)
-    for rownum, fields in enumerate(rows):
-        yield _parse_row(rownum, fields, order)
+    first, rownum = None, 0
+    try:
+        first = next(rows, None)
+        if first is None:
+            if header:
+                raise MissingColumn(CANONICAL_COLUMNS[0])
+            return
+        order = _CANONICAL_ORDER
+        if header or (header is None
+                      and {f.strip().lower() for f in first} == _LOWER_TO_CANONICAL.keys()):
+            order = _header_order(first)
+        else:
+            rows = itertools.chain([first], rows)
+        for fields in rows:
+            yield _parse_row(rownum, fields, order)
+            rownum += 1
+    except csv.Error as exc:
+        where = "header" if header and first is None else f"row {rownum}"
+        raise DatasetError(f"{where}: {exc}") from None
 
 
 def parse_record_fields(fields, rownum=0):

@@ -211,7 +211,7 @@ def format_bindings(bindings):
 # --- parser ------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"""
-    (?P<ws>[ \t]+)
+    (?P<ws>[ \t\r]+)
   | (?P<comment>\#[^\n]*)
   | (?P<newline>\n)
   | (?P<string>"(?:[^"\\\n]|\\.)*")
@@ -537,20 +537,33 @@ class DerivationTree:
     children: tuple
 
     def leaves(self):
-        if not self.children:
-            return (self.fact,)
         out = []
-        for c in self.children:
-            out.extend(c.leaves())
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node.children:
+                stack.extend(reversed(node.children))
+            else:
+                out.append(node.fact)
         return tuple(out)
 
 
 def explain(facts: FactBase, fact: Atom) -> DerivationTree:
-    """Trace a fact back to asserted leaves. Asserted facts yield a leaf node."""
-    if fact not in facts:
-        raise UnknownFact(format_atom(fact))
-    deriv = facts.derivations.get(fact)
-    if deriv is None:
-        return DerivationTree(fact, None, (), ())
-    children = tuple(explain(facts, p) for p in deriv.premises)
-    return DerivationTree(fact, deriv.rule, deriv.bindings, children)
+    """Trace a fact back to asserted leaves, iteratively, one subtree per fact."""
+    trees = {}                  # fact -> its tree; None while on the path being built
+    stack = [fact]
+    while stack:
+        f = stack[-1]
+        if trees.get(f) is not None:
+            stack.pop()
+            continue
+        if f not in facts:
+            raise UnknownFact(format_atom(f))
+        deriv = facts.derivations.get(f) or Derivation(None, (), ())
+        if any(p in trees and trees[p] is None for p in deriv.premises):
+            raise RuleError(f"cyclic derivation of {format_atom(f)}")
+        todo = [p for p in deriv.premises if p not in trees]
+        trees[f] = None if todo else DerivationTree(
+            f, deriv.rule, deriv.bindings, tuple(trees[p] for p in deriv.premises))
+        stack.extend(todo)
+    return trees[fact]

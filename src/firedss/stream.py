@@ -24,19 +24,21 @@ import math
 import socket
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import fwi, ingest, rules as rules_mod
 
-# (alert kind, band quantity, code attribute) in emission order
-_QUANTITY_ALERTS = (
-    ("FFMC_IGNITION", "ignition_potential", "ffmc"),
-    ("DMC", "dmc_class", "dmc"),
-    ("DC_MOPUP", "dc_class", "dc"),
-    ("ISI_SPREAD", "spread_rate", "isi"),
-    ("BUI", "bui_class", "bui"),
-    ("FWI", "fwi_class", "fwi"),
+# (alert kind, band quantity, code-fact predicate, label-fact prefix or None
+# where DangerClassification has no label) in emission order
+_ALERT_QUANTITIES = (
+    ("FFMC_IGNITION", "ignition_potential", "hasFfmc", "IgnitionPotential"),
+    ("DMC", "dmc_class", "hasDmc", "DmcClass"),
+    ("DC_MOPUP", "dc_class", "hasDc", "DcClass"),
+    ("ISI_SPREAD", "spread_rate", "hasIsi", "SpreadRate"),
+    ("BUI", "bui_class", "hasBui", None),
+    ("FWI", "fwi_class", "hasFwi", None),
 )
 
 
@@ -101,15 +103,7 @@ class AlertEvent:
     ts_ms: int
 
     def to_json(self):
-        return json.dumps({
-            "batch": self.batch,
-            "kind": self.kind,
-            "severity": self.severity,
-            "value": self.value,
-            "offsets": list(self.offsets),
-            "rule": self.rule,
-            "ts_ms": self.ts_ms,
-        }, sort_keys=True)
+        return json.dumps(vars(self), sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -124,16 +118,11 @@ class Checkpoint:
 class PipelineStats:
     records_in: int = 0
     batches_out: int = 0
-    alerts_by_kind: dict = field(default_factory=dict)
+    alerts_by_kind: Counter = field(default_factory=Counter)
     duration_ms: float = 0.0
 
     def to_json(self):
-        return json.dumps({
-            "records_in": self.records_in,
-            "batches_out": self.batches_out,
-            "alerts_by_kind": dict(sorted(self.alerts_by_kind.items())),
-            "duration_ms": self.duration_ms,
-        }, sort_keys=True)
+        return json.dumps(vars(self), sort_keys=True)
 
 
 # --- sources -----------------------------------------------------------------
@@ -252,29 +241,18 @@ def _mangle(label):
     return "".join(out)
 
 
-_FACT_QUANTITIES = (
-    ("IgnitionPotential", "ignition_potential"),
-    ("DmcClass", "dmc_class"),
-    ("DcClass", "dc_class"),
-    ("SpreadRate", "spread_rate"),
-)
-
-_CODE_FACTS = (("hasFfmc", "ffmc"), ("hasDmc", "dmc"), ("hasDc", "dc"),
-               ("hasIsi", "isi"), ("hasBui", "bui"), ("hasFwi", "fwi"))
-
-
 def record_facts(offset, codes, classification):
     """Fact encoding for one record: individual rec_<offset>, one unary atom
     per classification label (predicate <Quantity>_<label>), one binary atom
     per code value."""
     individual = rules_mod.Individual(f"rec_{offset}")
     facts = []
-    for prefix, attr in _FACT_QUANTITIES:
-        label = getattr(classification, attr)
-        facts.append(rules_mod.Atom(f"{prefix}_{_mangle(label)}", (individual,)))
-    for predicate, attr in _CODE_FACTS:
-        facts.append(rules_mod.Atom(
-            predicate, (individual, rules_mod.Num(float(getattr(codes, attr))))))
+    for _kind, quantity, predicate, prefix in _ALERT_QUANTITIES:
+        if prefix is not None:
+            label = getattr(classification, quantity)
+            facts.append(rules_mod.Atom(f"{prefix}_{_mangle(label)}", (individual,)))
+        value = getattr(codes, fwi.QUANTITIES[quantity])
+        facts.append(rules_mod.Atom(predicate, (individual, rules_mod.Num(float(value)))))
     return facts
 
 
@@ -308,7 +286,8 @@ def batch_evaluate(batch, bands=fwi.DEFAULT_BANDS, rules=None, aggregate="max"):
         per_record.append((offset, codes, classification))
 
     events = []
-    for kind, quantity, attr in _QUANTITY_ALERTS:
+    for kind, quantity, _predicate, _prefix in _ALERT_QUANTITIES:
+        attr = fwi.QUANTITIES[quantity]
         values = [(getattr(codes, attr), offset) for offset, codes, _ in per_record]
         if aggregate == "max":
             agg = max(v for v, _ in values)
@@ -340,7 +319,7 @@ def batch_evaluate(batch, bands=fwi.DEFAULT_BANDS, rules=None, aggregate="max"):
 # --- checkpoints ---------------------------------------------------------------
 
 def config_fingerprint(rules_text="", bands=fwi.DEFAULT_BANDS):
-    payload = (rules_text + "\x00" + bands.fingerprint_text()).encode("utf-8")
+    payload = (rules_text + "\x00" + fwi.dump_bands(bands)).encode("utf-8")
     return hashlib.sha256(payload).hexdigest()
 
 
@@ -357,12 +336,7 @@ def checkpoint_save(path, cp: Checkpoint):
             raise StaleCheckpoint(
                 f"refusing to regress checkpoint from batch {existing.batch_seq} "
                 f"to {cp.batch_seq}")
-    body = json.dumps({
-        "source_id": cp.source_id,
-        "batch_seq": cp.batch_seq,
-        "offset": cp.offset,
-        "fingerprint": cp.fingerprint,
-    }, sort_keys=True)
+    body = json.dumps(vars(cp), sort_keys=True)
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
     tmp = path.with_suffix(path.suffix + ".tmp")
     tmp.write_text(body + "\n" + digest + "\n", encoding="utf-8")
@@ -436,9 +410,7 @@ def run_pipeline(source_spec, sink_path, checkpoint_path=None, batch_size=20,
                 crash_hook("after_checkpoint", batch.seq)
             stats.records_in += len(batch)
             stats.batches_out += 1
-            for event in events:
-                stats.alerts_by_kind[event.kind] = \
-                    stats.alerts_by_kind.get(event.kind, 0) + 1
+            stats.alerts_by_kind.update(event.kind for event in events)
     stats.duration_ms = (time.perf_counter() - started) * 1000.0
     return stats
 

@@ -58,6 +58,19 @@ class TestConvert:
             cli.main(["convert", small_csv, str(tmp_path / "o.x"), "--format", "bogus"])
         assert exc.value.code == 2
 
+    def test_oversized_cell_exits_1_without_traceback(self, tmp_path):
+        big = tmp_path / "big.csv"
+        big.write_text(HEADER + "\n" + ROW + "\n"
+                       + ROW.replace(",aug,", ',"' + "a" * 200_000 + '",') + "\n",
+                       encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(firedss.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "firedss", "convert", str(big), str(tmp_path / "o.nt")],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert "row 1: field larger than field limit" in done.stderr
+
 
 class TestPreprocess:
     def test_ops_applied_in_order(self, capsys, tmp_path, dataset_csv):
@@ -286,6 +299,14 @@ class TestRulesCheck:
         code, _, err = run(capsys, "rules-check", str(bad))
         assert code == 1 and "?x" in err
 
+    @pytest.mark.parametrize("name", ["fwi_alerts.rules", "tables_3_4_5.rules"])
+    def test_crlf_rule_file(self, capsys, tmp_path, name):
+        crlf = tmp_path / name
+        crlf.write_bytes(data_path(name).read_bytes().replace(b"\n", b"\r\n"))
+        code, stdout, _ = run(capsys, "rules-check", str(crlf))
+        _, lf_stdout, _ = run(capsys, "rules-check", str(data_path(name)))
+        assert code == 0 and stdout == lf_stdout
+
 
 class TestRetrieve:
     def test_topk_output(self, capsys):
@@ -341,6 +362,33 @@ class TestBands:
         bad.write_text("dc_class = 300:a, 150:b, inf:c\n", encoding="utf-8")
         code, _, err = run(capsys, "bands", "check", "--bands", str(bad))
         assert code == 1
+
+    def test_print_defaults_exact_text(self, capsys):
+        _, stdout, _ = run(capsys, "bands", "print")
+        assert stdout == (
+            "bui_class = 40:low, 80:moderate, inf:high\n"
+            "dc_class = 150:easy, 300:moderate, inf:difficult and extensive\n"
+            "dmc_class = 20:easy, 40:moderate, inf:difficult and extensive\n"
+            "fwi_class = 5:low, 15:moderate, 30:high, inf:extreme\n"
+            "ignition_potential = 70:difficult, 80:possible, 90:moderately easy, "
+            "inf:extremely easy\n"
+            "spread_rate = 4:slow, 8:moderate, inf:fast\n"
+            "trigger = dmc_class=difficult and extensive & "
+            "dc_class=difficult and extensive\n")
+
+    def test_file_missing_a_quantity_fails_before_the_sink_opens(self, capsys, tmp_path,
+                                                                 small_csv):
+        partial = tmp_path / "partial.bands"
+        partial.write_text("".join(
+            line for line in data_path("default.bands").read_text().splitlines(True)
+            if not line.startswith("bui_class")), encoding="utf-8")
+        code, _, err = run(capsys, "bands", "check", "--bands", str(partial))
+        assert code == 1 and "no bands for bui_class" in err
+        sink = tmp_path / "alerts.jsonl"
+        code, _, err = run(capsys, "stream", "--dataset", small_csv, "--sink", str(sink),
+                           "--bands", str(partial))
+        assert code == 1 and "no bands for bui_class" in err
+        assert not sink.exists()
 
 
 class TestDeterminism:

@@ -276,6 +276,34 @@ class TestBandConfig:
         with pytest.raises(fwi.BandConfigError):
             ClassBands({"dc_class": [(math.inf, "x")]}, [("dc_class", "nope")])
 
+    @pytest.mark.parametrize("edit, line, message", [
+        (("bui_class = 40:low, 80:moderate, inf:high\n", ""), 8, "no bands for bui_class"),
+        (("bui_class = 40:", "bui_class = nan:"), 3, "bounds must be > 0"),
+        (("bui_class = 40:", "bui_class = -5:"), 3, "bounds must be > 0"),
+        (("bui_class = 40:", "bui_class = 0:"), 3, "bounds must be > 0"),
+        (("bui_class = 40:", "bui_class = abc:"), 3, "bad band 'abc:low'"),
+        (("bui_class = 40:", "bui_class = 40:a, inf:b\nbui_class = 40:"), 4,
+         "bui_class defined twice"),
+        (("trigger = ", "trigger = dc_class=easy\ntrigger = "), 10, "trigger defined twice"),
+        (("trigger = ", "fwi = inf:x\ntrigger = "), 9, "unknown quantity 'fwi'"),
+        (("dmc_class=difficult", "dmc_class=grim"), 9, "unknown label"),
+    ])
+    def test_file_errors_name_the_line(self, edit, line, message):
+        from firedss import data_text
+        text = data_text("default.bands")
+        assert edit[0] in text
+        with pytest.raises(fwi.BandConfigError, match=f"^line {line}: .*{message}"):
+            fwi.load_bands(text.replace(edit[0], edit[1], 1))
+
+    def test_file_without_trigger_never_triggers(self):
+        text = fwi.dump_bands(fwi.DEFAULT_BANDS).rsplit("trigger", 1)[0]
+        assert fwi.load_bands(text).trigger == ()
+
+    def test_nan_or_unpositive_first_bound_rejected_in_code(self):
+        for first in (math.nan, -5.0, 0.0):
+            with pytest.raises(fwi.BandConfigError):
+                ClassBands({"dc_class": [(first, "a"), (math.inf, "b")]}, [])
+
     def test_custom_trigger_predicate(self):
         bands = ClassBands(
             {"dc_class": [(100, "calm"), (math.inf, "grim")],

@@ -155,6 +155,17 @@ class TestUnifiedReader:
         with pytest.raises(BadCell):
             list(ingest.iter_records([HEADER + "\n"], header=False))
 
+    @pytest.mark.parametrize("good_rows, where",
+                             [(1, "row 1"), (0, "row 0"), (None, "header")])
+    def test_oversized_cell_is_a_dataset_error(self, good_rows, where):
+        huge = ROW1.replace(",aug,", ',"' + "a" * 200_000 + '",')
+        text = huge + "\n" if good_rows is None else make_csv(*[ROW1] * good_rows, huge)
+        message = f"^{where}: field larger than field limit"
+        with pytest.raises(ingest.DatasetError, match=message):
+            ingest.parse_dataset(text)
+        with pytest.raises(ingest.DatasetError, match=message):
+            list(ingest.iter_records(io.StringIO(text)))
+
 
 class TestLogTransform:
     def test_zero_maps_to_zero(self):

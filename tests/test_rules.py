@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from firedss import rules
+from firedss import data_text, rules
 from firedss.rules import (
     Atom, Bool, DuplicateRuleName, FactBase, Individual, Num, RuleSyntaxError,
     Str, TypeClash, UnknownBuiltin, UnknownFact, UnsafeVariable, Variable,
@@ -95,6 +95,12 @@ class TestParser:
     def test_bundled_alerts_file(self, rules_alerts_text):
         rs = rules.parse_rules(rules_alerts_text)
         assert "fire_trigger" in rs.by_name
+
+    @pytest.mark.parametrize("name", ["fwi_alerts.rules", "tables_3_4_5.rules"])
+    def test_crlf_file_parses_like_lf(self, name):
+        text = data_text(name)
+        assert rules.parse_rules(text.replace("\n", "\r\n")).rules == \
+            rules.parse_rules(text).rules
 
 
 class TestParseFacts:
@@ -303,6 +309,29 @@ class TestExplain:
     def test_unknown_fact(self):
         with pytest.raises(UnknownFact):
             rules.explain(self.out, atom("Nope", ind("a1")))
+
+    def test_deep_chain_explains_without_recursion(self):
+        chain = [atom(f"P{i}", ind("a")) for i in range(3001)]
+        derivations = {fact: rules.Derivation(f"r{i}", (), (chain[i],))
+                       for i, fact in enumerate(chain[1:])}
+        tree = rules.explain(FactBase(chain, derivations), chain[-1])
+        assert tree.rule == "r2999"
+        assert tree.leaves() == (atom("P0", ind("a")),)
+
+    def test_shared_premise_has_one_subtree(self):
+        a, b, c = atom("A", ind("x")), atom("B", ind("x")), atom("C", ind("x"))
+        base = FactBase([a, b, c], {b: rules.Derivation("rb", (), (a,)),
+                                    c: rules.Derivation("rc", (), (a, b))})
+        tree = rules.explain(base, c)
+        assert tree.children[0] is tree.children[1].children[0]
+        assert tree.leaves() == (a, a)
+
+    def test_cyclic_derivation_record_rejected(self):
+        a, b = atom("A", ind("x")), atom("B", ind("x"))
+        base = FactBase([a, b], {a: rules.Derivation("ra", (), (b,)),
+                                 b: rules.Derivation("rb", (), (a,))})
+        with pytest.raises(rules.RuleError, match="cyclic"):
+            rules.explain(base, a)
 
 
 def _guard_violating_facts(rule):

@@ -510,3 +510,31 @@ class TestFactEncoding:
         events = batch_evaluate(batch_of([HIGH_DC_ROW]), rules=alert_rules)
         drought = [e for e in events if e.rule == "deep_drought_watch"]
         assert drought and drought[0].offsets == (0,)
+
+
+class TestRecordFormats:
+    """The exact text of the three stream record formats."""
+
+    def test_alert_line(self):
+        event = stream.AlertEvent(3, "RULE", "FireTrigger", None, (40, 41),
+                                  "trigger_alert", 1700000000123)
+        assert event.to_json() == (
+            '{"batch": 3, "kind": "RULE", "offsets": [40, 41], '
+            '"rule": "trigger_alert", "severity": "FireTrigger", '
+            '"ts_ms": 1700000000123, "value": null}')
+
+    def test_stats_line_sorts_alert_kinds(self):
+        stats = stream.PipelineStats(records_in=517, batches_out=26, duration_ms=12.5)
+        for kind in ("RULE", "FWI", "BUI", "DC_MOPUP"):
+            stats.alerts_by_kind[kind] = len(kind)
+        assert stats.to_json() == (
+            '{"alerts_by_kind": {"BUI": 3, "DC_MOPUP": 8, "FWI": 3, "RULE": 4}, '
+            '"batches_out": 26, "duration_ms": 12.5, "records_in": 517}')
+
+    def test_checkpoint_file(self, tmp_path):
+        path = tmp_path / "cp"
+        checkpoint_save(path, Checkpoint("file:data.csv", 25, 517, "ab" * 32))
+        assert path.read_text(encoding="utf-8") == (
+            '{"batch_seq": 25, "fingerprint": "' + "ab" * 32 + '", '
+            '"offset": 517, "source_id": "file:data.csv"}\n'
+            "2a95081014cb86c2dfdb4428ad5b7a08bcf21ea3785fe2886f8517a624d0af54\n")
