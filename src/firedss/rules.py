@@ -11,7 +11,9 @@ The caret/arrow surface form is accepted in the clause as well
 a `swrlb:` prefix. Atoms are unary (class membership) or binary (property);
 heads never invent new individuals, so saturation always terminates.
 Evaluation runs to the least fixpoint and records one derivation per
-derived fact for explanation.
+derived fact for explanation. It is semi-naive: rules run in rounds in
+rule order, and each rule keeps one watermark per body atom, so a rule
+joins only against facts that are new since it last ran.
 """
 
 from __future__ import annotations
@@ -170,6 +172,14 @@ class FactBase:
         for f in self.facts:
             if not f.ground():
                 raise RuleError(f"non-ground fact: {format_atom(f)}")
+
+    @classmethod
+    def _built(cls, facts, derivations):
+        """A FactBase of atoms the engine built as ground: no re-check."""
+        base = cls.__new__(cls)
+        base.facts = frozenset(facts)
+        base.derivations = derivations
+        return base
 
     def __contains__(self, atom):
         return atom in self.facts
@@ -460,12 +470,13 @@ def _match_atom(pattern: Atom, fact: Atom, bindings):
     return out
 
 
-def _rule_bindings(rule: RuleDef, by_predicate):
-    """All variable bindings satisfying the positive body atoms."""
+def _join(atoms, lists, ranges):
+    """Bindings satisfying the atoms in body order, atom k matched against
+    lists[k][lo:hi] for its (lo, hi) in ranges."""
     partial = [{}]
-    for atom in rule.positive_atoms():
-        candidates = by_predicate.get((atom.predicate, len(atom.args)), ())
+    for atom, facts, (lo, hi) in zip(atoms, lists, ranges):
         nxt = []
+        candidates = facts[lo:hi]
         for bindings in partial:
             for fact in candidates:
                 m = _match_atom(atom, fact, bindings)
@@ -473,8 +484,22 @@ def _rule_bindings(rule: RuleDef, by_predicate):
                     nxt.append(m)
         partial = nxt
         if not partial:
-            return []
+            break
     return partial
+
+
+def _new_bindings(atoms, lists, seen, sizes):
+    """Bindings of the atoms that use at least one fact past the watermarks
+    `seen`, each once: for every atom i whose list grew, atoms before i
+    range over their old prefix, atom i over its new facts and atoms after
+    i over their list up to `sizes`."""
+    out = []
+    for i, (old, new) in enumerate(zip(seen, sizes)):
+        if new > old:
+            ranges = ([(0, s) for s in seen[:i]] + [(old, new)]
+                      + [(0, s) for s in sizes[i + 1:]])
+            out.extend(_join(atoms, lists, ranges))
+    return out
 
 
 def _passes_builtins(rule: RuleDef, bindings):
@@ -496,25 +521,45 @@ def _passes_builtins(rule: RuleDef, bindings):
 def evaluate(rules: RuleSet, facts: FactBase) -> FactBase:
     """Saturate the fact base: least fixpoint of the rules over the facts.
 
+    Semi-naive: rules run in rounds, in rule order, and a rule sees the
+    facts derived earlier in its round. The fact lists per predicate only
+    grow, and each rule keeps one watermark per body atom (how much of
+    that atom's list it had seen when it last ran), so a rule joins only
+    the bindings that use a fact new since then. A rule runs again only
+    when a body list grew; a rule without body atoms runs once. Saturation
+    stops after the first round that derives nothing. Each (round, rule)
+    step derives the same new facts as re-joining everything would, so
+    the rule credited for a fact is the same too.
+
     Heads cannot introduce new individuals, so the fixpoint exists and the
-    result is independent of rule and fact ordering.
+    fact set is independent of rule and fact ordering.
     """
     known = set(facts.facts)
     derivations = dict(facts.derivations)
     by_predicate = {}
     for f in known:
         by_predicate.setdefault((f.predicate, len(f.args)), []).append(f)
+    bodies = [rule.positive_atoms() for rule in rules]
+    lists = [[by_predicate.setdefault((a.predicate, len(a.args)), []) for a in atoms]
+             for atoms in bodies]
+    seen = [None] * len(bodies)     # None until the rule first runs
 
     changed = True
     while changed:
         changed = False
-        for rule in rules:
-            for bindings in _rule_bindings(rule, by_predicate):
+        for r, (rule, atoms) in enumerate(zip(rules, bodies)):
+            sizes = list(map(len, lists[r]))
+            if sizes == seen[r]:
+                continue
+            found = (_new_bindings(atoms, lists[r], seen[r] or [0] * len(atoms), sizes)
+                     if atoms else [{}])
+            seen[r] = sizes
+            for bindings in found:
                 if not _passes_builtins(rule, bindings):
                     continue
                 premises = tuple(
                     Atom(a.predicate, tuple(_substitute(t, bindings) for t in a.args))
-                    for a in rule.positive_atoms())
+                    for a in atoms)
                 for h in rule.head:
                     fact = Atom(h.predicate,
                                 tuple(_substitute(t, bindings) for t in h.args))
@@ -526,15 +571,44 @@ def evaluate(rules: RuleSet, facts: FactBase) -> FactBase:
                     derivations[fact] = Derivation(
                         rule.name, tuple(sorted(bindings.items())), premises)
                     changed = True
-    return FactBase(known, derivations)
+    return FactBase._built(known, derivations)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class DerivationTree:
+    """One node per fact; `explain` shares the subtree of a fact that is a
+    premise more than once. Equality is structural and, like hashing and
+    repr, never recurses, so chains thousands of steps deep are fine."""
     fact: Atom
     rule: str | None          # None for asserted leaves
     bindings: tuple
     children: tuple
+
+    def _node(self):
+        return (self.fact, self.rule, self.bindings, len(self.children))
+
+    def __eq__(self, other):
+        if not isinstance(other, DerivationTree):
+            return NotImplemented
+        compared = set()
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b or (id(a), id(b)) in compared:
+                continue
+            compared.add((id(a), id(b)))
+            if a._node() != b._node():
+                return False
+            stack.extend(zip(a.children, b.children))
+        return True
+
+    def __hash__(self):
+        return hash(self._node())
+
+    def __repr__(self):
+        return (f"DerivationTree({format_atom(self.fact)}, rule={self.rule!r}, "
+                f"bindings={format_bindings(dict(self.bindings))}, "
+                f"children={len(self.children)})")
 
     def leaves(self):
         out = []

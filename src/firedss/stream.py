@@ -17,6 +17,7 @@ Checkpoints refuse to resume when the rule/band fingerprint has changed.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -234,11 +235,11 @@ def cut_batches(source, size=20, first_seq=0):
 
 # --- per-batch evaluation ------------------------------------------------------
 
-def _mangle(label):
-    out = []
-    for c in label:
-        out.append(c if c.isalnum() else "_")
-    return "".join(out)
+@functools.lru_cache(maxsize=1024)
+def _label_predicate(prefix, label):
+    """Unary predicate <prefix>_<label>, each non-alphanumeric label
+    character replaced by an underscore."""
+    return prefix + "_" + "".join(c if c.isalnum() else "_" for c in label)
 
 
 def record_facts(offset, codes, classification):
@@ -250,7 +251,7 @@ def record_facts(offset, codes, classification):
     for _kind, quantity, predicate, prefix in _ALERT_QUANTITIES:
         if prefix is not None:
             label = getattr(classification, quantity)
-            facts.append(rules_mod.Atom(f"{prefix}_{_mangle(label)}", (individual,)))
+            facts.append(rules_mod.Atom(_label_predicate(prefix, label), (individual,)))
         value = getattr(codes, fwi.QUANTITIES[quantity])
         facts.append(rules_mod.Atom(predicate, (individual, rules_mod.Num(float(value)))))
     return facts
@@ -267,9 +268,17 @@ def _offsets_in_fact(fact):
     return tuple(out)
 
 
+def _require_all_quantities(bands):
+    """Bands built in code may leave quantities out; the stream needs all six."""
+    missing = [q for q in fwi.QUANTITIES if q not in bands.bands]
+    if missing:
+        raise StreamError(f"bands lack the quantities {', '.join(missing)}")
+
+
 def batch_evaluate(batch, bands=fwi.DEFAULT_BANDS, rules=None, aggregate="max"):
     """Alerts for one batch: six aggregate-classification alerts plus one
     RULE alert per fact the rule set derives from the record facts."""
+    _require_all_quantities(bands)
     if not batch.records:
         raise StreamError(f"batch {batch.seq} is empty")
     if aggregate not in ("max", "mean"):
@@ -374,6 +383,7 @@ def run_pipeline(source_spec, sink_path, checkpoint_path=None, batch_size=20,
     must match the checkpoint or the run is refused. crash_hook(point, seq)
     is called at the instrumented points "after_sink" and "after_checkpoint".
     """
+    _require_all_quantities(bands)
     fingerprint = config_fingerprint(rules_text, bands)
     start_offset, first_seq = 0, 0
     if checkpoint_path is not None and Path(checkpoint_path).exists():

@@ -183,6 +183,61 @@ def brute_force_saturate(ruleset, facts):
         known |= added
 
 
+def naive_saturate(ruleset, facts):
+    """Naive forward chaining in rounds: each rule, in rule order, re-joins
+    its whole body against every fact known when it starts (facts derived
+    earlier in the round included), until a round derives nothing. Returns
+    (facts, {derived fact: Derivation}); the first rule to derive a fact is
+    credited with it."""
+    known = set(facts)
+    derivations = {}
+    by_key = {}
+    for f in known:
+        by_key.setdefault((f.predicate, len(f.args)), []).append(f)
+
+    def ground(term, binding):
+        return binding[term.name] if isinstance(term, R.Variable) else term
+
+    def extend(pattern, fact, binding):
+        out = dict(binding)
+        for p, v in zip(pattern.args, fact.args):
+            if isinstance(p, R.Variable):
+                if out.setdefault(p.name, v) != v:
+                    return None
+            elif p != v:
+                return None
+        return out
+
+    changed = True
+    while changed:
+        changed = False
+        for rule in ruleset:
+            atoms = [a for a in rule.body if isinstance(a, R.Atom)]
+            partial = [{}]
+            for atom in atoms:
+                candidates = list(by_key.get((atom.predicate, len(atom.args)), ()))
+                partial = [m for b in partial for f in candidates
+                           if (m := extend(atom, f, b)) is not None]
+            for binding in partial:
+                if not all(R.builtin_compare(b.op, ground(b.args[0], binding),
+                                             ground(b.args[1], binding))
+                           for b in rule.body if isinstance(b, R.Builtin)):
+                    continue
+                premises = tuple(R.Atom(a.predicate,
+                                        tuple(ground(t, binding) for t in a.args))
+                                 for a in atoms)
+                for h in rule.head:
+                    fact = R.Atom(h.predicate, tuple(ground(t, binding) for t in h.args))
+                    if fact in known:
+                        continue
+                    known.add(fact)
+                    by_key.setdefault((fact.predicate, len(fact.args)), []).append(fact)
+                    derivations[fact] = R.Derivation(
+                        rule.name, tuple(sorted(binding.items())), premises)
+                    changed = True
+    return known, derivations
+
+
 # --- query answering: enumerate all substitutions over graph terms --------------
 
 def _brute_force_bindings(query, graph):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,7 +10,7 @@ from firedss.rules import (
     Str, TypeClash, UnknownBuiltin, UnknownFact, UnsafeVariable, Variable,
 )
 
-from oracles import brute_force_saturate
+from oracles import brute_force_saturate, naive_saturate
 
 RISK_RULE = ("rule r1: when PreventiveAction(?a), hasScenario(?a,?s), "
              "hasIgnitionRisk(?s,?r), lessThanOrEqual(?r, 0.5) "
@@ -287,6 +288,172 @@ class TestOracleEquivalence:
             assert got == want, f"case {case}"
 
 
+def _reversed_chain(links):
+    """Single-atom rules P<k-1>(?x) -> P<k>(?x), last link first, so each
+    round of rule-order saturation derives one more link."""
+    return rules.parse_rules("".join(
+        f"rule link{k}: when P{k - 1}(?x) then assert P{k}(?x)\n"
+        for k in range(links, 0, -1)))
+
+
+def _assert_matches_naive(rs, base):
+    """Same facts as the brute-force oracle, and each derived fact credited
+    to the rule that the naive round-by-round loop credits."""
+    out = rules.evaluate(rs, base)
+    assert out.facts == brute_force_saturate(rs, base.facts)
+    facts, derivations = naive_saturate(rs, base.facts)
+    assert out.facts == facts
+    assert {f: d.rule for f, d in out.derivations.items()} == \
+        {f: d.rule for f, d in derivations.items()}
+    return out
+
+
+class TestSemiNaive:
+    def test_random_programs_match_brute_force_and_naive_credit(self):
+        rng = random.Random(5150)
+        for _ in range(60):
+            _assert_matches_naive(*_random_program(rng, n_individuals=6))
+
+    @pytest.mark.parametrize("extra", [
+        "", "rule d: when edge(?x, ?y), Done(?y) then assert Done(?x)\n"])
+    def test_every_rule_order_of_recursive_program(self, extra):
+        # the program of test_confluence_under_permutation, and one more rule
+        rs = rules.parse_rules(
+            "rule a: when P(?x), edge(?x, ?y) then assert P(?y)\n"
+            "rule b: when P(?x), mark(?x) then assert Done(?x)\n"
+            "rule c: when Done(?x) then assert P(?x)\n" + extra)
+        base = FactBase([atom("P", ind("n0")), atom("mark", ind("n2")),
+                         atom("edge", ind("n0"), ind("n1")),
+                         atom("edge", ind("n1"), ind("n2")),
+                         atom("edge", ind("n2"), ind("n0"))])
+        for perm in itertools.permutations(rs.rules):
+            _assert_matches_naive(rules.RuleSet(perm), base)
+
+    def test_reversed_chain(self):
+        base = FactBase([atom("P0", ind("a")), atom("P0", ind("b"))])
+        out = _assert_matches_naive(_reversed_chain(30), base)
+        assert atom("P30", ind("b")) in out
+        assert out.derivations == naive_saturate(_reversed_chain(30), base.facts)[1]
+
+    @pytest.mark.parametrize("facts", [[], [atom("Q", ind("b"))]])
+    def test_builtin_only_body_fires_once(self, facts):
+        rs = rules.parse_rules(
+            "rule q: when Q(?x) then assert R(?x)\n"
+            "rule always: when lessThan(1, 2) then assert Always(a)\n"
+            "rule never: when lessThan(2, 1) then assert Never(a)\n")
+        out = _assert_matches_naive(rs, FactBase(facts))
+        assert out.derived() == {atom("Always", ind("a"))} | {
+            atom("R", f.args[0]) for f in facts}
+
+    def test_self_join(self):
+        rs = rules.parse_rules(
+            "rule trans: when edge(?x, ?y), edge(?y, ?z) then assert edge(?x, ?z)")
+        nodes = [ind(f"n{k}") for k in range(5)]
+        base = FactBase([atom("edge", nodes[k], nodes[k + 1]) for k in range(4)]
+                        + [atom("edge", nodes[4], nodes[2])])
+        out = _assert_matches_naive(rs, base)
+        assert {f for f in out.facts if f.args[0] == nodes[0]} == {
+            atom("edge", nodes[0], n) for n in nodes[1:]}
+
+    def test_head_feeds_its_own_body(self):
+        rs = rules.parse_rules(
+            "rule grow: when P(?x), next(?x, ?y) then assert P(?y)\n"
+            "rule seed: when Start(?x) then assert P(?x)\n")
+        nodes = [ind(f"n{k}") for k in range(12)]
+        base = FactBase([atom("Start", nodes[0])]
+                        + [atom("next", a, b) for a, b in zip(nodes, nodes[1:])])
+        out = _assert_matches_naive(rs, base)
+        assert {atom("P", n) for n in nodes} <= out.facts
+
+    def test_type_clash_from_a_derived_fact_names_the_rule(self):
+        # `check` runs before `make` in every round, so it meets the string
+        # value only through the new facts of its second run
+        rs = rules.parse_rules(
+            "rule check: when hasV(?x, ?v), lessThan(?v, 5) then assert Low(?x)\n"
+            'rule make: when Odd(?x) then assert hasV(?x, "high")\n')
+        base = FactBase([atom("hasV", ind("a"), Num(1)), atom("Odd", ind("b"))])
+        with pytest.raises(TypeClash, match=r"rule check: .*\?x=b"):
+            rules.evaluate(rs, base)
+
+    def test_each_body_binding_is_joined_exactly_once(self, monkeypatch):
+        programs = [
+            (rules.parse_rules("rule trans: when edge(?x, ?y), edge(?y, ?z) "
+                               "then assert edge(?x, ?z)"),
+             FactBase([atom("edge", ind(f"n{k}"), ind(f"n{(k + 1) % 5}"))
+                       for k in range(5)])),
+        ]
+        rng = random.Random(99)
+        programs += [_random_program(rng) for _ in range(20)]
+        new_bindings = rules._new_bindings
+        for rs, base in programs:
+            joined = Counter()
+
+            def recording(atoms, *args):
+                found = new_bindings(atoms, *args)
+                joined.update((atoms, tuple(sorted(b.items()))) for b in found)
+                return found
+
+            monkeypatch.setattr(rules, "_new_bindings", recording)
+            out = rules.evaluate(rs, base)
+            every = Counter()
+            for atoms in (rule.positive_atoms() for rule in rs):
+                for combo in itertools.product(*[
+                        [f for f in out.facts if f.predicate == a.predicate]
+                        for a in atoms]):
+                    binding = {}
+                    if all(binding.setdefault(p.name, v) == v if isinstance(p, Variable)
+                           else p == v
+                           for a, f in zip(atoms, combo) for p, v in zip(a.args, f.args)):
+                        every[atoms, tuple(sorted(binding.items()))] += 1
+            assert joined == every
+
+    def test_later_rule_sees_facts_derived_earlier_in_the_round(self):
+        # round 2: ab derives B(a), then bd sees it and derives D(a) before gd
+        rs = rules.parse_rules(
+            "rule ab: when A(?x) then assert B(?x)\n"
+            "rule ca: when C(?x) then assert A(?x)\n"
+            "rule bd: when B(?x) then assert D(?x)\n"
+            "rule gd: when G(?x) then assert D(?x)\n"
+            "rule hg: when H(?x) then assert G(?x)\n")
+        out = _assert_matches_naive(rs, FactBase([atom("C", ind("a")),
+                                                  atom("H", ind("a"))]))
+        assert out.derivations[atom("D", ind("a"))].rule == "bd"
+
+    @staticmethod
+    def _match_calls(monkeypatch, rs, base):
+        """Calls of the only match test while saturating: the join work."""
+        calls = []
+        match = rules._match_atom
+
+        def counting(pattern, fact, bindings):
+            calls.append(1)
+            return match(pattern, fact, bindings)
+
+        monkeypatch.setattr(rules, "_match_atom", counting)
+        rules.evaluate(rs, base)
+        monkeypatch.undo()
+        return len(calls)
+
+    def test_join_work_grows_linearly_on_reversed_chains(self, monkeypatch):
+        base = FactBase([atom("P0", ind(f"i{k}")) for k in range(3)])
+        work = {links: self._match_calls(monkeypatch, _reversed_chain(links), base)
+                for links in (100, 200)}
+        # the naive loop re-joins every rule each round: about 4x here
+        assert work[200] <= 2.2 * work[100]
+
+    def test_join_work_of_a_self_feeding_rule_is_delta_only(self, monkeypatch):
+        rs = rules.parse_rules("rule grow: when P(?x), next(?x, ?y) then assert P(?y)")
+        work = {}
+        for n in (50, 100):
+            nodes = [ind(f"n{k}") for k in range(n + 1)]
+            base = FactBase([atom("P", nodes[0])]
+                            + [atom("next", a, b) for a, b in zip(nodes, nodes[1:])])
+            work[n] = self._match_calls(monkeypatch, rs, base)
+        # one new P fact per run, each joined with every next fact: about 4x;
+        # re-joining all P facts each run would be about 8x
+        assert work[100] <= 4.4 * work[50]
+
+
 class TestExplain:
     def setup_method(self):
         self.rs = rules.parse_rules(RISK_RULE)
@@ -317,6 +484,21 @@ class TestExplain:
         tree = rules.explain(FactBase(chain, derivations), chain[-1])
         assert tree.rule == "r2999"
         assert tree.leaves() == (atom("P0", ind("a")),)
+
+    def test_deep_tree_repr_eq_and_hash_do_not_recurse(self):
+        def chain_tree(last_rule):
+            chain = [atom(f"P{i}", ind("a")) for i in range(3001)]
+            derivations = {fact: rules.Derivation(f"r{i}", (), (chain[i],))
+                           for i, fact in enumerate(chain[1:])}
+            derivations[chain[1]] = rules.Derivation(last_rule, (), (chain[0],))
+            return rules.explain(FactBase(chain, derivations), chain[-1])
+
+        tree, same, other = chain_tree("r0"), chain_tree("r0"), chain_tree("x")
+        assert "P3000" in repr(tree)
+        assert tree == same and hash(tree) == hash(same)
+        assert tree != other
+        assert tree.children[0] != other.children[0]
+        assert len({tree, same, other}) == 2
 
     def test_shared_premise_has_one_subtree(self):
         a, b, c = atom("A", ind("x")), atom("B", ind("x")), atom("C", ind("x"))

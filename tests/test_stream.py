@@ -275,6 +275,19 @@ class TestBatchEvaluate:
         with pytest.raises(StreamError):
             batch_evaluate(Batch(0, ()))
 
+    def test_partial_bands_rejected_naming_the_missing_quantities(self, tmp_path):
+        # the four labelled quantities only, as ClassBands built in code allows
+        bands = fwi.ClassBands({q: [(math.inf, "any")] for q in
+                                ("dc_class", "dmc_class", "ignition_potential",
+                                 "spread_rate")}, [])
+        with pytest.raises(StreamError, match="bui_class, fwi_class"):
+            batch_evaluate(batch_of([CALM_ROW]), bands)
+        path = write_dataset(tmp_path / "b.csv", [CALM_ROW])
+        sink = tmp_path / "alerts.jsonl"
+        with pytest.raises(StreamError, match="bui_class, fwi_class"):
+            run_pipeline(path, sink, bands=bands)
+        assert not sink.exists()
+
     def test_cross_check_against_whole_file_oracle(self, dataset_text, alert_rules):
         # record-wise classify+rules over the whole file must agree with the
         # batched pipeline: on which offsets trigger the fire rule, and on
@@ -505,6 +518,17 @@ class TestFactEncoding:
         assert "hasDc" in names
         individual = rules.Individual("rec_7")
         assert all(f.args[0] == individual for f in facts)
+
+    def test_label_predicates_replace_every_non_alphanumeric(self):
+        bands = fwi.ClassBands(
+            dict(fwi.DEFAULT_BANDS.bands,
+                 dc_class=[(100, "calm"), (math.inf, "très-grim / 2")]), [])
+        rec = ingest.parse_record_fields(HIGH_DC_ROW.split(","))
+        codes = fwi.compute_codes(rec)
+        for _ in range(2):
+            facts = stream.record_facts(3, codes, fwi.classify(codes, bands))
+            assert rules.Atom("DcClass_très_grim___2",
+                              (rules.Individual("rec_3"),)) in facts
 
     def test_rule_over_numeric_code_fact(self, alert_rules):
         events = batch_evaluate(batch_of([HIGH_DC_ROW]), rules=alert_rules)
