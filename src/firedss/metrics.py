@@ -180,17 +180,16 @@ def score_kb(s: OntologySummary) -> float:
     return (s.class_count * 100 + s.individual_count) / s.class_count
 
 
+# (name, function) for every metric, in report order; the names are the
+# SchemaMetrics fields
+_METRICS = tuple((fn.__name__, fn) for fn in (
+    relationship_richness, attribute_richness, class_richness,
+    average_population, class_relation_ratio, axiom_class_ratio,
+    score_om, score_kb))
+
+
 def compute_all(s: OntologySummary) -> SchemaMetrics:
-    return SchemaMetrics(
-        relationship_richness=relationship_richness(s),
-        attribute_richness=attribute_richness(s),
-        class_richness=class_richness(s),
-        average_population=average_population(s),
-        class_relation_ratio=class_relation_ratio(s),
-        axiom_class_ratio=axiom_class_ratio(s),
-        score_om=score_om(s),
-        score_kb=score_kb(s),
-    )
+    return SchemaMetrics(**{name: fn(s) for name, fn in _METRICS})
 
 
 def report(s: OntologySummary) -> dict:
@@ -198,14 +197,7 @@ def report(s: OntologySummary) -> dict:
     counts (undefined ones are reported as null with the reason), and the
     footer note."""
     values = {}
-    for name, fn in (("relationship_richness", relationship_richness),
-                     ("attribute_richness", attribute_richness),
-                     ("class_richness", class_richness),
-                     ("average_population", average_population),
-                     ("class_relation_ratio", class_relation_ratio),
-                     ("axiom_class_ratio", axiom_class_ratio),
-                     ("score_om", score_om),
-                     ("score_kb", score_kb)):
+    for name, fn in _METRICS:
         try:
             values[name] = fn(s)
         except DivisionByZero as exc:

@@ -92,24 +92,13 @@ class Bool:
     value: bool
 
 
-def is_ground(term):
-    return not isinstance(term, Variable)
-
-
 @dataclass(frozen=True)
 class Atom:
     predicate: str
     args: tuple
 
-    def __post_init__(self):
-        if len(self.args) not in (1, 2):
-            raise RuleError(f"{self.predicate}: atoms take 1 or 2 arguments")
-
     def variables(self):
         return {a.name for a in self.args if isinstance(a, Variable)}
-
-    def ground(self):
-        return all(is_ground(a) for a in self.args)
 
 
 _BUILTIN_COMPARISONS = {name: COMPARISONS[symbol] for name, symbol in (
@@ -164,22 +153,13 @@ class Derivation:
 
 
 class FactBase:
-    """Set of ground atoms plus one derivation record per derived fact."""
+    """Ground atoms, each once and in the caller's order, plus one
+    derivation record per derived fact. `facts` is a set-like view; the
+    atoms are checked where text enters (`parse_rules`, `parse_facts`)."""
 
     def __init__(self, facts=(), derivations=None):
-        self.facts = frozenset(facts)
+        self.facts = dict.fromkeys(facts).keys()
         self.derivations = dict(derivations or {})
-        for f in self.facts:
-            if not f.ground():
-                raise RuleError(f"non-ground fact: {format_atom(f)}")
-
-    @classmethod
-    def _built(cls, facts, derivations):
-        """A FactBase of atoms the engine built as ground: no re-check."""
-        base = cls.__new__(cls)
-        base.facts = frozenset(facts)
-        base.derivations = derivations
-        return base
 
     def __contains__(self, atom):
         return atom in self.facts
@@ -188,7 +168,7 @@ class FactBase:
         return len(self.facts)
 
     def derived(self):
-        return {f for f in self.facts if f in self.derivations}
+        return self.derivations.keys()
 
 
 # --- textual forms -----------------------------------------------------------
@@ -426,7 +406,7 @@ def parse_facts(text: str) -> FactBase:
                 parser.error("end of line")
         except RuleSyntaxError as exc:
             raise RuleSyntaxError(lineno, exc.column, exc.message) from None
-        if isinstance(atom, Builtin) or not atom.ground():
+        if isinstance(atom, Builtin) or atom.variables():
             raise RuleSyntaxError(lineno, 1, f"not a ground atom: {line.strip()!r}")
         facts.append(atom)
     return FactBase(facts)
@@ -532,9 +512,11 @@ def evaluate(rules: RuleSet, facts: FactBase) -> FactBase:
     the rule credited for a fact is the same too.
 
     Heads cannot introduce new individuals, so the fixpoint exists and the
-    fact set is independent of rule and fact ordering.
+    fact set is independent of rule and fact ordering. The facts are kept
+    in input order, so the recorded bindings and premises are the same in
+    every process.
     """
-    known = set(facts.facts)
+    known = dict.fromkeys(facts.facts)
     derivations = dict(facts.derivations)
     by_predicate = {}
     for f in known:
@@ -565,13 +547,13 @@ def evaluate(rules: RuleSet, facts: FactBase) -> FactBase:
                                 tuple(_substitute(t, bindings) for t in h.args))
                     if fact in known:
                         continue
-                    known.add(fact)
+                    known[fact] = None
                     by_predicate.setdefault(
                         (fact.predicate, len(fact.args)), []).append(fact)
                     derivations[fact] = Derivation(
                         rule.name, tuple(sorted(bindings.items())), premises)
                     changed = True
-    return FactBase._built(known, derivations)
+    return FactBase(known, derivations)
 
 
 @dataclass(frozen=True, eq=False, repr=False)

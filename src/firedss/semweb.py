@@ -9,6 +9,8 @@ a canonical order so query output is stable across runs.
 
 from __future__ import annotations
 
+import decimal
+import math
 import operator
 import re
 import statistics
@@ -65,6 +67,10 @@ class Iri:
             raise GraphError(f"not an absolute IRI: {self.value!r}")
 
 
+_NUMERIC_LEXICAL = {"integer": (int, "0123456789+-"),
+                    "decimal": (float, "0123456789+-.")}
+
+
 @dataclass(frozen=True, order=True)
 class Literal:
     lexical: str
@@ -73,16 +79,17 @@ class Literal:
     def __post_init__(self):
         if self.datatype not in DATATYPE_IRIS:
             raise GraphError(f"unsupported datatype: {self.datatype}")
-        if self.datatype == "integer":
+        if self.datatype in _NUMERIC_LEXICAL:
+            # int()/float() limited to these characters accept exactly the XSD
+            # lexical spaces (\+|-)?[0-9]+ and (\+|-)?([0-9]+(\.[0-9]*)?|\.[0-9]+)
+            convert, chars = _NUMERIC_LEXICAL[self.datatype]
             try:
-                int(self.lexical)
+                convert(self.lexical)
+                ok = not self.lexical.strip(chars)
             except ValueError:
-                raise GraphError(f"bad integer lexical form: {self.lexical!r}") from None
-        elif self.datatype == "decimal":
-            try:
-                float(self.lexical)
-            except ValueError:
-                raise GraphError(f"bad decimal lexical form: {self.lexical!r}") from None
+                ok = False
+            if not ok:
+                raise GraphError(f"bad {self.datatype} lexical form: {self.lexical!r}")
         elif self.datatype == "boolean" and self.lexical not in ("true", "false"):
             raise GraphError(f"bad boolean lexical form: {self.lexical!r}")
 
@@ -101,7 +108,12 @@ def literal_for(value) -> Literal:
     if isinstance(value, int):
         return Literal(str(value), "integer")
     if isinstance(value, float):
-        return Literal(repr(value), "decimal")
+        if not math.isfinite(value):
+            raise GraphError(f"no xsd:decimal for {value!r}")
+        text = repr(value)
+        if "e" in text:         # the same digits, written without an exponent
+            text = format(decimal.Decimal(text), "f")
+        return Literal(text, "decimal")
     return Literal(str(value), "string")
 
 
@@ -389,7 +401,7 @@ _Q_TOKEN = re.compile(r"""
   | (?P<comment>\#[^\n]*)
   | (?P<iri><[^<>\s]*>)
   | (?P<string>"(?:[^"\\\n]|\\.)*")
-  | (?P<number>-?\d+(?:\.\d+)?)
+  | (?P<number>-?[0-9]+(?:\.[0-9]+)?)
   | (?P<var>\?[A-Za-z][A-Za-z0-9_]*)
   | (?P<op>&&|\|\||!=|<=|>=|=|<|>)
   | (?P<pname>[A-Za-z_][A-Za-z0-9_-]*:[A-Za-z_][A-Za-z0-9_.-]*)
@@ -597,7 +609,7 @@ class _QueryParser:
         """The number, string or boolean literal at the cursor, else None."""
         kind, text, _ = self.peek()
         if kind == "number":
-            literal = Literal(text, "integer" if re.fullmatch(r"-?\d+", text) else "decimal")
+            literal = Literal(text, "decimal" if "." in text else "integer")
         elif kind == "string":
             literal = Literal(_unescape(text[1:-1]), "string")
         elif kind == "keyword" and text in ("true", "false"):

@@ -128,21 +128,6 @@ class PipelineStats:
 
 # --- sources -----------------------------------------------------------------
 
-class StreamSource:
-    """Iterable of (offset, WeatherRecord) with strictly increasing offsets."""
-
-    def __init__(self, source_id, record_iter, start_offset=0):
-        self.source_id = source_id
-        self.position = start_offset
-        self._iter = record_iter
-
-    def __iter__(self):
-        for record in self._iter:
-            offset = self.position
-            self.position += 1
-            yield offset, record
-
-
 @dataclass(frozen=True)
 class SourceSpec:
     """A parsed source spec. source_id is the checkpoint identity."""
@@ -193,7 +178,9 @@ def _socket_lines(listener):
 
 
 def open_source(spec, start_offset=0):
-    """Open the record source named by a spec (see parse_source).
+    """Open the record source named by a spec (see parse_source) as an
+    iterator of (offset, WeatherRecord) pairs, offsets counting up from
+    start_offset.
 
     Files must start with a header, stdin may, and socket lines are
     headerless records. File replay honors start_offset for checkpoint
@@ -213,7 +200,7 @@ def open_source(spec, start_offset=0):
         raise IoError(f"no such file: {spec.target}")
     else:
         records = _file_records(spec.target, start_offset, spec.rate)
-    return StreamSource(spec.source_id, records, start_offset)
+    return enumerate(records, start_offset)
 
 
 def cut_batches(source, size=20, first_seq=0):
@@ -311,9 +298,8 @@ def batch_evaluate(batch, bands=fwi.DEFAULT_BANDS, rules=None, aggregate="max"):
         facts = []
         for offset, codes, classification in per_record:
             facts.extend(record_facts(offset, codes, classification))
-        base = rules_mod.FactBase(facts)
         try:
-            saturated = rules_mod.evaluate(rules, base)
+            saturated = rules_mod.evaluate(rules, rules_mod.FactBase(facts))
         except rules_mod.TypeClash as exc:
             raise BatchEvaluationError(batch.seq, batch.first_offset, exc) from None
         derived = sorted(saturated.derived(), key=rules_mod.format_atom)
@@ -330,6 +316,10 @@ def batch_evaluate(batch, bands=fwi.DEFAULT_BANDS, rules=None, aggregate="max"):
 def config_fingerprint(rules_text="", bands=fwi.DEFAULT_BANDS):
     payload = (rules_text + "\x00" + fwi.dump_bands(bands)).encode("utf-8")
     return hashlib.sha256(payload).hexdigest()
+
+
+_CHECKPOINT_FIELDS = {"source_id": str, "batch_seq": int, "offset": int,
+                      "fingerprint": str}
 
 
 def checkpoint_save(path, cp: Checkpoint):
@@ -365,10 +355,14 @@ def checkpoint_load(path) -> Checkpoint:
         raise CorruptCheckpoint(f"{path}: integrity hash mismatch")
     try:
         obj = json.loads(body)
-        return Checkpoint(str(obj["source_id"]), int(obj["batch_seq"]),
-                          int(obj["offset"]), str(obj["fingerprint"]))
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CorruptCheckpoint(f"{path}: {exc}") from None
+    if not isinstance(obj, dict):
+        raise CorruptCheckpoint(f"{path}: body is not a JSON object")
+    for name, kind in _CHECKPOINT_FIELDS.items():
+        if type(obj.get(name)) is not kind:    # a bool is not an int here
+            raise CorruptCheckpoint(f"{path}: {name} must be a JSON {kind.__name__}")
+    return Checkpoint(**{name: obj[name] for name in _CHECKPOINT_FIELDS})
 
 
 # --- pipeline ------------------------------------------------------------------
@@ -385,6 +379,7 @@ def run_pipeline(source_spec, sink_path, checkpoint_path=None, batch_size=20,
     """
     _require_all_quantities(bands)
     fingerprint = config_fingerprint(rules_text, bands)
+    source_id = parse_source(source_spec).source_id
     start_offset, first_seq = 0, 0
     if checkpoint_path is not None and Path(checkpoint_path).exists():
         cp = checkpoint_load(checkpoint_path)
@@ -392,7 +387,6 @@ def run_pipeline(source_spec, sink_path, checkpoint_path=None, batch_size=20,
             raise BadCheckpoint(
                 "rule/band fingerprint changed since the checkpoint was written; "
                 "refusing to resume")
-        source_id = parse_source(source_spec).source_id
         if cp.source_id != source_id:
             raise BadCheckpoint(
                 f"checkpoint belongs to {cp.source_id!r}, not {source_id!r}")
@@ -415,7 +409,7 @@ def run_pipeline(source_spec, sink_path, checkpoint_path=None, batch_size=20,
                 crash_hook("after_sink", batch.seq)
             if checkpoint_path is not None:
                 checkpoint_save(checkpoint_path, Checkpoint(
-                    source.source_id, batch.seq, batch.last_offset + 1, fingerprint))
+                    source_id, batch.seq, batch.last_offset + 1, fingerprint))
             if crash_hook is not None:
                 crash_hook("after_checkpoint", batch.seq)
             stats.records_in += len(batch)

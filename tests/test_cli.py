@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -145,6 +146,20 @@ class TestStream:
                            "--sink", str(sink))
         assert code == 1 and "rate must be a number > 0" in err
         assert not sink.exists()
+
+    def test_checkpoint_body_of_the_wrong_type_exits_1_without_traceback(
+            self, tmp_path, small_csv):
+        checkpoint = tmp_path / "cp"
+        body = "[]"
+        checkpoint.write_text(body + "\n" + hashlib.sha256(body.encode()).hexdigest() + "\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(firedss.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "firedss", "stream", "--dataset", small_csv,
+             "--sink", str(tmp_path / "alerts.jsonl"), "--checkpoint", str(checkpoint)],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert "body is not a JSON object" in done.stderr
 
     def test_zero_byte_file_exits_1(self, capsys, tmp_path):
         empty = tmp_path / "empty.csv"

@@ -1,6 +1,10 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -514,6 +518,43 @@ class TestExplain:
                                  b: rules.Derivation("rb", (), (a,))})
         with pytest.raises(rules.RuleError, match="cyclic"):
             rules.explain(base, a)
+
+
+_EXPLAIN_SCRIPT = """
+from firedss import rules
+rs = rules.parse_rules(
+    "rule r: when P(?x, ?y) then assert Q(?x)\\n"
+    "rule s: when Q(?x), P(?x, ?y) then assert R(?x)")
+facts = rules.parse_facts("\\n".join(f"P(a, b{i})" for i in range(6)))
+out = rules.evaluate(rs, facts)
+stack = [rules.explain(out, rules.Atom("R", (rules.Individual("a"),)))]
+while stack:
+    node = stack.pop()
+    print(rules.format_atom(node.fact), node.rule,
+          rules.format_bindings(dict(node.bindings)))
+    stack.extend(reversed(node.children))
+"""
+
+
+class TestProcessIndependence:
+    def test_derivations_and_explain_trees_do_not_depend_on_the_hash_seed(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(rules.__file__).parents[1]))
+        trees = set()
+        for seed in range(1, 7):
+            done = subprocess.run([sys.executable, "-c", _EXPLAIN_SCRIPT],
+                                  env={**env, "PYTHONHASHSEED": str(seed)},
+                                  capture_output=True, text=True, timeout=60, check=True)
+            trees.add(done.stdout)
+        assert trees == {"R(a) s {?x=a, ?y=b0}\n"
+                         "Q(a) r {?x=a, ?y=b0}\n"
+                         "P(a, b0) None {}\n"
+                         "P(a, b0) None {}\n"}
+
+    def test_fact_base_keeps_the_callers_order_once(self):
+        a, b, c = atom("A", ind("x")), atom("B", ind("x")), atom("C", ind("x"))
+        base = FactBase([c, a, c, b, a])
+        assert list(base.facts) == [c, a, b]
+        assert len(base) == 3 and base.facts == {a, b, c}
 
 
 def _guard_violating_facts(rule):

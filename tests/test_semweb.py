@@ -123,6 +123,54 @@ class TestNTriples:
         assert t.object == Literal("plain", "string")
 
 
+class TestXsdLexicalSpaces:
+    """Numeric literals take only the XSD 1.1 lexical spaces, and
+    `literal_for` writes floats without an exponent."""
+
+    @pytest.mark.parametrize("lexical,datatype", [
+        ("nan", "decimal"), ("inf", "decimal"), ("-Infinity", "decimal"),
+        ("1e5", "decimal"), ("1E5", "decimal"), (" 3", "decimal"), ("3 ", "decimal"),
+        ("1_0", "decimal"), (".", "decimal"), ("", "decimal"), ("+-1", "decimal"),
+        ("1.2.3", "decimal"), ("\u0663", "decimal"),
+        (" 3", "integer"), ("1_000", "integer"), ("\u0663", "integer"),
+        ("1.0", "integer"), ("1e3", "integer"), ("", "integer"), ("-", "integer"),
+    ])
+    def test_outside_the_lexical_space_is_rejected(self, lexical, datatype):
+        with pytest.raises(GraphError, match=f"bad {datatype} lexical form"):
+            Literal(lexical, datatype)
+
+    @pytest.mark.parametrize("lexical,datatype,value", [
+        ("3", "decimal", 3.0), ("+3.", "decimal", 3.0), ("-.5", "decimal", -0.5),
+        ("0012.50", "decimal", 12.5), ("+7", "integer", 7), ("-007", "integer", -7),
+    ])
+    def test_inside_the_lexical_space_is_accepted(self, lexical, datatype, value):
+        assert Literal(lexical, datatype).numeric_value() == value
+
+    @pytest.mark.parametrize("value,lexical", [
+        (1e-07, "0.0000001"), (-2.5e-10, "-0.00000000025"),
+        (1e16, "10000000000000000"), (1.5e22, "15" + "0" * 21),
+        (92.3, "92.3"), (7.0, "7.0"), (-0.0, "-0.0"),
+    ])
+    def test_literal_for_writes_no_exponent(self, value, lexical):
+        literal = semweb.literal_for(value)
+        assert literal == Literal(lexical, "decimal")
+        assert literal.numeric_value() == value
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_literal_for_rejects_non_finite_floats(self, value):
+        with pytest.raises(GraphError):
+            semweb.literal_for(value)
+
+    def test_ntriples_with_an_exponent_decimal_is_a_syntax_error(self):
+        with pytest.raises(NTriplesSyntaxError) as err:
+            parse_ntriples(f'<{EX}s> <{EX}p> "1e5"^^<{semweb.XSD}decimal> .\n')
+        assert err.value.line == 1
+
+    def test_query_number_with_non_ascii_digits_is_a_syntax_error(self):
+        with pytest.raises(QuerySyntaxError):
+            parse_query("SELECT ?s WHERE { ?s ?p ?o . FILTER(?o > \u0663) }")
+
+
 class TestRdfXml:
     def test_well_formed_and_complete(self, dataset_text):
         d = ingest.parse_dataset(dataset_text)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -330,7 +331,7 @@ class TestBatchEvaluate:
 
 def open_source_text(text):
     records = ingest.iter_records(iter(text.splitlines()), header=True)
-    return stream.StreamSource("text:", records)
+    return enumerate(records)
 
 
 class TestCheckpoints:
@@ -359,6 +360,31 @@ class TestCheckpoints:
         checkpoint_save(path, Checkpoint("s", 1, 40, "f"))
         text = path.read_text().replace('"batch_seq": 1', '"batch_seq": 7')
         path.write_text(text)
+        with pytest.raises(CorruptCheckpoint):
+            checkpoint_load(path)
+
+    @pytest.mark.parametrize("body", [
+        '[]', '"cp"', '5', 'null',
+        '{"batch_seq": null, "fingerprint": "f", "offset": 40, "source_id": "s"}',
+        '{"batch_seq": true, "fingerprint": "f", "offset": 40, "source_id": "s"}',
+        '{"batch_seq": 1.0, "fingerprint": "f", "offset": 40, "source_id": "s"}',
+        '{"batch_seq": "1", "fingerprint": "f", "offset": 40, "source_id": "s"}',
+        '{"batch_seq": 1, "fingerprint": "f", "offset": false, "source_id": "s"}',
+        '{"batch_seq": 1, "fingerprint": "f", "offset": [40], "source_id": "s"}',
+        '{"batch_seq": 1, "fingerprint": 7, "offset": 40, "source_id": "s"}',
+        '{"batch_seq": 1, "fingerprint": "f", "offset": 40, "source_id": null}',
+        '{"batch_seq": 1, "fingerprint": "f", "offset": 40}',
+    ])
+    def test_body_of_the_wrong_type_with_a_valid_hash_is_corrupt(self, tmp_path, body):
+        path = tmp_path / "cp"
+        path.write_text(body + "\n" + hashlib.sha256(body.encode()).hexdigest() + "\n")
+        with pytest.raises(CorruptCheckpoint):
+            checkpoint_load(path)
+
+    def test_deeply_nested_body_with_a_valid_hash_is_corrupt(self, tmp_path):
+        path = tmp_path / "cp"
+        body = "[" * 100_000 + "]" * 100_000
+        path.write_text(body + "\n" + hashlib.sha256(body.encode()).hexdigest() + "\n")
         with pytest.raises(CorruptCheckpoint):
             checkpoint_load(path)
 
