@@ -49,8 +49,12 @@ class DocRecord:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.text, str):
+            raise RetrievalError(f"document {self.id!r} text is not a string: "
+                                 f"{type(self.text).__name__}")
         if not self.text:
             raise RetrievalError(f"document {self.id!r} has empty text")
+        _utf8(self.text)
 
 
 @dataclass(frozen=True)
@@ -88,28 +92,52 @@ def _fnv1a64(data: bytes) -> int:
     return h
 
 
+def _utf8(text: str) -> bytes:
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise RetrievalError(f"text is not valid Unicode: {exc}") from None
+
+
 def _normalize_text(text: str) -> str:
     return " ".join(text.lower().split())
+
+
+def _embed_rows(texts, config: EmbedderConfig) -> np.ndarray:
+    """One unit-norm row of n-gram bucket counts per text.
+
+    Each distinct gram is hashed once per call, so texts that share most of
+    their grams (a corpus of variants) share the hashing. Counts are whole
+    numbers, so each row's norm is exact and equals ``np.linalg.norm``.
+    """
+    n, dim = config.ngram, config.dimension
+    rows = np.zeros((len(texts), dim))
+    bucket_of = {}
+    for row, text in zip(rows, texts):
+        normalized = _normalize_text(text)
+        if not normalized:
+            continue
+        if len(normalized) < n:
+            grams = [normalized]
+        else:
+            grams = [normalized[i:i + n] for i in range(len(normalized) - n + 1)]
+        for gram in set(grams).difference(bucket_of):
+            bucket_of[gram] = _fnv1a64(_utf8(gram)) % dim
+        row[:] = np.bincount([bucket_of[gram] for gram in grams], minlength=dim)
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    norms[norms == 0.0] = 1.0       # empty text stays the zero vector
+    rows /= norms[:, None]
+    return rows
 
 
 def embed(text: str, config: EmbedderConfig = EmbedderConfig()) -> np.ndarray:
     """Unit-norm bucket-count vector of the text's character n-grams.
 
     Empty or whitespace-only text embeds to the zero vector. Texts shorter
-    than the n-gram length contribute themselves as a single gram.
+    than the n-gram length contribute themselves as a single gram. Text
+    that is not valid Unicode (a lone surrogate) raises RetrievalError.
     """
-    normalized = _normalize_text(text)
-    vec = np.zeros(config.dimension)
-    if not normalized:
-        return vec
-    n = config.ngram
-    if len(normalized) < n:
-        grams = [normalized]
-    else:
-        grams = [normalized[i:i + n] for i in range(len(normalized) - n + 1)]
-    for gram in grams:
-        vec[_fnv1a64(gram.encode("utf-8")) % config.dimension] += 1.0
-    return vec / np.linalg.norm(vec)
+    return _embed_rows([text], config)[0]
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -125,18 +153,22 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
 
 
 class VectorIndex:
-    """Exact-scan cosine index over a document list.
+    """Exact cosine top-k: a flat inner-product scan over one cached matrix.
 
-    Corpora here are hundreds of documents, so a brute-force scan is both
-    fast enough and trivially correct; vectors are stored unit-norm so the
-    scan is one matrix-vector product.
+    ``_vectors`` holds one unit-norm row per document, in insertion order,
+    so a search is one matrix-vector product and an exact ranking of its
+    scores (FAISS calls this an ``IndexFlatIP``). Ties are broken by
+    ascending id through an id-rank array, built on the first search after
+    an ``add``. Searches may run concurrently; an ``add`` may not run
+    alongside them.
     """
 
     def __init__(self, config: EmbedderConfig = EmbedderConfig()):
         self.config = config
         self.docs = []
-        self._vectors = []
+        self._vectors = np.zeros((0, config.dimension))
         self._ids = set()
+        self._rank = None
 
     def __len__(self):
         return len(self.docs)
@@ -146,12 +178,28 @@ class VectorIndex:
         return self.config.fingerprint
 
     def add(self, docs):
+        """Append docs in order. All or nothing: a duplicate id raises
+        DuplicateDocId before anything is indexed."""
+        docs = list(docs)
+        new_ids = set()
         for doc in docs:
-            if doc.id in self._ids:
-                raise DuplicateDocId(doc.id)
-            self._ids.add(doc.id)
-            self.docs.append(doc)
-            self._vectors.append(embed(doc.text, self.config))
+            if doc.id in self._ids or doc.id in new_ids:
+                raise DuplicateDocId(f"duplicate document id {doc.id!r}")
+            new_ids.add(doc.id)
+        block = _embed_rows([doc.text for doc in docs], self.config)
+        self._vectors = np.concatenate((self._vectors, block)) if self.docs else block
+        self.docs.extend(docs)
+        self._ids |= new_ids
+        self._rank = None
+
+    def _id_rank(self):
+        rank = self._rank
+        if rank is None:
+            order = sorted(range(len(self.docs)), key=lambda i: self.docs[i].id)
+            rank = np.empty(len(order), dtype=np.intp)
+            rank[order] = np.arange(len(order))
+            self._rank = rank
+        return rank
 
     def search(self, query_text, k=2, query_fingerprint=None):
         """Top-k (DocRecord, score) by descending cosine, ties broken by
@@ -164,27 +212,41 @@ class VectorIndex:
             raise EmbedderMismatch(
                 f"query embedded under {query_fingerprint!r}, "
                 f"index built under {self.fingerprint!r}")
-        q = embed(query_text, self.config)
-        matrix = np.vstack(self._vectors)
-        scores = matrix @ q  # all vectors unit-norm or zero
-        order = sorted(range(len(self.docs)),
-                       key=lambda i: (-scores[i], self.docs[i].id))
-        return [(self.docs[i], float(scores[i])) for i in order[:k]]
+        scores = self._vectors @ embed(query_text, self.config)  # all rows unit-norm or zero
+        # rank only the rows scoring at least the k-th largest score: every
+        # row tied with it stays, so the tie rule is applied exactly
+        m = min(k, len(scores))
+        rows = np.flatnonzero(scores >= np.partition(scores, -m)[-m])
+        order = rows[np.lexsort((self._id_rank()[rows], -scores[rows]))[:k]]
+        return [(self.docs[i], float(scores[i])) for i in order]
 
 
 def load_corpus(text: str, config: EmbedderConfig = EmbedderConfig()) -> VectorIndex:
-    """Build an index from JSON-lines of {id, text, metadata}."""
-    docs = []
+    """Build an index from JSON-lines of {id, text, metadata}.
+
+    A bad line raises RetrievalError, and a repeated id DuplicateDocId,
+    naming the 1-based line.
+    """
+    docs, line_of = [], {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
         try:
             obj = json.loads(line)
-            docs.append(DocRecord(str(obj["id"]), str(obj["text"]),
-                                  dict(obj.get("metadata", {}))))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            if not isinstance(obj, dict):
+                raise RetrievalError("not a JSON object")
+            metadata = obj.get("metadata", {})
+            if not isinstance(metadata, dict):
+                raise RetrievalError("metadata is not a JSON object")
+            doc = DocRecord(str(obj["id"]), obj["text"], metadata)
+        except (ValueError, KeyError, RecursionError) as exc:
             raise RetrievalError(f"corpus line {lineno}: {exc}") from None
+        if doc.id in line_of:
+            raise DuplicateDocId(f"corpus line {lineno}: duplicate document id "
+                                 f"{doc.id!r} (first on line {line_of[doc.id]})")
+        line_of[doc.id] = lineno
+        docs.append(doc)
     index = VectorIndex(config)
     index.add(docs)
     return index

@@ -67,8 +67,10 @@ class Iri:
             raise GraphError(f"not an absolute IRI: {self.value!r}")
 
 
-_NUMERIC_LEXICAL = {"integer": (int, "0123456789+-"),
-                    "decimal": (float, "0123456789+-.")}
+# The XSD lexical spaces, matched as text: an int() check would reject
+# integers past CPython's int-string digit limit.
+_NUMERIC_LEXICAL = {"integer": re.compile(r"[+-]?[0-9]+"),
+                    "decimal": re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)")}
 
 
 @dataclass(frozen=True, order=True)
@@ -80,22 +82,19 @@ class Literal:
         if self.datatype not in DATATYPE_IRIS:
             raise GraphError(f"unsupported datatype: {self.datatype}")
         if self.datatype in _NUMERIC_LEXICAL:
-            # int()/float() limited to these characters accept exactly the XSD
-            # lexical spaces (\+|-)?[0-9]+ and (\+|-)?([0-9]+(\.[0-9]*)?|\.[0-9]+)
-            convert, chars = _NUMERIC_LEXICAL[self.datatype]
-            try:
-                convert(self.lexical)
-                ok = not self.lexical.strip(chars)
-            except ValueError:
-                ok = False
-            if not ok:
+            if not _NUMERIC_LEXICAL[self.datatype].fullmatch(self.lexical):
                 raise GraphError(f"bad {self.datatype} lexical form: {self.lexical!r}")
         elif self.datatype == "boolean" and self.lexical not in ("true", "false"):
             raise GraphError(f"bad boolean lexical form: {self.lexical!r}")
 
     def numeric_value(self):
+        """The number of an integer or decimal literal, else None. An integer
+        past the int-string digit limit comes back as an exact Decimal."""
         if self.datatype == "integer":
-            return int(self.lexical)
+            try:
+                return int(self.lexical)
+            except ValueError:
+                return decimal.Decimal(self.lexical)
         if self.datatype == "decimal":
             return float(self.lexical)
         return None

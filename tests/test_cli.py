@@ -338,6 +338,39 @@ class TestRetrieve:
                               "--corpus", str(data_path("corpus.jsonl")), "-k", "5")
         assert len(stdout.splitlines()) == 5
 
+    def test_golden_output_on_the_bundled_corpus(self, capsys):
+        digest = hashlib.sha256()
+        for query, k in (("drought code mop up", "1"), ("helicopter terrain", "3"),
+                         ("fire weather index fwi extreme precaution action", "5"),
+                         ("isi rate of spread fast precaution action", "22")):
+            code, stdout, _ = run(capsys, "retrieve", query,
+                                  "--corpus", str(data_path("corpus.jsonl")), "-k", k)
+            assert code == 0
+            digest.update(stdout.encode("utf-8"))
+        assert digest.hexdigest() == (
+            "289b33dd1b24d87d8a27fb1ae7a25081729126fc475446f795193dfc6a040681")
+
+    @pytest.mark.parametrize("corpus, query, message", [
+        ('{"id": "a", "text": "ok"}\n' + "[" * 100_000 + "]" * 100_000 + "\n",
+         b"query", "corpus line 2"),
+        ('{"id": "a", "text": "ok"}\n{"id": "a", "text": "again"}\n',
+         b"query", "corpus line 2: duplicate document id 'a'"),
+        ('{"id": "a", "text": "ok"}\n', b"\xff query", "not valid Unicode"),
+    ], ids=["deep-nesting", "duplicate-id", "non-utf8-query"])
+    def test_bad_corpus_or_query_exits_1_without_traceback(self, tmp_path, corpus,
+                                                            query, message):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(corpus, encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(firedss.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable.encode(), b"-m", b"firedss", b"retrieve", query,
+             b"--corpus", str(path).encode()],
+            capture_output=True, env=env, timeout=60)
+        stderr = done.stderr.decode("utf-8", "replace")
+        assert done.returncode == 1
+        assert "Traceback" not in stderr
+        assert message in stderr
+
 
 class TestEval:
     def test_identical_files(self, capsys, tmp_path):

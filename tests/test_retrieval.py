@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import string
@@ -327,3 +328,135 @@ class TestNormInvariantUnderGrowth:
             v = embed(doc)
             assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-9)
             assert cosine(v, query) <= 1.0 + 1e-12
+
+
+def _ranked_by_oracle(idx, query, k):
+    qv = embed(query, idx.config)
+    want = brute_force_topk(list(qv), [list(v) for v in idx._vectors],
+                            [d.id for d in idx.docs], k)
+    return [doc_id for _, doc_id in want]
+
+
+class TestIndexStorage:
+    def test_search_after_second_add_sees_both_batches(self):
+        idx = VectorIndex(EmbedderConfig(dimension=64))
+        idx.add([DocRecord("m", "shared text"), DocRecord("b1", "water tanker")])
+        assert [d.id for d, _ in idx.search("shared text", k=1)] == ["m"]
+        idx.add([DocRecord("c", "shared text"), DocRecord("z", "shared text"),
+                 DocRecord("a2", "helicopter ridge")])
+        assert idx._vectors.shape == (5, 64)
+        for query in ("shared text", "helicopter ridge", "water tanker"):
+            for k in (1, 2, 3, 5):
+                got = [d.id for d, _ in idx.search(query, k=k)]
+                assert got == _ranked_by_oracle(idx, query, k)
+        assert [d.id for d, _ in idx.search("shared text", k=3)] == ["c", "m", "z"]
+
+    def test_identical_texts_tie_group_crossed_by_k(self):
+        rng = random.Random(11)
+        ids = [f"t{n:03d}" for n in range(40)]
+        rng.shuffle(ids)
+        docs = [DocRecord(doc_id, "burn ban in effect") for doc_id in ids]
+        docs += [DocRecord(f"o{n:02d}", random_text(rng)) for n in range(30)]
+        rng.shuffle(docs)
+        idx = VectorIndex()
+        idx.add(docs)
+        for k in (1, 5, 39, 40, 41, 55, 70):
+            got = idx.search("burn ban in effect", k=k)
+            assert [d.id for d, _ in got] == _ranked_by_oracle(idx, "burn ban in effect", k)
+        top = [d.id for d, _ in idx.search("burn ban in effect", k=40)]
+        assert top == sorted(ids)
+
+    def test_k_above_size_returns_every_document(self):
+        rng = random.Random(12)
+        idx = random_index(rng, 9)
+        got = idx.search("anything", k=100)
+        assert sorted(d.id for d, _ in got) == sorted(d.id for d in idx.docs)
+        # the oracle's plain-float cosines can differ from numpy's in the last
+        # bit, so the full order is checked against the tie rule directly
+        keys = [(-score, d.id) for d, score in got]
+        assert keys == sorted(keys)
+
+    def test_one_matrix_of_unit_rows(self, corpus_text):
+        idx = retrieval.load_corpus(corpus_text)
+        assert isinstance(idx._vectors, np.ndarray)
+        assert idx._vectors.shape == (len(idx), idx.config.dimension)
+        for doc, row in zip(idx.docs, idx._vectors):
+            assert np.array_equal(row, embed(doc.text))
+
+    def test_each_distinct_gram_hashed_once_per_add(self, corpus_text, monkeypatch):
+        hashed = []
+        fnv = retrieval._fnv1a64
+
+        def counting(data):
+            hashed.append(data)
+            return fnv(data)
+
+        monkeypatch.setattr(retrieval, "_fnv1a64", counting)
+        idx = retrieval.load_corpus(corpus_text)
+        grams = set()
+        for doc in idx.docs:
+            text = " ".join(doc.text.lower().split())
+            grams.update(text[i:i + 3] for i in range(len(text) - 2))
+        assert len(hashed) == len(set(hashed))
+        assert set(hashed) == {g.encode("utf-8") for g in grams}
+
+
+class TestAddIsAllOrNothing:
+    def _state(self, idx):
+        return list(idx.docs), idx._vectors.copy(), set(idx._ids), idx._rank
+
+    @pytest.mark.parametrize("batch", [
+        [DocRecord("new1", "new text"), DocRecord("b", "clash with the index"),
+         DocRecord("new2", "more text")],
+        [DocRecord("new1", "new text"), DocRecord("new1", "clash within the batch")],
+    ])
+    def test_duplicate_leaves_the_index_unchanged(self, batch):
+        idx = VectorIndex()
+        idx.add([DocRecord("a", "first text"), DocRecord("b", "second text")])
+        idx.search("text")                  # builds the id-rank cache
+        docs, vectors, ids, rank = self._state(idx)
+        with pytest.raises(DuplicateDocId):
+            idx.add(batch)
+        assert idx.docs == docs and idx._ids == ids and idx._rank is rank
+        assert np.array_equal(idx._vectors, vectors)
+        assert [d.id for d, _ in idx.search("new text", k=5)] == ["a", "b"]
+
+
+class TestInputEdges:
+    def _load_fails(self, corpus, match, exc=retrieval.RetrievalError):
+        with pytest.raises(exc, match=match):
+            retrieval.load_corpus(corpus)
+
+    def test_deeply_nested_line_names_the_line(self):
+        self._load_fails('{"id": "a", "text": "ok"}\n' + "[" * 100_000 + "]" * 100_000,
+                         "corpus line 2")
+
+    def test_metadata_not_an_object(self):
+        self._load_fails('{"id": "a", "text": "ok", "metadata": "ab"}', "corpus line 1")
+
+    def test_line_not_an_object(self):
+        self._load_fails('{"id": "a", "text": "ok"}\n\n[1, 2]\n', "corpus line 3")
+
+    @pytest.mark.parametrize("text", ["null", "5", '["x"]', '{"t": 1}'])
+    def test_non_string_text_rejected(self, text):
+        self._load_fails('{"id": "a", "text": %s}' % text, "corpus line 1")
+        with pytest.raises(retrieval.RetrievalError):
+            DocRecord("a", json.loads(text))
+
+    def test_lone_surrogate_text_names_the_line(self):
+        self._load_fails('{"id": "a", "text": "ok"}\n{"id": "b", "text": "\\ud800x"}',
+                         "corpus line 2")
+
+    def test_duplicate_id_names_both_lines(self):
+        corpus = '{"id": "a", "text": "one"}\n{"id": "b", "text": "two"}\n\n' \
+                 '{"id": "a", "text": "three"}\n'
+        self._load_fails(corpus, "corpus line 4: .*'a'.*line 1", DuplicateDocId)
+
+    @pytest.mark.parametrize("text", ["\ud800x", "ok \udcff query"])
+    def test_embed_and_search_reject_invalid_unicode(self, text):
+        with pytest.raises(retrieval.RetrievalError, match="not valid Unicode"):
+            embed(text)
+        idx = VectorIndex()
+        idx.add([DocRecord("a", "some text")])
+        with pytest.raises(retrieval.RetrievalError, match="not valid Unicode"):
+            idx.search(text)

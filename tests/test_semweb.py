@@ -1,3 +1,4 @@
+import decimal
 import random
 
 import pytest
@@ -160,6 +161,19 @@ class TestXsdLexicalSpaces:
     def test_literal_for_rejects_non_finite_floats(self, value):
         with pytest.raises(GraphError):
             semweb.literal_for(value)
+
+    def test_integer_past_the_int_string_digit_limit(self):
+        digits = "1" * 5000
+        assert Literal(digits, "integer").numeric_value() == decimal.Decimal(digits)
+        assert Literal("-" + digits, "integer").numeric_value() < -10 ** 100
+        xsd = semweb.XSD
+        g = parse_ntriples(f'<{EX}big> <{EX}p> "{digits}"^^<{xsd}integer> .\n'
+                           f'<{EX}small> <{EX}p> "7"^^<{xsd}integer> .\n'
+                           f'<{EX}half> <{EX}p> "2.5"^^<{xsd}decimal> .\n')
+        q = parse_query(f"SELECT ?s WHERE {{ ?s <{EX}p> ?v . FILTER (?v > 5) }}")
+        result = execute(q, g)
+        assert set(result.rows) == {(iri("big"),), (iri("small"),)}
+        assert result.type_clashes == 0
 
     def test_ntriples_with_an_exponent_decimal_is_a_syntax_error(self):
         with pytest.raises(NTriplesSyntaxError) as err:
