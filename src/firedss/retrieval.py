@@ -49,6 +49,8 @@ class DocRecord:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.id, str):
+            raise RetrievalError(f"document id is not a string: {type(self.id).__name__}")
         if not isinstance(self.text, str):
             raise RetrievalError(f"document {self.id!r} text is not a string: "
                                  f"{type(self.text).__name__}")
@@ -239,7 +241,7 @@ def load_corpus(text: str, config: EmbedderConfig = EmbedderConfig()) -> VectorI
             metadata = obj.get("metadata", {})
             if not isinstance(metadata, dict):
                 raise RetrievalError("metadata is not a JSON object")
-            doc = DocRecord(str(obj["id"]), obj["text"], metadata)
+            doc = DocRecord(obj["id"], obj["text"], metadata)
         except (ValueError, KeyError, RecursionError) as exc:
             raise RetrievalError(f"corpus line {lineno}: {exc}") from None
         if doc.id in line_of:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from ._syntax import Cursor, tokenize
 from .semweb import COMPARISONS
 
 
@@ -154,11 +155,13 @@ class Derivation:
 
 class FactBase:
     """Ground atoms, each once and in the caller's order, plus one
-    derivation record per derived fact. `facts` is a set-like view; the
-    atoms are checked where text enters (`parse_rules`, `parse_facts`)."""
+    derivation record per derived fact. `facts` is a set-like view of the
+    atom -> None dict `_atoms`; the atoms are checked where text enters
+    (`parse_rules`, `parse_facts`)."""
 
     def __init__(self, facts=(), derivations=None):
-        self.facts = dict.fromkeys(facts).keys()
+        self._atoms = dict.fromkeys(facts)
+        self.facts = self._atoms.keys()
         self.derivations = dict(derivations or {})
 
     def __contains__(self, atom):
@@ -201,11 +204,10 @@ def format_bindings(bindings):
 # --- parser ------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"""
-    (?P<ws>[ \t\r]+)
+    (?P<ws>[ \t\r\n]+)
   | (?P<comment>\#[^\n]*)
-  | (?P<newline>\n)
   | (?P<string>"(?:[^"\\\n]|\\.)*")
-  | (?P<number>-?\d+(?:\.\d+)?)
+  | (?P<number>-?[0-9]+(?:\.[0-9]+)?)
   | (?P<arrow>->)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*(?::[A-Za-z_][A-Za-z0-9_]*)?)
   | (?P<var>\?[A-Za-z][A-Za-z0-9_]*)
@@ -215,119 +217,74 @@ _TOKEN_RE = re.compile(r"""
 _KEYWORDS = {"rule", "when", "then", "assert"}
 
 
-@dataclass
-class _Token:
-    kind: str
-    text: str
-    line: int
-    column: int
+class _Parser(Cursor):
+    def __init__(self, text):
+        self.text = text
+        super().__init__(tokenize(_TOKEN_RE, text, self.fail))
 
+    def line_column(self, pos):
+        """1-based line and column of offset `pos`; only `\\n` ends a line."""
+        text = self.text
+        return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
-def _tokenize(text):
-    tokens = []
-    line, line_start = 1, 0
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise RuleSyntaxError(line, pos - line_start + 1,
-                                  f"unexpected character {text[pos]!r}")
-        kind = m.lastgroup
-        if kind == "newline":
-            line += 1
-            line_start = m.end()
-        elif kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, m.group(), line, m.start() - line_start + 1))
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def error(self, expected):
-        tok = self.peek()
-        found = tok.text or "end of input"
-        raise RuleSyntaxError(tok.line, tok.column,
-                              f"expected {expected}, found {found!r}")
+    def fail(self, pos, message):
+        return RuleSyntaxError(*self.line_column(pos), message)
 
     def expect(self, kind, text=None):
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
+        if not self.at(kind, text):
             self.error(text or kind)
         return self.next()
 
-    def at_keyword(self, word):
-        tok = self.peek()
-        return tok.kind == "ident" and tok.text == word
-
     def parse_rules(self):
         rules = []
-        while self.peek().kind != "eof":
+        while not self.at("eof"):
             rules.append(self.parse_rule())
         return rules
 
     def parse_rule(self):
-        if not self.at_keyword("rule"):
+        if not self.at("ident", "rule"):
             self.error("'rule'")
         self.next()
-        name_tok = self.expect("ident")
-        if name_tok.text in _KEYWORDS:
+        name = self.expect("ident")[1]
+        if name in _KEYWORDS:
             self.error("rule name")
         self.expect("punct", ":")
-        if self.at_keyword("when"):
+        if self.at("ident", "when"):
             self.next()
-            body = self.parse_atom_list(",")
-            if not self.at_keyword("then"):
+            separator = ","
+            body = self.parse_atom_list(separator)
+            if not self.at("ident", "then"):
                 self.error("'then'")
             self.next()
-            if not self.at_keyword("assert"):
+            if not self.at("ident", "assert"):
                 self.error("'assert'")
             self.next()
-            head = self.parse_atom_list(",")
         else:
-            body = self.parse_atom_list("^", stop_on_arrow=True)
+            separator = "^"
+            body = self.parse_atom_list(separator, stop_on_arrow=True)
             self.expect("arrow")
-            head = self.parse_atom_list("^")
-        head_atoms = []
-        for a in head:
-            if isinstance(a, Builtin):
-                raise RuleSyntaxError(0, 0, f"rule {name_tok.text}: builtin in head")
-            head_atoms.append(a)
-        return RuleDef(name_tok.text, tuple(body), tuple(head_atoms))
+        head_pos = self.peek()[2]
+        head = self.parse_atom_list(separator)
+        if any(isinstance(a, Builtin) for a in head):
+            raise self.fail(head_pos, f"rule {name}: builtin in head")
+        return RuleDef(name, tuple(body), tuple(head))
 
     def parse_atom_list(self, separator, stop_on_arrow=False):
         atoms = [self.parse_atom()]
-        while True:
-            tok = self.peek()
-            if tok.kind == "punct" and tok.text == separator:
-                self.next()
-                atoms.append(self.parse_atom())
-            else:
-                break
-        if stop_on_arrow and self.peek().kind != "arrow":
+        while self.at("punct", separator):
+            self.next()
+            atoms.append(self.parse_atom())
+        if stop_on_arrow and not self.at("arrow"):
             self.error("'^' or '->'")
         return atoms
 
     def parse_atom(self):
-        tok = self.expect("ident")
-        name = tok.text
+        _, name, pos = self.expect("ident")
         if name in _KEYWORDS:
             self.error("atom")
         self.expect("punct", "(")
         args = [self.parse_term()]
-        if self.peek().kind == "punct" and self.peek().text == ",":
+        if self.at("punct", ","):
             self.next()
             args.append(self.parse_term())
         self.expect("punct", ")")
@@ -335,39 +292,36 @@ class _Parser:
         bare = name[6:] if name.startswith("swrlb:") else name
         if bare in BUILTIN_OPS:
             if len(args) != 2:
-                raise RuleSyntaxError(tok.line, tok.column,
-                                      f"builtin {bare} takes 2 arguments")
+                raise self.fail(pos, f"builtin {bare} takes 2 arguments")
             return Builtin(bare, tuple(args))
         if name.startswith("swrlb:"):
-            raise UnknownBuiltin(f"line {tok.line}: swrlb:{bare}")
+            raise UnknownBuiltin(f"line {self.line_column(pos)[0]}: swrlb:{bare}")
         if ":" in name:
-            raise RuleSyntaxError(tok.line, tok.column,
-                                  f"unexpected namespaced predicate {name!r}")
+            raise self.fail(pos, f"unexpected namespaced predicate {name!r}")
         return Atom(name, tuple(args))
 
     def parse_term(self):
-        tok = self.peek()
-        if tok.kind == "var":
+        kind, text, _ = self.peek()
+        if kind == "var":
             self.next()
-            return Variable(tok.text[1:])
-        if tok.kind == "number":
+            return Variable(text[1:])
+        if kind == "number":
             self.next()
-            return Num(float(tok.text))
-        if tok.kind == "string":
+            return Num(float(text))
+        if kind == "string":
             self.next()
-            raw = tok.text[1:-1]
-            return Str(raw.replace('\\"', '"').replace("\\\\", "\\"))
-        if tok.kind == "ident":
-            if tok.text == "true":
+            return Str(text[1:-1].replace('\\"', '"').replace("\\\\", "\\"))
+        if kind == "ident":
+            if text == "true":
                 self.next()
                 return Bool(True)
-            if tok.text == "false":
+            if text == "false":
                 self.next()
                 return Bool(False)
-            if tok.text in _KEYWORDS:
+            if text in _KEYWORDS:
                 self.error("term")
             self.next()
-            return Individual(tok.text)
+            return Individual(text)
         self.error("term")
 
 
@@ -387,7 +341,7 @@ def _check_safety(rule: RuleDef):
 
 def parse_rules(text: str) -> RuleSet:
     """Parse rule text into a RuleSet, enforcing variable safety."""
-    rules = _Parser(_tokenize(text)).parse_rules()
+    rules = _Parser(text).parse_rules()
     for r in rules:
         _check_safety(r)
     return RuleSet(rules)
@@ -398,11 +352,11 @@ def parse_facts(text: str) -> FactBase:
     facts = []
     for lineno, line in enumerate(text.splitlines(), 1):
         try:
-            parser = _Parser(_tokenize(line))
-            if parser.peek().kind == "eof":
+            parser = _Parser(line)
+            if parser.at("eof"):
                 continue  # blank or comment-only line
             atom = parser.parse_atom()
-            if parser.peek().kind != "eof":
+            if not parser.at("eof"):
                 parser.error("end of line")
         except RuleSyntaxError as exc:
             raise RuleSyntaxError(lineno, exc.column, exc.message) from None
@@ -516,7 +470,7 @@ def evaluate(rules: RuleSet, facts: FactBase) -> FactBase:
     in input order, so the recorded bindings and premises are the same in
     every process.
     """
-    known = dict.fromkeys(facts.facts)
+    known = facts._atoms.copy()     # a dict copy reuses the stored hashes
     derivations = dict(facts.derivations)
     by_predicate = {}
     for f in known:

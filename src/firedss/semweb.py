@@ -17,6 +17,8 @@ import statistics
 import time
 from dataclasses import dataclass
 
+from ._syntax import Cursor, tokenize
+
 XSD = "http://www.w3.org/2001/XMLSchema#"
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 RDF_TYPE = RDF_NS + "type"
@@ -410,45 +412,20 @@ _Q_TOKEN = re.compile(r"""
 """, re.VERBOSE)
 
 
-def _q_tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _Q_TOKEN.match(text, pos)
-        if m is None:
-            raise QuerySyntaxError(pos, f"unexpected character {text[pos]!r}")
-        if m.lastgroup not in ("ws", "comment"):
-            tokens.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
-    tokens.append(("eof", "", len(text)))
-    return tokens
-
-
 # Bounds that keep the recursive parser and the recursive filter
 # evaluation well inside the interpreter's recursion limit.
 MAX_FILTER_DEPTH = 64
 MAX_FILTER_OPERATORS = 256
 
 
-class _QueryParser:
+class _QueryParser(Cursor):
+    fail = staticmethod(QuerySyntaxError)
+
     def __init__(self, text):
-        self.tokens = _q_tokenize(text)
-        self.i = 0
+        super().__init__(tokenize(_Q_TOKEN, text, self.fail))
         self.prefixes = {}
         self.depth = 0              # open FILTER parentheses
         self.operators = 0          # BoolExpr nodes built so far
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def error(self, expected):
-        kind, text, pos = self.peek()
-        raise QuerySyntaxError(pos, f"expected {expected}, found {text or 'end of input'!r}")
 
     def keyword(self, word):
         kind, text, _ = self.peek()
@@ -460,8 +437,7 @@ class _QueryParser:
         return self.next()
 
     def expect_punct(self, char):
-        kind, text, _ = self.peek()
-        if kind != "punct" or text != char:
+        if not self.at("punct", char):
             self.error(repr(char))
         return self.next()
 
@@ -479,11 +455,11 @@ class _QueryParser:
 
         self.expect_keyword("SELECT")
         select = None
-        if self.peek()[0] == "punct" and self.peek()[1] == "*":
+        if self.at("punct", "*"):
             self.next()
         else:
             names = []
-            while self.peek()[0] == "var":
+            while self.at("var"):
                 names.append(self.next()[1][1:])
             if not names:
                 self.error("variable list or *")
@@ -505,13 +481,13 @@ class _QueryParser:
                 self.expect_punct(")")
                 filter_expr = expr if filter_expr is None else \
                     self.bool_expr("&&", filter_expr, expr, pos)
-                if self.peek()[0] == "punct" and self.peek()[1] == ".":
+                if self.at("punct", "."):
                     self.next()
                 continue
             patterns.append(self.parse_pattern())
-            if self.peek()[0] == "punct" and self.peek()[1] == ".":
+            if self.at("punct", "."):
                 self.next()
-        if self.peek()[0] != "eof":
+        if not self.at("eof"):
             self.error("end of query")
 
         query = Query(dict(self.prefixes), select, tuple(patterns), filter_expr)
@@ -562,14 +538,14 @@ class _QueryParser:
 
     def parse_or(self):
         left = self.parse_and()
-        while self.peek()[0] == "op" and self.peek()[1] == "||":
+        while self.at("op", "||"):
             pos = self.next()[2]
             left = self.bool_expr("||", left, self.parse_and(), pos)
         return left
 
     def parse_and(self):
         left = self.parse_primary()
-        while self.peek()[0] == "op" and self.peek()[1] == "&&":
+        while self.at("op", "&&"):
             pos = self.next()[2]
             left = self.bool_expr("&&", left, self.parse_primary(), pos)
         return left

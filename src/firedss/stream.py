@@ -31,6 +31,9 @@ from pathlib import Path
 
 from . import fwi, ingest, rules as rules_mod
 
+# json.dumps(x, sort_keys=True) without building an encoder on every call
+_to_json = json.JSONEncoder(sort_keys=True).encode
+
 # (alert kind, band quantity, code-fact predicate, label-fact prefix or None
 # where DangerClassification has no label) in emission order
 _ALERT_QUANTITIES = (
@@ -104,7 +107,7 @@ class AlertEvent:
     ts_ms: int
 
     def to_json(self):
-        return json.dumps(vars(self), sort_keys=True)
+        return _to_json(vars(self))
 
 
 @dataclass(frozen=True)
@@ -123,7 +126,7 @@ class PipelineStats:
     duration_ms: float = 0.0
 
     def to_json(self):
-        return json.dumps(vars(self), sort_keys=True)
+        return _to_json(vars(self))
 
 
 # --- sources -----------------------------------------------------------------
@@ -335,7 +338,7 @@ def checkpoint_save(path, cp: Checkpoint):
             raise StaleCheckpoint(
                 f"refusing to regress checkpoint from batch {existing.batch_seq} "
                 f"to {cp.batch_seq}")
-    body = json.dumps(vars(cp), sort_keys=True)
+    body = _to_json(vars(cp))
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
     tmp = path.with_suffix(path.suffix + ".tmp")
     tmp.write_text(body + "\n" + digest + "\n", encoding="utf-8")

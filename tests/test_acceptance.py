@@ -173,7 +173,7 @@ def test_criterion_5_stream_arithmetic_and_fault_tolerance(tmp_path):
         assert [len(b) for b in batches] == [20] * 25 + [17]
 
         # crash injection at every instrumented point of a 6-batch replay
-        rows = open(dataset).read().splitlines()
+        rows = data_text("forestfires_synthetic.csv").splitlines()
         small = tmp_path / "small.csv"
         small.write_text("\n".join(rows[:1 + 110]) + "\n", encoding="utf-8")
         for point in ("after_sink", "after_checkpoint"):
@@ -191,7 +191,7 @@ def test_criterion_5_stream_arithmetic_and_fault_tolerance(tmp_path):
                                         crash_hook=hook)
                 stream.run_pipeline(str(small), sink, cp, batch_size=20,
                                     rules=ruleset, rules_text=rules_text)
-                events = [json.loads(l) for l in open(sink)]
+                events = [json.loads(l) for l in sink.read_text().splitlines()]
                 for e in events:
                     e.pop("ts_ms")
                     e["offsets"] = tuple(e["offsets"])
@@ -210,7 +210,7 @@ def test_criterion_5_stream_arithmetic_and_fault_tolerance(tmp_path):
         for name in ("d1.jsonl", "d2.jsonl"):
             sink = tmp_path / name
             stream.run_pipeline(dataset, sink, rules=ruleset, rules_text=rules_text)
-            events = [json.loads(l) for l in open(sink)]
+            events = [json.loads(l) for l in sink.read_text().splitlines()]
             for e in events:
                 e.pop("ts_ms")
             payloads.append(events)
@@ -353,4 +353,4 @@ def test_criterion_10_end_to_end_budget(tmp_path, capsys):
                          str(data_path("hot_dry_regions.rq"))]) == 0
         capsys.readouterr()
         assert len(nt.read_text().splitlines()) == 6721
-        assert len({json.loads(l)["batch"] for l in open(sink)}) == 26
+        assert len({json.loads(l)["batch"] for l in sink.read_text().splitlines()}) == 26

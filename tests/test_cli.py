@@ -113,7 +113,7 @@ class TestStream:
         assert code == 0
         stats = json.loads(stdout)
         assert stats["records_in"] == 517 and stats["batches_out"] == 26
-        assert {json.loads(l)["batch"] for l in open(sink)} == set(range(26))
+        assert {json.loads(l)["batch"] for l in sink.read_text().splitlines()} == set(range(26))
 
     def test_config_file_supplies_defaults_flags_win(self, capsys, tmp_path,
                                                      dataset_csv):
@@ -177,7 +177,8 @@ def _stream_stdin(tmp_path, text):
         [sys.executable, "-m", "firedss", "stream", "--dataset", "-",
          "--sink", str(sink), "--batch-size", "2"],
         input=text, capture_output=True, text=True, env=env, timeout=60)
-    events = [json.loads(line) for line in open(sink)] if sink.exists() else []
+    events = ([json.loads(line) for line in sink.read_text().splitlines()]
+              if sink.exists() else [])
     for e in events:
         e.pop("ts_ms")
     return done, events
@@ -200,7 +201,7 @@ class TestStreamStdin:
         file_sink = tmp_path / "file.jsonl"
         assert run(capsys, "stream", "--dataset", str(path), "--sink", str(file_sink),
                    "--batch-size", "2")[0] == 0
-        expected = [json.loads(line) for line in open(file_sink)]
+        expected = [json.loads(line) for line in file_sink.read_text().splitlines()]
         for e in expected:
             e.pop("ts_ms")
 
@@ -466,7 +467,7 @@ class TestDeterminism:
                              "--sink", str(sink),
                              "--rules", str(data_path("fwi_alerts.rules")))
             assert code == 0
-            events = [json.loads(l) for l in open(sink)]
+            events = [json.loads(l) for l in sink.read_text().splitlines()]
             for e in events:
                 e.pop("ts_ms")
             payloads.append(events)

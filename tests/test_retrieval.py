@@ -443,6 +443,14 @@ class TestInputEdges:
         with pytest.raises(retrieval.RetrievalError):
             DocRecord("a", json.loads(text))
 
+    @pytest.mark.parametrize("doc_id", ["null", "1", "[1]", "true", '{"a": "b"}'])
+    def test_non_string_id_rejected(self, doc_id):
+        # `1` after `"1"` used to be read as the same id, a duplicate
+        self._load_fails('{"id": "1", "text": "ok"}\n{"id": %s, "text": "ok"}' % doc_id,
+                         "corpus line 2: document id is not a string")
+        with pytest.raises(retrieval.RetrievalError):
+            DocRecord(json.loads(doc_id), "ok")
+
     def test_lone_surrogate_text_names_the_line(self):
         self._load_fails('{"id": "a", "text": "ok"}\n{"id": "b", "text": "\\ud800x"}',
                          "corpus line 2")

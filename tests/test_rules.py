@@ -89,6 +89,26 @@ class TestParser:
         args = [a.args[1] for a in rs.rules[0].positive_atoms()[1:]]
         assert args == [Bool(True), Str("fire brigade")]
 
+    @pytest.mark.parametrize("text, where", [
+        ("rule t: when A(?x) then assert lessThan(?x, 1)", (1, 32)),
+        ("rule t:\n  A(?x) ->\n  B(?x) ^ swrlb:lessThan(?x, 1)", (3, 3)),
+    ])
+    def test_builtin_in_head_names_where_the_head_starts(self, text, where):
+        with pytest.raises(RuleSyntaxError, match="rule t: builtin in head") as err:
+            rules.parse_rules(text)
+        assert (err.value.line, err.value.column) == where
+
+    @pytest.mark.parametrize("parse, text, where", [
+        (rules.parse_rules, "rule t: when A(?x), hasV(?x, ?v),\n"
+                            "    lessThan(?v, \u0663) then assert B(?x)", (2, 18)),
+        (rules.parse_facts, "A(a)\nhasV(a, \u0663)", (2, 9)),
+        (rules.parse_facts, "hasV(a, 1\u0663)", (1, 10)),
+    ])
+    def test_numbers_take_ascii_digits_only(self, parse, text, where):
+        with pytest.raises(RuleSyntaxError, match="unexpected character '\u0663'") as err:
+            parse(text)
+        assert (err.value.line, err.value.column) == where
+
     def test_ternary_atom_rejected(self):
         with pytest.raises(RuleSyntaxError):
             rules.parse_rules("rule t: when P(?x, ?y, ?z) then assert Q(?x)")

@@ -4,6 +4,7 @@ import math
 import random
 import socket
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -35,7 +36,7 @@ def batch_of(rows, seq=0, start_offset=0):
 
 
 def read_sink(path):
-    return [json.loads(line) for line in open(path, encoding="utf-8")]
+    return [json.loads(line) for line in Path(path).read_text(encoding="utf-8").splitlines()]
 
 
 def strip_ts(events):
