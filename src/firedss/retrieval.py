@@ -51,6 +51,7 @@ class DocRecord:
     def __post_init__(self):
         if not isinstance(self.id, str):
             raise RetrievalError(f"document id is not a string: {type(self.id).__name__}")
+        _utf8(self.id, "document id")
         if not isinstance(self.text, str):
             raise RetrievalError(f"document {self.id!r} text is not a string: "
                                  f"{type(self.text).__name__}")
@@ -94,11 +95,11 @@ def _fnv1a64(data: bytes) -> int:
     return h
 
 
-def _utf8(text: str) -> bytes:
+def _utf8(text: str, what="text") -> bytes:
     try:
         return text.encode("utf-8")
     except UnicodeEncodeError as exc:
-        raise RetrievalError(f"text is not valid Unicode: {exc}") from None
+        raise RetrievalError(f"{what} is not valid Unicode: {exc}") from None
 
 
 def _normalize_text(text: str) -> str:

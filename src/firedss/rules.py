@@ -12,14 +12,20 @@ a `swrlb:` prefix. Atoms are unary (class membership) or binary (property);
 heads never invent new individuals, so saturation always terminates.
 Evaluation runs to the least fixpoint and records one derivation per
 derived fact for explanation. It is semi-naive: rules run in rounds in
-rule order, and each rule keeps one watermark per body atom, so a rule
-joins only against facts that are new since it last ran.
+rule order, each rule keeps one watermark per body atom, so a rule joins
+only against facts that are new since it last ran, and a new fact wakes
+only the rules whose body uses its predicate. Body atoms with bound
+arguments are joined through per-position indexes of the fact lists.
 """
 
 from __future__ import annotations
 
+import functools
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from operator import itemgetter
 
 from ._syntax import Cursor, tokenize
 from .semweb import COMPARISONS
@@ -67,39 +73,59 @@ class UnknownFact(RuleError):
 
 
 # --- terms and atoms ---------------------------------------------------------
+#
+# A term is the tuple (kind, value), its kind being its own class, and an
+# atom the tuple (predicate, args). Hashing and comparing them runs no
+# Python code, terms of different kinds never compare equal, and hot loops
+# read term[0], term[1], atom[0] and atom[1] directly.
 
-@dataclass(frozen=True)
-class Variable:
-    name: str
+class _Term(tuple):
+    __slots__ = ()
 
+    def __new__(cls, value):
+        return tuple.__new__(cls, (cls, value))
 
-@dataclass(frozen=True)
-class Individual:
-    name: str
+    def __getnewargs__(self):
+        return (self[1],)
 
-
-@dataclass(frozen=True)
-class Str:
-    value: str
-
-
-@dataclass(frozen=True)
-class Num:
-    value: float
+    def __repr__(self):
+        return f"{type(self).__name__}({self._field}={self[1]!r})"
 
 
-@dataclass(frozen=True)
-class Bool:
-    value: bool
+def _term_class(name, field):
+    """A term kind: its value is read as `.name` or `.value` (`field`)."""
+    return type(name, (_Term,), {"__slots__": (), "_field": field,
+                                 field: property(itemgetter(1))})
 
 
-@dataclass(frozen=True)
-class Atom:
-    predicate: str
-    args: tuple
+Variable = _term_class("Variable", "name")
+Individual = _term_class("Individual", "name")
+Str = _term_class("Str", "value")
+Num = _term_class("Num", "value")
+Bool = _term_class("Bool", "value")
+
+
+class Atom(tuple):
+    __slots__ = ()
+
+    def __new__(cls, predicate, args):
+        return tuple.__new__(cls, (predicate, args))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        return f"Atom(predicate={self[0]!r}, args={self[1]!r})"
+
+    predicate = property(itemgetter(0))
+    args = property(itemgetter(1))
 
     def variables(self):
-        return {a.name for a in self.args if isinstance(a, Variable)}
+        return {a[1] for a in self[1] if a[0] is Variable}
+
+
+# make_atom((predicate, args)) is Atom(predicate, args) without a Python-level call
+make_atom = functools.partial(tuple.__new__, Atom)
 
 
 _BUILTIN_COMPARISONS = {name: COMPARISONS[symbol] for name, symbol in (
@@ -192,8 +218,7 @@ def format_term(term):
 
 
 def format_atom(atom):
-    args = ", ".join(format_term(a) for a in atom.args)
-    return f"{atom.predicate}({args})"
+    return f"{atom[0]}({', '.join(map(format_term, atom[1]))})"
 
 
 def format_bindings(bindings):
@@ -218,14 +243,17 @@ _KEYWORDS = {"rule", "when", "then", "assert"}
 
 
 class _Parser(Cursor):
-    def __init__(self, text):
+    def __init__(self, text, first_line=1):
         self.text = text
+        self.first_line = first_line
         super().__init__(tokenize(_TOKEN_RE, text, self.fail))
 
     def line_column(self, pos):
-        """1-based line and column of offset `pos`; only `\\n` ends a line."""
+        """Line (counted from `first_line`) and 1-based column of offset
+        `pos`; only `\\n` ends a line."""
         text = self.text
-        return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+        return (text.count("\n", 0, pos) + self.first_line,
+                pos - text.rfind("\n", 0, pos))
 
     def fail(self, pos, message):
         return RuleSyntaxError(*self.line_column(pos), message)
@@ -351,15 +379,12 @@ def parse_facts(text: str) -> FactBase:
     """Parse ground atoms, one per line, into a FactBase (test/demo helper)."""
     facts = []
     for lineno, line in enumerate(text.splitlines(), 1):
-        try:
-            parser = _Parser(line)
-            if parser.at("eof"):
-                continue  # blank or comment-only line
-            atom = parser.parse_atom()
-            if not parser.at("eof"):
-                parser.error("end of line")
-        except RuleSyntaxError as exc:
-            raise RuleSyntaxError(lineno, exc.column, exc.message) from None
+        parser = _Parser(line, lineno)
+        if parser.at("eof"):
+            continue  # blank or comment-only line
+        atom = parser.parse_atom()
+        if not parser.at("eof"):
+            parser.error("end of line")
         if isinstance(atom, Builtin) or atom.variables():
             raise RuleSyntaxError(lineno, 1, f"not a ground atom: {line.strip()!r}")
         facts.append(atom)
@@ -370,33 +395,30 @@ def parse_facts(text: str) -> FactBase:
 
 def builtin_compare(op, a, b):
     """Evaluate one comparison builtin on two ground literal terms."""
-    if isinstance(a, Num) and isinstance(b, Num):
-        return _BUILTIN_COMPARISONS[op](a.value, b.value)
+    if a[0] is Num and b[0] is Num:
+        return _BUILTIN_COMPARISONS[op](a[1], b[1])
     if op in ("equal", "notEqual"):
-        if (isinstance(a, Str) and isinstance(b, Str)) or \
-                (isinstance(a, Bool) and isinstance(b, Bool)):
-            return _BUILTIN_COMPARISONS[op](a.value, b.value)
+        if a[0] is b[0] and a[0] in (Str, Bool):
+            return _BUILTIN_COMPARISONS[op](a[1], b[1])
         raise TypeClash(f"{op} on mismatched kinds "
                         f"{format_term(a)} / {format_term(b)}")
     raise TypeClash(f"{op} requires numbers, got "
                     f"{format_term(a)} / {format_term(b)}")
 
 
-def _substitute(term, bindings):
-    if isinstance(term, Variable):
-        return bindings[term.name]
-    return term
+def _ground(terms, bindings):
+    return tuple([bindings[t[1]] if t[0] is Variable else t for t in terms])
 
 
 def _match_atom(pattern: Atom, fact: Atom, bindings):
-    if pattern.predicate != fact.predicate or len(pattern.args) != len(fact.args):
+    if pattern[0] != fact[0] or len(pattern[1]) != len(fact[1]):
         return None
     out = dict(bindings)
-    for p, f in zip(pattern.args, fact.args):
-        if isinstance(p, Variable):
-            bound = out.get(p.name)
+    for p, f in zip(pattern[1], fact[1]):
+        if p[0] is Variable:
+            bound = out.get(p[1])
             if bound is None:
-                out[p.name] = f
+                out[p[1]] = f
             elif bound != f:
                 return None
         elif p != f:
@@ -404,16 +426,51 @@ def _match_atom(pattern: Atom, fact: Atom, bindings):
     return out
 
 
-def _join(atoms, lists, ranges):
+class _PositionIndex:
+    """Ascending positions in one append-only fact list by the arguments at
+    the positions `bound` (the argument itself for one position, else their
+    tuple); it catches up with the list at each lookup."""
+
+    __slots__ = ("facts", "key_of", "positions", "done")
+
+    def __init__(self, facts, bound):
+        self.facts = facts
+        self.key_of = itemgetter(*bound)
+        self.positions = {}
+        self.done = 0
+
+    def between(self, key, lo, hi):
+        """Positions p with lo <= p < hi of the facts whose key is `key`."""
+        facts = self.facts
+        if self.done < len(facts):
+            positions, key_of = self.positions, self.key_of
+            for p in range(self.done, len(facts)):
+                positions.setdefault(key_of(facts[p][1]), []).append(p)
+            self.done = len(facts)
+        found = self.positions.get(key)
+        if found is None:
+            return ()
+        return found[bisect_left(found, lo):bisect_left(found, hi)]
+
+
+def _join(atoms, lists, ranges, probes):
     """Bindings satisfying the atoms in body order, atom k matched against
-    lists[k][lo:hi] for its (lo, hi) in ranges."""
+    the facts at positions lo <= p < hi of lists[k] for its (lo, hi) in
+    ranges. Where probes[k] is (index, terms), only the facts that the
+    index files under `terms` grounded by the bindings are tried."""
+    match = _match_atom
     partial = [{}]
-    for atom, facts, (lo, hi) in zip(atoms, lists, ranges):
+    for atom, facts, (lo, hi), probe in zip(atoms, lists, ranges, probes):
         nxt = []
-        candidates = facts[lo:hi]
         for bindings in partial:
-            for fact in candidates:
-                m = _match_atom(atom, fact, bindings)
+            if probe is None:
+                positions = range(lo, hi)
+            else:
+                index, terms = probe
+                key = _ground(terms, bindings)
+                positions = index.between(key[0] if len(key) == 1 else key, lo, hi)
+            for p in positions:
+                m = match(atom, facts[p], bindings)
                 if m is not None:
                     nxt.append(m)
         partial = nxt
@@ -422,7 +479,7 @@ def _join(atoms, lists, ranges):
     return partial
 
 
-def _new_bindings(atoms, lists, seen, sizes):
+def _new_bindings(atoms, lists, seen, sizes, probes):
     """Bindings of the atoms that use at least one fact past the watermarks
     `seen`, each once: for every atom i whose list grew, atoms before i
     range over their old prefix, atom i over its new facts and atoms after
@@ -432,38 +489,108 @@ def _new_bindings(atoms, lists, seen, sizes):
         if new > old:
             ranges = ([(0, s) for s in seen[:i]] + [(old, new)]
                       + [(0, s) for s in sizes[i + 1:]])
-            out.extend(_join(atoms, lists, ranges))
+            out.extend(_join(atoms, lists, ranges, probes))
     return out
 
 
-def _passes_builtins(rule: RuleDef, bindings):
-    for b in rule.builtins():
-        args = [_substitute(t, bindings) for t in b.args]
+def _passes_builtins(rule_name, builtins, bindings):
+    for b in builtins:
+        args = _ground(b.args, bindings)
         for a in args:
-            if isinstance(a, Individual):
-                raise TypeClash(f"{b.op} applied to individual {a.name}",
-                                rule=rule.name, bindings=bindings)
+            if a[0] is Individual:
+                raise TypeClash(f"{b.op} applied to individual {a[1]}",
+                                rule=rule_name, bindings=bindings)
         try:
             ok = builtin_compare(b.op, args[0], args[1])
         except TypeClash as exc:
-            raise TypeClash(str(exc), rule=rule.name, bindings=bindings) from None
+            raise TypeClash(str(exc), rule=rule_name, bindings=bindings) from None
         if not ok:
             return False
     return True
+
+
+class _Plan:
+    """One rule as `evaluate` runs it: its body split once, the fact list
+    and index probe of each body atom, and the watermarks of its last run."""
+
+    __slots__ = ("name", "atoms", "builtins", "head", "lists", "probes", "seen")
+
+    def __init__(self, rule, by_key, indexes):
+        self.name = rule.name
+        self.atoms = rule.positive_atoms()
+        self.builtins = rule.builtins()
+        self.head = rule.head
+        self.lists, self.probes = [], []
+        bound = set()
+        for atom in self.atoms:
+            key = (atom[0], len(atom[1]))
+            facts = by_key.setdefault(key, [])
+            self.lists.append(facts)
+            positions = tuple(p for p, t in enumerate(atom[1])
+                              if t[0] is not Variable or t[1] in bound)
+            if positions:
+                index = indexes.get((key, positions))
+                if index is None:
+                    index = indexes[key, positions] = _PositionIndex(facts, positions)
+                self.probes.append((index, tuple(atom[1][p] for p in positions)))
+            else:
+                self.probes.append(None)
+            bound |= atom.variables()
+        self.seen = [0] * len(self.atoms)
+
+
+def _fire(plan, known, by_key, derivations):
+    """One run of a rule: join the bindings that use a fact new since its
+    last run and add each new head fact with its derivation. Returns the
+    (predicate, arity) keys of the lists that grew."""
+    if plan.atoms:
+        sizes = list(map(len, plan.lists))
+        found = _new_bindings(plan.atoms, plan.lists, plan.seen, sizes, plan.probes)
+        plan.seen = sizes
+    else:
+        found = [{}]
+    grown = set()
+    for bindings in found:
+        if plan.builtins and not _passes_builtins(plan.name, plan.builtins, bindings):
+            continue
+        premises = None
+        for predicate, args in plan.head:
+            fact = make_atom((predicate, _ground(args, bindings)))
+            if fact in known:
+                continue
+            known[fact] = None
+            key = (predicate, len(args))
+            facts_of = by_key.get(key)
+            if facts_of is not None:
+                facts_of.append(fact)
+                grown.add(key)
+            if premises is None:
+                premises = tuple([make_atom((a[0], _ground(a[1], bindings)))
+                                  for a in plan.atoms])
+            derivations[fact] = Derivation(
+                plan.name, tuple(sorted(bindings.items())), premises)
+    return grown
 
 
 def evaluate(rules: RuleSet, facts: FactBase) -> FactBase:
     """Saturate the fact base: least fixpoint of the rules over the facts.
 
     Semi-naive: rules run in rounds, in rule order, and a rule sees the
-    facts derived earlier in its round. The fact lists per predicate only
-    grow, and each rule keeps one watermark per body atom (how much of
-    that atom's list it had seen when it last ran), so a rule joins only
-    the bindings that use a fact new since then. A rule runs again only
-    when a body list grew; a rule without body atoms runs once. Saturation
-    stops after the first round that derives nothing. Each (round, rule)
-    step derives the same new facts as re-joining everything would, so
-    the rule credited for a fact is the same too.
+    facts derived earlier in its round. The fact lists per (predicate,
+    arity) only grow, and each rule keeps one watermark per body atom (how
+    much of that atom's list it had seen when it last ran), so a rule joins
+    only the bindings that use a fact new since then. A body atom with
+    constants or variables bound by the atoms before it takes its facts
+    from an index of its list on those argument positions, bisected to the
+    watermark range; the indexes are built lazily, once per call and
+    (list, positions), and extended as the lists grow. Every rule runs in
+    the first round. After that a rule runs only when a fact of its body
+    predicates is new: a trigger index maps each (predicate, arity) to the
+    rules whose body uses it, and a new fact wakes those later in rule
+    order for this round and the others for the next. A rule without body
+    atoms runs once. Saturation stops when a round wakes no rule for the
+    next. Each (round, rule) step derives the same new facts as re-joining
+    everything would, so the rule credited for a fact is the same too.
 
     Heads cannot introduce new individuals, so the fixpoint exists and the
     fact set is independent of rule and fact ordering. The facts are kept
@@ -472,41 +599,35 @@ def evaluate(rules: RuleSet, facts: FactBase) -> FactBase:
     """
     known = facts._atoms.copy()     # a dict copy reuses the stored hashes
     derivations = dict(facts.derivations)
-    by_predicate = {}
+    by_key, indexes = {}, {}        # lists of the body (predicate, arity) keys only
+    plans = [_Plan(rule, by_key, indexes) for rule in rules]
+    triggers = {}                   # (predicate, arity) -> rules, ascending
+    for r, plan in enumerate(plans):
+        for atom in plan.atoms:
+            woken = triggers.setdefault((atom[0], len(atom[1])), [])
+            if not woken or woken[-1] != r:
+                woken.append(r)
+    predicates = {key[0] for key in by_key}
     for f in known:
-        by_predicate.setdefault((f.predicate, len(f.args)), []).append(f)
-    bodies = [rule.positive_atoms() for rule in rules]
-    lists = [[by_predicate.setdefault((a.predicate, len(a.args)), []) for a in atoms]
-             for atoms in bodies]
-    seen = [None] * len(bodies)     # None until the rule first runs
+        if f[0] in predicates:
+            facts_of = by_key.get((f[0], len(f[1])))
+            if facts_of is not None:
+                facts_of.append(f)
 
-    changed = True
-    while changed:
-        changed = False
-        for r, (rule, atoms) in enumerate(zip(rules, bodies)):
-            sizes = list(map(len, lists[r]))
-            if sizes == seen[r]:
-                continue
-            found = (_new_bindings(atoms, lists[r], seen[r] or [0] * len(atoms), sizes)
-                     if atoms else [{}])
-            seen[r] = sizes
-            for bindings in found:
-                if not _passes_builtins(rule, bindings):
-                    continue
-                premises = tuple(
-                    Atom(a.predicate, tuple(_substitute(t, bindings) for t in a.args))
-                    for a in atoms)
-                for h in rule.head:
-                    fact = Atom(h.predicate,
-                                tuple(_substitute(t, bindings) for t in h.args))
-                    if fact in known:
-                        continue
-                    known[fact] = None
-                    by_predicate.setdefault(
-                        (fact.predicate, len(fact.args)), []).append(fact)
-                    derivations[fact] = Derivation(
-                        rule.name, tuple(sorted(bindings.items())), premises)
-                    changed = True
+    pending = list(range(len(plans)))
+    while pending:
+        heapify(pending)
+        queued, later = set(pending), set()
+        while pending:
+            r = heappop(pending)
+            for key in _fire(plans[r], known, by_key, derivations):
+                for s in triggers.get(key, ()):
+                    if s <= r:
+                        later.add(s)
+                    elif s not in queued:
+                        queued.add(s)
+                        heappush(pending, s)
+        pending = list(later)
     return FactBase(known, derivations)
 
 

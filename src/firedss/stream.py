@@ -236,14 +236,16 @@ def record_facts(offset, codes, classification):
     """Fact encoding for one record: individual rec_<offset>, one unary atom
     per classification label (predicate <Quantity>_<label>), one binary atom
     per code value."""
+    make_atom = rules_mod.make_atom
     individual = rules_mod.Individual(f"rec_{offset}")
+    subject = (individual,)
     facts = []
     for _kind, quantity, predicate, prefix in _ALERT_QUANTITIES:
         if prefix is not None:
             label = getattr(classification, quantity)
-            facts.append(rules_mod.Atom(_label_predicate(prefix, label), (individual,)))
-        value = getattr(codes, fwi.QUANTITIES[quantity])
-        facts.append(rules_mod.Atom(predicate, (individual, rules_mod.Num(float(value)))))
+            facts.append(make_atom((_label_predicate(prefix, label), subject)))
+        value = rules_mod.Num(float(getattr(codes, fwi.QUANTITIES[quantity])))
+        facts.append(make_atom((predicate, (individual, value))))
     return facts
 
 

@@ -357,7 +357,9 @@ class TestRetrieve:
         ('{"id": "a", "text": "ok"}\n{"id": "a", "text": "again"}\n',
          b"query", "corpus line 2: duplicate document id 'a'"),
         ('{"id": "a", "text": "ok"}\n', b"\xff query", "not valid Unicode"),
-    ], ids=["deep-nesting", "duplicate-id", "non-utf8-query"])
+        ('{"id": "a", "text": "ok"}\n{"id": "b\\ud800", "text": "query"}\n',
+         b"query", "corpus line 2: document id is not valid Unicode"),
+    ], ids=["deep-nesting", "duplicate-id", "non-utf8-query", "surrogate-id"])
     def test_bad_corpus_or_query_exits_1_without_traceback(self, tmp_path, corpus,
                                                             query, message):
         path = tmp_path / "corpus.jsonl"

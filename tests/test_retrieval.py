@@ -455,6 +455,12 @@ class TestInputEdges:
         self._load_fails('{"id": "a", "text": "ok"}\n{"id": "b", "text": "\\ud800x"}',
                          "corpus line 2")
 
+    def test_lone_surrogate_id_names_the_line(self):
+        self._load_fails('{"id": "a", "text": "ok"}\n{"id": "b\\ud800", "text": "ok"}',
+                         "corpus line 2: document id is not valid Unicode")
+        with pytest.raises(retrieval.RetrievalError, match="document id is not valid"):
+            DocRecord("a\ud800", "ok")
+
     def test_duplicate_id_names_both_lines(self):
         corpus = '{"id": "a", "text": "one"}\n{"id": "b", "text": "two"}\n\n' \
                  '{"id": "a", "text": "three"}\n'

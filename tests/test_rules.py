@@ -1,5 +1,7 @@
+import copy
 import itertools
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -143,6 +145,77 @@ class TestParseFacts:
         with pytest.raises(RuleSyntaxError) as err:
             rules.parse_facts(f"A(a)\n\n{line}\nB(b)\n")
         assert err.value.line == 3
+
+    def test_unknown_builtin_reports_its_line(self):
+        with pytest.raises(UnknownBuiltin, match=r"^line 3: swrlb:pow$"):
+            rules.parse_facts("A(a)\nB(b)\nswrlb:pow(a, 2)")
+
+
+class TestTerms:
+    """Terms are (kind, value) tuples and atoms (predicate, args) tuples
+    that keep the constructors, fields, repr, equality and pickling of
+    plain value classes."""
+
+    def test_kinds_never_compare_equal(self):
+        assert Individual("a") != Str("a")
+        assert Variable("a") != Individual("a")
+        assert Bool(True) != Num(1.0) and Bool(False) != Num(0)
+        assert Str("1") != Num(1)
+        assert len({Individual("a"), Str("a"), Variable("a")}) == 3
+        assert atom("P", ind("a")) != atom("P", Str("a"))
+
+    def test_numbers_compare_by_value(self):
+        assert Num(1) == Num(1.0) and hash(Num(1)) == hash(Num(1.0))
+        assert Num(0.5) != Num(0.5000001)
+        assert atom("P", ind("a"), Num(1)) == atom("P", ind("a"), Num(1.0))
+
+    def test_atom_identity_across_construction_paths(self):
+        parsed = next(iter(rules.parse_facts("hasV(a, 2)").facts))
+        built = Atom("hasV", (Individual("a"), Num(2.0)))
+        made = rules.make_atom(("hasV", (Individual("a"), Num(2))))
+        assert parsed == built == made
+        assert hash(parsed) == hash(built) == hash(made)
+        assert {parsed: "x"}[made] == "x" and made in FactBase([built])
+        assert type(made) is Atom and made.predicate == "hasV" and made.args[1].value == 2
+
+    def test_fields_repr_and_isinstance(self):
+        fact = atom("hasV", ind("a"), Num(2.0))
+        assert repr(fact) == \
+            "Atom(predicate='hasV', args=(Individual(name='a'), Num(value=2.0)))"
+        assert [repr(t) for t in (Variable("x"), Str("s"), Bool(False), Num(1))] == \
+            ["Variable(name='x')", "Str(value='s')", "Bool(value=False)", "Num(value=1)"]
+        assert Variable("x").name == "x" and Bool(True).value is True
+        assert isinstance(Num(1), Num) and not isinstance(Num(1), (Str, Bool))
+        assert isinstance(fact, Atom) and not isinstance(fact, rules.Builtin)
+        assert not hasattr(ind("a"), "value") and not hasattr(Num(1), "name")
+        rule = rules.parse_rules("rule r: when P(?x, ?y) then assert Q(?y)").rules[0]
+        assert rule.body[0].variables() == {"x", "y"}
+        assert atom("P", ind("a"), Num(1)).variables() == set()
+
+    def test_terms_are_immutable(self):
+        with pytest.raises(AttributeError):
+            ind("a").name = "b"
+        with pytest.raises(AttributeError):
+            atom("P", ind("a")).predicate = "Q"
+
+    @pytest.mark.parametrize("value", [
+        Variable("x"), Individual("a"), Str("a"), Num(1), Num(2.5), Bool(True),
+        Atom("hasV", (Individual("a"), Num(2.0))),
+        rules.Derivation("r", (("x", Individual("a")),), (Atom("P", (Individual("a"),)),)),
+    ], ids=repr)
+    def test_pickle_and_copy_round_trip(self, value):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(value, protocol))
+            assert back == value and type(back) is type(value) and repr(back) == repr(value)
+        for back in (copy.copy(value), copy.deepcopy(value)):
+            assert back == value and type(back) is type(value)
+
+    def test_saturated_facts_and_derivations_survive_pickle(self):
+        out = rules.evaluate(rules.parse_rules(RISK_RULE), FactBase([
+            atom("PreventiveAction", ind("a1")), atom("hasScenario", ind("a1"), ind("s1")),
+            atom("hasIgnitionRisk", ind("s1"), Num(0.4))]))
+        facts, derivations = pickle.loads(pickle.dumps((list(out.facts), out.derivations)))
+        assert facts == list(out.facts) and derivations == out.derivations
 
 
 class TestBuiltinCompare:
@@ -473,9 +546,44 @@ class TestSemiNaive:
             base = FactBase([atom("P", nodes[0])]
                             + [atom("next", a, b) for a, b in zip(nodes, nodes[1:])])
             work[n] = self._match_calls(monkeypatch, rs, base)
-        # one new P fact per run, each joined with every next fact: about 4x;
-        # re-joining all P facts each run would be about 8x
-        assert work[100] <= 4.4 * work[50]
+        # one new P fact per run, joined with the one next fact that the
+        # index files under it: about 2x; joined with every next fact it
+        # would be about 4x, re-joining all P facts each run about 8x
+        assert work[100] <= 2.2 * work[50]
+
+    @pytest.mark.parametrize("n", [50, 100, 200])
+    def test_indexed_join_work_of_a_self_feeding_rule_is_linear(self, monkeypatch, n):
+        rs = rules.parse_rules("rule grow: when P(?x), next(?x, ?y) then assert P(?y)")
+        nodes = [ind(f"n{k}") for k in range(n + 1)]
+        base = FactBase([atom("P", nodes[0])]
+                        + [atom("next", a, b) for a, b in zip(nodes, nodes[1:])])
+        # two matches per link: the new P fact and its one next fact; the
+        # unindexed join matches every next fact, n * n in all
+        assert self._match_calls(monkeypatch, rs, base) <= 2 * n + 5
+
+    def test_a_new_fact_wakes_only_the_rules_whose_body_uses_it(self, monkeypatch):
+        links = 1000
+        runs, joins = [], []
+        fire, new_bindings = rules._fire, rules._new_bindings
+
+        def counting_fire(plan, *args):
+            runs.append(plan.name)
+            return fire(plan, *args)
+
+        def counting_joins(atoms, *args):
+            joins.append(atoms)
+            return new_bindings(atoms, *args)
+
+        monkeypatch.setattr(rules, "_fire", counting_fire)
+        monkeypatch.setattr(rules, "_new_bindings", counting_joins)
+        out = rules.evaluate(_reversed_chain(links), FactBase([atom("P0", ind("a"))]))
+        assert atom(f"P{links}", ind("a")) in out
+        # every rule runs in the first round; after that each round runs only
+        # the link that the last new fact feeds, where a scan of every rule
+        # each round would visit links * links rules
+        assert runs[:links] == [f"link{k}" for k in range(links, 0, -1)]
+        assert runs[links:] == [f"link{k}" for k in range(2, links + 1)]
+        assert len(joins) == len(runs) == 2 * links - 1
 
 
 class TestExplain:
