@@ -33,8 +33,8 @@ g.add(Triple(Iri(EX + "z1"), rdf_type, Iri(EX + "Zone")))
 summary = metrics.summarize(g)
 print("\nsummarized from a micro-graph:")
 print(f"  {summary}")
-values = metrics.compute_all(summary)
-print(f"  relationship richness {values.relationship_richness:.4f}")
-print(f"  class richness        {values.class_richness:.4f}")
-print(f"  average population    {values.average_population:.4f}")
-print(f"  knowledge-base score  {values.score_kb:.4f}")
+values = metrics.report(summary)["metrics"]
+print(f"  relationship richness {values['relationship_richness']:.4f}")
+print(f"  class richness        {values['class_richness']:.4f}")
+print(f"  average population    {values['average_population']:.4f}")
+print(f"  knowledge-base score  {values['score_kb']:.4f}")

@@ -1,4 +1,4 @@
-"""Convert tabular records to RDF, query them, and time the queries.
+"""Convert tabular records to RDF, query them, and show a query plan.
 
 Run: python demos/demo_semweb.py
 """
@@ -42,8 +42,8 @@ print("  " + "\t".join(table.columns))
 for row in table.rows:
     print("  " + "\t".join(semweb.format_cell(c) for c in row))
 
-# And the timing harness reports wall-clock per query.
-report = semweb.time_queries([data_text("hot_dry_regions.rq")], regions, 5)
-entry = report[0]
-print(f"\nquery timing over 5 repetitions: min {entry['min_ms']:.3f} ms, "
-      f"median {entry['median_ms']:.3f} ms for {entry['rows']} rows")
+# The plan lists the patterns in the order the join ran them, with the
+# candidate triples each one scanned and the bindings it left.
+print("\nquery plan:")
+for step, (i, candidates, n) in enumerate(table.plan, 1):
+    print(f"  step {step}: pattern {i + 1} candidates={candidates} bindings={n}")

@@ -1,4 +1,5 @@
-"""The tokenizer and token cursor shared by the rule and query parsers.
+"""The tokenizer and token cursor shared by the rule and query parsers,
+and the `key = value` line reader shared by config and band files.
 
 A token is a `(kind, text, pos)` tuple: the name of the regex group that
 matched, the matched text, and its 0-based offset in the input. Each
@@ -50,3 +51,23 @@ class Cursor:
     def error(self, expected):
         _, text, pos = self.tokens[self.i]
         raise self.fail(pos, f"expected {expected}, found {text or 'end of input'!r}")
+
+
+def key_values(lines, fail):
+    """(line number, key, value) for each `key = value` line, counted from 1;
+    `#` starts a comment and blank lines are skipped. The key is stripped,
+    the value is the text after the first `=`. A line without `=` or a key
+    seen before raises `fail(line number, message)`."""
+    seen = set()
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise fail(lineno, "expected 'key = value'")
+        key, value = line.split("=", 1)
+        key = key.strip()
+        if key in seen:
+            raise fail(lineno, f"{key} defined twice")
+        seen.add(key)
+        yield lineno, key, value

@@ -11,7 +11,8 @@
     firedss bands        print or check danger-class band configuration
 
 Exit codes: 0 success, 1 runtime/domain error, 2 usage error. A flat
-key=value config file (--config) supplies defaults; explicit flags win.
+key = value config file (--config, each key once) supplies defaults;
+explicit flags win.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, fwi, ingest, metrics, retrieval, rules, semweb, stream
+from ._syntax import key_values
 
 CONFIG_KEYS = ("dataset", "rules", "bands", "corpus", "checkpoint", "sink",
                "batch_size", "aggregate", "embed_dim", "seed")
@@ -32,18 +34,14 @@ class CliError(Exception):
 
 
 def load_config(path):
-    """Flat key = value lines, # comments."""
+    """Flat key = value lines, # comments, each key at most once."""
+    def fail(lineno, message):
+        return CliError(f"{path}:{lineno}: {message}")
     config = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise CliError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        key = key.strip()
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    for lineno, key, value in key_values(lines, fail):
         if key not in CONFIG_KEYS:
-            raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
+            raise fail(lineno, f"unknown config key {key!r}")
         config[key] = value.strip()
     return config
 

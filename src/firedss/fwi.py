@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+from ._syntax import key_values
+
 FFMC_START = 85.0
 DMC_START = 6.0
 DC_START = 15.0
@@ -336,43 +338,36 @@ def load_bands(text: str) -> ClassBands:
 
     Every quantity in QUANTITIES is defined once, the trigger at most once.
     """
+    def fail(lineno, message):
+        return BandConfigError(f"line {lineno}: {message}")
     bands = {}
-    trigger, trigger_line = None, 0
+    trigger, trigger_line = [], 0
     lines = text.splitlines()
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise BandConfigError(f"line {lineno}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        key = key.strip()
-        if key in bands or (key == "trigger" and trigger is not None):
-            raise BandConfigError(f"line {lineno}: {key} defined twice")
+    for lineno, key, value in key_values(lines, fail):
         if key == "trigger":
             pairs = []
             for clause in value.split("&"):
                 if "=" not in clause:
-                    raise BandConfigError(f"line {lineno}: bad trigger clause {clause!r}")
+                    raise fail(lineno, f"bad trigger clause {clause!r}")
                 q, lab = clause.split("=", 1)
                 pairs.append((q.strip(), lab.strip()))
             trigger, trigger_line = pairs, lineno
             continue
         if key not in QUANTITIES:
-            raise BandConfigError(f"line {lineno}: unknown quantity {key!r}")
+            raise fail(lineno, f"unknown quantity {key!r}")
         entries = []
         for part in value.split(","):
             bound, _, label = part.partition(":")
             try:
                 entries.append((float(bound), label.strip()))
             except ValueError:
-                raise BandConfigError(f"line {lineno}: bad band {part.strip()!r}") from None
+                raise fail(lineno, f"bad band {part.strip()!r}") from None
         _check_bands(key, entries, f"line {lineno}: ")
         bands[key] = entries
     missing = [q for q in QUANTITIES if q not in bands]
     if missing:
-        raise BandConfigError(f"line {max(len(lines), 1)}: no bands for {', '.join(missing)}")
+        raise fail(max(len(lines), 1), f"no bands for {', '.join(missing)}")
     try:
-        return ClassBands(bands, trigger or [])
+        return ClassBands(bands, trigger)
     except BandConfigError as exc:  # the bands themselves passed line by line
-        raise BandConfigError(f"line {trigger_line}: {exc}") from None
+        raise fail(trigger_line, str(exc)) from None

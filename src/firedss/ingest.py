@@ -233,7 +233,7 @@ def _header_order(fields):
     return tuple(positions[name] for name in CANONICAL_COLUMNS)
 
 
-def _parse_row(rownum, fields, order=_CANONICAL_ORDER):
+def _parse_row(rownum, fields, order):
     if len(fields) != len(CANONICAL_COLUMNS):
         raise BadCell(rownum, "<row>", ",".join(fields))
     return tuple(_parse_cell(rownum, name, fields[i])
@@ -263,11 +263,6 @@ def _rows(lines, header):
     except csv.Error as exc:
         where = "header" if header and first is None else f"row {rownum}"
         raise DatasetError(f"{where}: {exc}") from None
-
-
-def parse_record_fields(fields, rownum=0):
-    """Parse one headerless record given in canonical column order."""
-    return WeatherRecord(*_parse_row(rownum, fields))
 
 
 def parse_dataset(csv_text):

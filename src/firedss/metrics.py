@@ -57,18 +57,6 @@ class OntologySummary:
         return self.object_property_count + self.data_property_count
 
 
-@dataclass(frozen=True)
-class SchemaMetrics:
-    relationship_richness: float
-    attribute_richness: float
-    class_richness: float
-    average_population: float
-    class_relation_ratio: float
-    axiom_class_ratio: float
-    score_om: float
-    score_kb: float
-
-
 def summarize(g: Graph) -> OntologySummary:
     """Count schema vocabulary usage by exact pattern matching.
 
@@ -180,16 +168,11 @@ def score_kb(s: OntologySummary) -> float:
     return (s.class_count * 100 + s.individual_count) / s.class_count
 
 
-# (name, function) for every metric, in report order; the names are the
-# SchemaMetrics fields
+# (name, function) for every metric, in report order
 _METRICS = tuple((fn.__name__, fn) for fn in (
     relationship_richness, attribute_richness, class_richness,
     average_population, class_relation_ratio, axiom_class_ratio,
     score_om, score_kb))
-
-
-def compute_all(s: OntologySummary) -> SchemaMetrics:
-    return SchemaMetrics(**{name: fn(s) for name, fn in _METRICS})
 
 
 def report(s: OntologySummary) -> dict:

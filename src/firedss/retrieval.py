@@ -231,7 +231,7 @@ def load_corpus(text: str, config: EmbedderConfig = EmbedderConfig()) -> VectorI
     naming the 1-based line.
     """
     docs, line_of = [], {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(text.split("\n"), 1):
         line = raw.strip()
         if not line:
             continue

@@ -21,6 +21,7 @@ arguments are joined through per-position indexes of the fact lists.
 from __future__ import annotations
 
 import functools
+import math
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -181,20 +182,23 @@ class Derivation:
 
 class FactBase:
     """Ground atoms, each once and in the caller's order, plus one
-    derivation record per derived fact. `facts` is a set-like view of the
-    atom -> None dict `_atoms`; the atoms are checked where text enters
+    derivation record per derived fact. `facts` is a read-only set-like view
+    of the atom -> None dict `_atoms`; the atoms are checked where text enters
     (`parse_rules`, `parse_facts`)."""
 
     def __init__(self, facts=(), derivations=None):
         self._atoms = dict.fromkeys(facts)
-        self.facts = self._atoms.keys()
         self.derivations = dict(derivations or {})
 
+    @property
+    def facts(self):
+        return self._atoms.keys()
+
     def __contains__(self, atom):
-        return atom in self.facts
+        return atom in self._atoms
 
     def __len__(self):
-        return len(self.facts)
+        return len(self._atoms)
 
     def derived(self):
         return self.derivations.keys()
@@ -329,13 +333,16 @@ class _Parser(Cursor):
         return Atom(name, tuple(args))
 
     def parse_term(self):
-        kind, text, _ = self.peek()
+        kind, text, pos = self.peek()
         if kind == "var":
             self.next()
             return Variable(text[1:])
         if kind == "number":
+            value = float(text)
+            if not math.isfinite(value):
+                raise self.fail(pos, "number out of range")
             self.next()
-            return Num(float(text))
+            return Num(value)
         if kind == "string":
             self.next()
             return Str(text[1:-1].replace('\\"', '"').replace("\\\\", "\\"))
@@ -378,7 +385,7 @@ def parse_rules(text: str) -> RuleSet:
 def parse_facts(text: str) -> FactBase:
     """Parse ground atoms, one per line, into a FactBase (test/demo helper)."""
     facts = []
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(text.split("\n"), 1):
         parser = _Parser(line, lineno)
         if parser.at("eof"):
             continue  # blank or comment-only line

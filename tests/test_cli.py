@@ -54,6 +54,14 @@ class TestConvert:
         assert code == 1
         assert "nope.csv" in err
 
+    @pytest.mark.parametrize("char", '<>"{}|^`\\')
+    def test_namespace_outside_iriref_exits_1(self, capsys, tmp_path, small_csv, char):
+        out = tmp_path / "o.nt"
+        code, _, err = run(capsys, "convert", small_csv, str(out),
+                           "--namespace", f"http://e/a{char}b#")
+        assert code == 1 and "not an absolute IRI" in err
+        assert not out.exists()
+
     def test_unknown_format_is_usage_error(self, tmp_path, small_csv, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["convert", small_csv, str(tmp_path / "o.x"), "--format", "bogus"])
@@ -303,6 +311,8 @@ class TestMetrics:
 
 
 class TestRulesCheck:
+    BIG_NUMBER_RULE = f"rule big: when hasDc(?r, ?d) then assert hasLimit(?r, {'9' * 400})\n"
+
     def test_bundled_rules_ok(self, capsys):
         code, stdout, _ = run(capsys, "rules-check",
                               str(data_path("tables_3_4_5.rules")))
@@ -314,6 +324,25 @@ class TestRulesCheck:
         bad.write_text("rule b: when lessThan(?x, 1) then assert F(?x)\n")
         code, _, err = run(capsys, "rules-check", str(bad))
         assert code == 1 and "?x" in err
+
+    def test_number_past_the_float_range_fails(self, capsys, tmp_path):
+        bad = tmp_path / "big.rules"
+        bad.write_text(self.BIG_NUMBER_RULE)
+        code, _, err = run(capsys, "rules-check", str(bad))
+        assert code == 1 and "line 1, column 55: number out of range" in err
+
+    def test_stream_with_a_number_past_the_float_range_exits_1(self, tmp_path):
+        bad = tmp_path / "big.rules"
+        bad.write_text(self.BIG_NUMBER_RULE)
+        env = dict(os.environ, PYTHONPATH=str(Path(firedss.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "firedss", "stream",
+             "--dataset", str(data_path("forestfires_synthetic.csv")), "--rules", str(bad),
+             "--sink", str(tmp_path / "alerts.jsonl")],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert "number out of range" in done.stderr
 
     @pytest.mark.parametrize("name", ["fwi_alerts.rules", "tables_3_4_5.rules"])
     def test_crlf_rule_file(self, capsys, tmp_path, name):
@@ -482,6 +511,17 @@ class TestConfigFile:
         config.write_text("dataset = x\nturbo = on\n", encoding="utf-8")
         code, _, err = run(capsys, "--config", str(config), "bands", "print")
         assert code == 1 and "turbo" in err
+
+    @pytest.mark.parametrize("text, where", [
+        ("dataset = x\nturbo = on\n", "2: unknown config key 'turbo'"),
+        ("# head\nbatch_size\n", "2: expected 'key = value'"),
+        ("seed = 1\n\nseed = 2  # again\n", "3: seed defined twice"),
+    ], ids=["unknown-key", "no-equals", "repeated-key"])
+    def test_errors_name_the_line(self, capsys, tmp_path, text, where):
+        config = tmp_path / "c.conf"
+        config.write_text(text, encoding="utf-8")
+        code, _, err = run(capsys, "--config", str(config), "bands", "print")
+        assert code == 1 and err == f"firedss: error: {config}:{where}\n"
 
     def test_comments_and_blanks_ignored(self, capsys, tmp_path):
         config = tmp_path / "c.conf"

@@ -15,6 +15,9 @@ from firedss.retrieval import (
 
 from oracles import brute_force_topk
 
+# where str.splitlines breaks a line besides "\n" and "\r"
+UNICODE_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
 
 def random_text(rng, lo=3, hi=60):
     alphabet = string.ascii_lowercase + "    "
@@ -474,3 +477,12 @@ class TestInputEdges:
         idx.add([DocRecord("a", "some text")])
         with pytest.raises(retrieval.RetrievalError, match="not valid Unicode"):
             idx.search(text)
+
+    @pytest.mark.parametrize("char", UNICODE_LINE_BREAKS)
+    def test_only_lf_ends_a_line(self, char):
+        corpus = '{"id": "a", "text": "x%sy"}\n{"id": "b", "text": "z"}\n' % char
+        if char < " ":      # a JSON string holds no raw control character
+            self._load_fails(corpus, "^corpus line 1: Invalid control character")
+        else:
+            idx = retrieval.load_corpus(corpus)
+            assert [(d.id, d.text) for d in idx.docs] == [("a", f"x{char}y"), ("b", "z")]

@@ -18,6 +18,9 @@ from firedss.rules import (
 
 from oracles import brute_force_saturate, naive_saturate
 
+# where str.splitlines breaks a line besides "\n" and "\r"
+UNICODE_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
 RISK_RULE = ("rule r1: when PreventiveAction(?a), hasScenario(?a,?s), "
              "hasIgnitionRisk(?s,?r), lessThanOrEqual(?r, 0.5) "
              "then assert reduceIgnitionRisk(?a)")
@@ -146,6 +149,17 @@ class TestParseFacts:
             rules.parse_facts(f"A(a)\n\n{line}\nB(b)\n")
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("char", UNICODE_LINE_BREAKS)
+    def test_only_lf_ends_a_line(self, char):
+        fact = f'hasName(a, "x{char}y")'
+        expected = atom("hasName", ind("a"), Str(f"x{char}y"))
+        assert list(rules.parse_facts(f"{fact}\nB(b)\n").facts) == [expected, atom("B", ind("b"))]
+        rule = f"rule r: when A(?x) then assert {fact}"
+        assert rules.parse_rules(rule).rules[0].head == (expected,)
+        with pytest.raises(RuleSyntaxError) as err:
+            rules.parse_facts(f"{fact}\nB(b)\nC(?x)\n")
+        assert err.value.line == 3
+
     def test_unknown_builtin_reports_its_line(self):
         with pytest.raises(UnknownBuiltin, match=r"^line 3: swrlb:pow$"):
             rules.parse_facts("A(a)\nB(b)\nswrlb:pow(a, 2)")
@@ -214,8 +228,9 @@ class TestTerms:
         out = rules.evaluate(rules.parse_rules(RISK_RULE), FactBase([
             atom("PreventiveAction", ind("a1")), atom("hasScenario", ind("a1"), ind("s1")),
             atom("hasIgnitionRisk", ind("s1"), Num(0.4))]))
-        facts, derivations = pickle.loads(pickle.dumps((list(out.facts), out.derivations)))
-        assert facts == list(out.facts) and derivations == out.derivations
+        copy = pickle.loads(pickle.dumps(out))
+        assert list(copy.facts) == list(out.facts) and copy.derivations == out.derivations
+        assert len(copy) == len(out) and all(fact in copy for fact in out.facts)
 
 
 class TestBuiltinCompare:

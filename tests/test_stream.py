@@ -27,12 +27,12 @@ def write_dataset(path, rows):
     return str(path)
 
 
+def records_of(*rows):
+    return list(ingest.iter_records(rows, header=False))
+
+
 def batch_of(rows, seq=0, start_offset=0):
-    records = []
-    for i, line in enumerate(rows):
-        records.append((start_offset + i,
-                        ingest.parse_record_fields(line.split(","))))
-    return Batch(seq, tuple(records))
+    return Batch(seq, tuple(enumerate(records_of(*rows), start_offset)))
 
 
 def read_sink(path):
@@ -120,8 +120,7 @@ class TestSources:
         t.start()
         records = [r for _, r in src]
         t.join()
-        assert records == [ingest.parse_record_fields(TRIGGER_ROW.split(",")),
-                           ingest.parse_record_fields(CALM_ROW.split(","))]
+        assert records == records_of(TRIGGER_ROW, CALM_ROW)
 
 
 class TestSourceSpec:
@@ -535,7 +534,7 @@ def _hashable(event):
 
 class TestFactEncoding:
     def test_record_fact_shape(self):
-        rec = ingest.parse_record_fields(TRIGGER_ROW.split(","))
+        (rec,) = records_of(TRIGGER_ROW)
         codes = fwi.compute_codes(rec)
         cls = fwi.classify(codes)
         facts = stream.record_facts(7, codes, cls)
@@ -550,7 +549,7 @@ class TestFactEncoding:
         bands = fwi.ClassBands(
             dict(fwi.DEFAULT_BANDS.bands,
                  dc_class=[(100, "calm"), (math.inf, "très-grim / 2")]), [])
-        rec = ingest.parse_record_fields(HIGH_DC_ROW.split(","))
+        (rec,) = records_of(HIGH_DC_ROW)
         codes = fwi.compute_codes(rec)
         for _ in range(2):
             facts = stream.record_facts(3, codes, fwi.classify(codes, bands))

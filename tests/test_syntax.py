@@ -1,9 +1,11 @@
 """The rule, fact and query front ends: every error path pinned, and
-arbitrary text failing only with the module's own exceptions."""
+arbitrary text failing only with the module's own exceptions; and the
+`key = value` reader of config and band files."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from firedss._syntax import key_values
 from firedss.rules import (
     RuleError, RuleSyntaxError, UnknownBuiltin, parse_facts, parse_rules,
 )
@@ -63,6 +65,8 @@ MALFORMED = [
      RuleSyntaxError, "line 2, column 19: expected 'rule', found '->'", (2, 19)),
     (parse_rules, "rule a: when A(?x) then assert B(?x)\n\n%",
      RuleSyntaxError, "line 3, column 1: unexpected character '%'", (3, 1)),
+    (parse_rules, "rule r: when A(?x)\n  then assert hasLimit(?x, " + "9" * 400 + ")",
+     RuleSyntaxError, "line 2, column 28: number out of range", (2, 28)),
     (parse_facts, "A(a)\n\nB(?x)\n",
      RuleSyntaxError, "line 3, column 1: not a ground atom: 'B(?x)'", (3, 1)),
     (parse_facts, "lessThan(1, 2)",
@@ -75,6 +79,8 @@ MALFORMED = [
      RuleSyntaxError, "line 2, column 1: unexpected namespaced predicate 'ns:A'", (2, 1)),
     (parse_facts, "A(a)\nA(x\n",
      RuleSyntaxError, "line 2, column 4: expected ), found 'end of input'", (2, 4)),
+    (parse_facts, "A(a)\nhasV(a, -1" + "0" * 400 + ".5)",
+     RuleSyntaxError, "line 2, column 9: number out of range", (2, 9)),
     (parse_query, "SELECT ?x WHERE { ?x ?p ?o . } $",
      QuerySyntaxError, "at 31: unexpected character '$'", 31),
     (parse_query, "PREFIX ex <http://example.org/t#> SELECT ?x WHERE { ?x ?p ?o }",
@@ -169,15 +175,25 @@ def _inside(exc, lines):
 def test_arbitrary_text_fails_only_with_the_front_end_errors(rule_text, fact_text, query):
     """Each parser gets text edited from its own seed and from the others'."""
     for text in (rule_text, fact_text, query):
-        for parse, lines in ((parse_rules, text.split("\n")),
-                             (parse_facts, text.splitlines())):
+        for parse in (parse_rules, parse_facts):
             try:
                 parse(text)
             except RuleSyntaxError as exc:
-                assert _inside(exc, lines), (exc.line, exc.column)
+                assert _inside(exc, text.split("\n")), (exc.line, exc.column)
             except RuleError:
                 pass
         try:
             parse_query(text)
         except GraphError:
             pass
+
+
+def test_key_values_skips_comments_and_rejects_repeats():
+    def fail(lineno, message):
+        return ValueError(f"{lineno}: {message}")
+    lines = ["# head", "a = 1  # note", "", "  b=x=y  ", "c = "]
+    assert list(key_values(lines, fail)) == [(2, "a", " 1"), (4, "b", "x=y"), (5, "c", "")]
+    with pytest.raises(ValueError, match="^3: a defined twice$"):
+        list(key_values(["a = 1", "b = 2", " a=3"], fail))
+    with pytest.raises(ValueError, match="^2: expected 'key = value'$"):
+        list(key_values(["a = 1", "b # = 2"], fail))
