@@ -1,9 +1,10 @@
-"""Golden digests of the stream outputs on the bundled table.
+"""Golden digests of the stream, convert and query outputs on the bundled data.
 
 Each digest was recorded from a run of the same commands and pins the
 outputs byte for byte: the alert sink with ``ts_ms`` masked, the stats line
-with ``duration_ms`` masked, the checkpoint file, and the derivation tree of
-every RULE alert of one batch.
+with ``duration_ms`` masked, the checkpoint file, the derivation tree of
+every RULE alert of one batch, the N-Triples and RDF-XML of the bundled
+table, and the printed rows, plans and type clashes of two queries.
 """
 
 import hashlib
@@ -96,3 +97,54 @@ def test_explain_trees_of_one_batch():
     assert len(saturated.derived()) == 571
     assert _sha("\n".join(lines)) == \
         "2b9ad6c972156a18290d5cb30cc8c4497d8f0c562ff28ae1473c29e5f1094af9"
+
+
+BUNDLED_TABLE_QUERY = """\
+PREFIX ds: <http://example.org/forestfires#>
+SELECT ?r ?t ?h ?m WHERE {
+  ?r ds:temp ?t . ?r ds:RH ?h . ?r ds:month ?m . ?r ds:wind ?w . ?r ds:day "sun" .
+  FILTER ((?t > 20.5 && ?h <= 40) || ?w = 4.9 || ?m > 3)
+}
+"""
+
+
+def _stdout(capsys, argv):
+    assert cli.main(argv) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("ntriples", "c2a60090074e438c2f6b4d8ac212a8361f2131e257543c911d3e5c4a49e03cc3"),
+    ("rdfxml", "0efcc6799aa243357fb83f7e66ffe249125c593ade9694dcce46be5206c5937a"),
+])
+def test_convert_of_the_bundled_table(capsys, tmp_path, fmt, digest):
+    out = tmp_path / "table.out"
+    _stdout(capsys, ["convert", str(data_path("forestfires_synthetic.csv")), str(out),
+                     "--format", fmt])
+    assert _sha(out.read_text(encoding="utf-8")) == digest
+
+
+@pytest.mark.parametrize("flags, digest", [
+    ((), "6f1a404a03ca0467c9af962c2e3fe0608c1fbad5fa6bb56d42753e52c5cfa8e6"),
+    (("--json",), "da0feee75ecebedbcdd60a5afd1a9944731f2d6d82b644b2ebb12609e0eabbe7"),
+    (("--explain",), "dc7fc71afc1056f23e351ca34a3cad56ad67f9eb802ae38626282e8698fc9985"),
+    (("--json", "--explain"), "850be875c0969d89fd5681f06747c2c4e42a0c614710126c469def838f6d9c65"),
+])
+def test_query_of_the_region_fixture(capsys, flags, digest):
+    out = _stdout(capsys, ["query", str(data_path("regions_fixture.nt")),
+                           str(data_path("hot_dry_regions.rq")), *flags])
+    assert _sha(out) == digest
+
+
+@pytest.mark.parametrize("flags, digest", [
+    (("--explain",), "1be239d84c0fc4484b644f7dddc0bc642155eca693f16d455bafff41ed8d5512"),
+    (("--json", "--explain"), "95db3a785fcb3fb44b6761b02bc74b5c7ce5a0c17500bdf847604d74f1d1fa7e"),
+])
+def test_filter_query_of_the_converted_table(capsys, tmp_path, flags, digest):
+    """Five patterns, the selective one first in the plan, and a FILTER whose
+    string-against-number comparison is a type clash on every binding."""
+    graph, query = tmp_path / "table.nt", tmp_path / "q.rq"
+    _stdout(capsys, ["convert", str(data_path("forestfires_synthetic.csv")), str(graph)])
+    query.write_text(BUNDLED_TABLE_QUERY, encoding="utf-8")
+    out = _stdout(capsys, ["query", str(graph), str(query), *flags])
+    assert _sha(out) == digest
