@@ -23,12 +23,13 @@ from __future__ import annotations
 import functools
 import math
 import re
-from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from operator import itemgetter
 
 from ._syntax import Cursor, tokenize
+from ._terms import PositionIndex, Variable, bound_positions, ground, term_class, variables
+from ._terms import match as _match_atom
 from .semweb import COMPARISONS
 
 
@@ -75,35 +76,14 @@ class UnknownFact(RuleError):
 
 # --- terms and atoms ---------------------------------------------------------
 #
-# A term is the tuple (kind, value), its kind being its own class, and an
-# atom the tuple (predicate, args). Hashing and comparing them runs no
-# Python code, terms of different kinds never compare equal, and hot loops
-# read term[0], term[1], atom[0] and atom[1] directly.
+# Terms are the (kind, value) tuples of firedss._terms, which also holds the
+# one Variable kind, and an atom is the tuple (predicate, args): hot loops
+# read atom[0] and atom[1] directly.
 
-class _Term(tuple):
-    __slots__ = ()
-
-    def __new__(cls, value):
-        return tuple.__new__(cls, (cls, value))
-
-    def __getnewargs__(self):
-        return (self[1],)
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self._field}={self[1]!r})"
-
-
-def _term_class(name, field):
-    """A term kind: its value is read as `.name` or `.value` (`field`)."""
-    return type(name, (_Term,), {"__slots__": (), "_field": field,
-                                 field: property(itemgetter(1))})
-
-
-Variable = _term_class("Variable", "name")
-Individual = _term_class("Individual", "name")
-Str = _term_class("Str", "value")
-Num = _term_class("Num", "value")
-Bool = _term_class("Bool", "value")
+Individual = term_class("Individual", "name")
+Str = term_class("Str", "value")
+Num = term_class("Num", "value")
+Bool = term_class("Bool", "value")
 
 
 class Atom(tuple):
@@ -122,7 +102,7 @@ class Atom(tuple):
     args = property(itemgetter(1))
 
     def variables(self):
-        return {a[1] for a in self[1] if a[0] is Variable}
+        return variables(self[1])
 
 
 # make_atom((predicate, args)) is Atom(predicate, args) without a Python-level call
@@ -141,7 +121,7 @@ class Builtin:
     args: tuple
 
     def variables(self):
-        return {a.name for a in self.args if isinstance(a, Variable)}
+        return variables(self.args)
 
 
 @dataclass(frozen=True)
@@ -413,71 +393,22 @@ def builtin_compare(op, a, b):
                     f"{format_term(a)} / {format_term(b)}")
 
 
-def _ground(terms, bindings):
-    return tuple([bindings[t[1]] if t[0] is Variable else t for t in terms])
-
-
-def _match_atom(pattern: Atom, fact: Atom, bindings):
-    if pattern[0] != fact[0] or len(pattern[1]) != len(fact[1]):
-        return None
-    out = dict(bindings)
-    for p, f in zip(pattern[1], fact[1]):
-        if p[0] is Variable:
-            bound = out.get(p[1])
-            if bound is None:
-                out[p[1]] = f
-            elif bound != f:
-                return None
-        elif p != f:
-            return None
-    return out
-
-
-class _PositionIndex:
-    """Ascending positions in one append-only fact list by the arguments at
-    the positions `bound` (the argument itself for one position, else their
-    tuple); it catches up with the list at each lookup."""
-
-    __slots__ = ("facts", "key_of", "positions", "done")
-
-    def __init__(self, facts, bound):
-        self.facts = facts
-        self.key_of = itemgetter(*bound)
-        self.positions = {}
-        self.done = 0
-
-    def between(self, key, lo, hi):
-        """Positions p with lo <= p < hi of the facts whose key is `key`."""
-        facts = self.facts
-        if self.done < len(facts):
-            positions, key_of = self.positions, self.key_of
-            for p in range(self.done, len(facts)):
-                positions.setdefault(key_of(facts[p][1]), []).append(p)
-            self.done = len(facts)
-        found = self.positions.get(key)
-        if found is None:
-            return ()
-        return found[bisect_left(found, lo):bisect_left(found, hi)]
-
-
 def _join(atoms, lists, ranges, probes):
     """Bindings satisfying the atoms in body order, atom k matched against
-    the facts at positions lo <= p < hi of lists[k] for its (lo, hi) in
-    ranges. Where probes[k] is (index, terms), only the facts that the
-    index files under `terms` grounded by the bindings are tried."""
+    the fact arguments at positions lo <= p < hi of lists[k] for its
+    (lo, hi) in ranges. Where probes[k] is (index, terms), only the facts
+    that the index files under `terms` grounded by the bindings are tried."""
     match = _match_atom
     partial = [{}]
-    for atom, facts, (lo, hi), probe in zip(atoms, lists, ranges, probes):
+    for (_, pattern), facts, (lo, hi), probe in zip(atoms, lists, ranges, probes):
         nxt = []
         for bindings in partial:
             if probe is None:
                 positions = range(lo, hi)
             else:
-                index, terms = probe
-                key = _ground(terms, bindings)
-                positions = index.between(key[0] if len(key) == 1 else key, lo, hi)
+                positions = probe[0].between(probe[1], bindings, lo, hi)
             for p in positions:
-                m = match(atom, facts[p], bindings)
+                m = match(pattern, facts[p], bindings)
                 if m is not None:
                     nxt.append(m)
         partial = nxt
@@ -502,7 +433,7 @@ def _new_bindings(atoms, lists, seen, sizes, probes):
 
 def _passes_builtins(rule_name, builtins, bindings):
     for b in builtins:
-        args = _ground(b.args, bindings)
+        args = ground(b.args, bindings)
         for a in args:
             if a[0] is Individual:
                 raise TypeClash(f"{b.op} applied to individual {a[1]}",
@@ -517,8 +448,9 @@ def _passes_builtins(rule_name, builtins, bindings):
 
 
 class _Plan:
-    """One rule as `evaluate` runs it: its body split once, the fact list
-    and index probe of each body atom, and the watermarks of its last run."""
+    """One rule as `evaluate` runs it: its body split once, the list of
+    fact arguments and the index probe of each body atom, and the
+    watermarks of its last run."""
 
     __slots__ = ("name", "atoms", "builtins", "head", "lists", "probes", "seen")
 
@@ -533,12 +465,11 @@ class _Plan:
             key = (atom[0], len(atom[1]))
             facts = by_key.setdefault(key, [])
             self.lists.append(facts)
-            positions = tuple(p for p, t in enumerate(atom[1])
-                              if t[0] is not Variable or t[1] in bound)
+            positions = bound_positions(atom[1], bound)
             if positions:
                 index = indexes.get((key, positions))
                 if index is None:
-                    index = indexes[key, positions] = _PositionIndex(facts, positions)
+                    index = indexes[key, positions] = PositionIndex(facts, positions)
                 self.probes.append((index, tuple(atom[1][p] for p in positions)))
             else:
                 self.probes.append(None)
@@ -562,17 +493,18 @@ def _fire(plan, known, by_key, derivations):
             continue
         premises = None
         for predicate, args in plan.head:
-            fact = make_atom((predicate, _ground(args, bindings)))
+            terms = ground(args, bindings)
+            fact = make_atom((predicate, terms))
             if fact in known:
                 continue
             known[fact] = None
             key = (predicate, len(args))
             facts_of = by_key.get(key)
             if facts_of is not None:
-                facts_of.append(fact)
+                facts_of.append(terms)
                 grown.add(key)
             if premises is None:
-                premises = tuple([make_atom((a[0], _ground(a[1], bindings)))
+                premises = tuple([make_atom((a[0], ground(a[1], bindings)))
                                   for a in plan.atoms])
             derivations[fact] = Derivation(
                 plan.name, tuple(sorted(bindings.items())), premises)
@@ -583,8 +515,8 @@ def evaluate(rules: RuleSet, facts: FactBase) -> FactBase:
     """Saturate the fact base: least fixpoint of the rules over the facts.
 
     Semi-naive: rules run in rounds, in rule order, and a rule sees the
-    facts derived earlier in its round. The fact lists per (predicate,
-    arity) only grow, and each rule keeps one watermark per body atom (how
+    facts derived earlier in its round. The lists of fact arguments per
+    (predicate, arity) only grow, and each rule keeps one watermark per body atom (how
     much of that atom's list it had seen when it last ran), so a rule joins
     only the bindings that use a fact new since then. A body atom with
     constants or variables bound by the atoms before it takes its facts
@@ -606,7 +538,7 @@ def evaluate(rules: RuleSet, facts: FactBase) -> FactBase:
     """
     known = facts._atoms.copy()     # a dict copy reuses the stored hashes
     derivations = dict(facts.derivations)
-    by_key, indexes = {}, {}        # lists of the body (predicate, arity) keys only
+    by_key, indexes = {}, {}        # argument lists of the body (predicate, arity) keys only
     plans = [_Plan(rule, by_key, indexes) for rule in rules]
     triggers = {}                   # (predicate, arity) -> rules, ascending
     for r, plan in enumerate(plans):
@@ -619,7 +551,7 @@ def evaluate(rules: RuleSet, facts: FactBase) -> FactBase:
         if f[0] in predicates:
             facts_of = by_key.get((f[0], len(f[1])))
             if facts_of is not None:
-                facts_of.append(f)
+                facts_of.append(f[1])
 
     pending = list(range(len(plans)))
     while pending:

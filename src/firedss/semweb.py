@@ -2,9 +2,13 @@
 
 The graph model is deliberately small: IRIs, typed literals (integer,
 decimal, string, boolean), and set-semantics triples with a prefix map.
-Queries cover the fragment `SELECT ... WHERE { patterns . FILTER (...) }`
-with comparison filters joined by && and ||. Result rows are returned in
-a canonical order so query output is stable across runs.
+It shares the rule language's term model (`firedss._terms`): `Iri` and
+`Literal` are tagged-tuple term kinds, `Var` is the one variable kind, and
+a triple or triple pattern is the tuple (subject, predicate, object), which
+queries match with the rules' positional match through the same position
+index. Queries cover the fragment `SELECT ... WHERE { patterns . FILTER
+(...) }` with comparison filters joined by && and ||. Result rows are
+returned in a canonical order so query output is stable across runs.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import re
 from dataclasses import dataclass
 
 from ._syntax import Cursor, tokenize
+from ._terms import PositionIndex, Term, Variable, bound_positions, match, variables
 
 XSD = "http://www.w3.org/2001/XMLSchema#"
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
@@ -59,13 +64,15 @@ class UnknownPrefix(GraphError):
 _IRI_OK = re.compile(r'[A-Za-z][A-Za-z0-9+.-]*:[^\x00-\x20<>"{}|^`\\]+')
 
 
-@dataclass(frozen=True, order=True)
-class Iri:
-    value: str
+class Iri(Term):
+    __slots__ = ()
+    _fields = ("value",)
+    value = property(operator.itemgetter(1))
 
-    def __post_init__(self):
-        if not _IRI_OK.fullmatch(self.value):
-            raise GraphError(f"not an absolute IRI: {self.value!r}")
+    def __new__(cls, value):
+        if not _IRI_OK.fullmatch(value):
+            raise GraphError(f"not an absolute IRI: {value!r}")
+        return tuple.__new__(cls, (cls, value))
 
 
 # The XSD lexical spaces, matched as text: an int() check would reject
@@ -74,19 +81,21 @@ _NUMERIC_LEXICAL = {"integer": re.compile(r"[+-]?[0-9]+"),
                     "decimal": re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)")}
 
 
-@dataclass(frozen=True, order=True)
-class Literal:
-    lexical: str
-    datatype: str = "string"
+class Literal(Term):
+    __slots__ = ()
+    _fields = ("lexical", "datatype")
+    lexical = property(operator.itemgetter(1))
+    datatype = property(operator.itemgetter(2))
 
-    def __post_init__(self):
-        if self.datatype not in DATATYPE_IRIS:
-            raise GraphError(f"unsupported datatype: {self.datatype}")
-        if self.datatype in _NUMERIC_LEXICAL:
-            if not _NUMERIC_LEXICAL[self.datatype].fullmatch(self.lexical):
-                raise GraphError(f"bad {self.datatype} lexical form: {self.lexical!r}")
-        elif self.datatype == "boolean" and self.lexical not in ("true", "false"):
-            raise GraphError(f"bad boolean lexical form: {self.lexical!r}")
+    def __new__(cls, lexical, datatype="string"):
+        if datatype not in DATATYPE_IRIS:
+            raise GraphError(f"unsupported datatype: {datatype}")
+        if datatype in _NUMERIC_LEXICAL:
+            if not _NUMERIC_LEXICAL[datatype].fullmatch(lexical):
+                raise GraphError(f"bad {datatype} lexical form: {lexical!r}")
+        elif datatype == "boolean" and lexical not in ("true", "false"):
+            raise GraphError(f"bad boolean lexical form: {lexical!r}")
+        return tuple.__new__(cls, (cls, lexical, datatype))
 
     def numeric_value(self):
         """The number of an integer or decimal literal, else None. An integer
@@ -117,48 +126,47 @@ def literal_for(value) -> Literal:
     return Literal(str(value), "string")
 
 
-@dataclass(frozen=True)
-class Triple:
-    subject: Iri
-    predicate: Iri
-    object: Iri | Literal
+class Triple(tuple):
+    """The tuple (subject, predicate, object) of terms."""
+    __slots__ = ()
 
+    def __new__(cls, subject, predicate, object):
+        return tuple.__new__(cls, (subject, predicate, object))
 
-_POSITIONS = ("subject", "predicate", "object")
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        return (f"{type(self).__name__}(subject={self[0]!r}, "
+                f"predicate={self[1]!r}, object={self[2]!r})")
+
+    subject = property(operator.itemgetter(0))
+    predicate = property(operator.itemgetter(1))
+    object = property(operator.itemgetter(2))
 
 
 class Graph:
-    """Set of triples plus a prefix map. Treated as immutable once built:
-    queries share its lookup indexes, which `add` drops."""
+    """Set of triples plus a prefix map. Queries share position indexes of
+    a list of the triples in the order they were added, which catch up as
+    `add` extends it."""
 
     def __init__(self, triples=(), prefixes=None):
         self.triples = set(triples)
+        self._listed = list(self.triples)
         self.prefixes = dict(prefixes or {})
         self._indexes = {}
 
     def add(self, triple: Triple):
-        self.triples.add(triple)
-        self._indexes = {}
+        if triple not in self.triples:
+            self.triples.add(triple)
+            self._listed.append(triple)
 
     def _index(self, positions):
-        """Triples grouped by their terms at `positions` (a tuple of
-        `_POSITIONS` names), built on first use. Threads racing on the
-        first build each build an equal dict and store it whole."""
+        """The position index of the triple list on `positions`, made on
+        first use; threads that race to make it all get the stored one."""
         index = self._indexes.get(positions)
         if index is None:
-            # keys are tuples, as execute builds them; attrgetter makes
-            # them in C, which halves the build time of a Python loop
-            if len(positions) > 1:
-                key = operator.attrgetter(*positions)
-            elif positions:
-                term = operator.attrgetter(positions[0])
-                key = lambda t: (term(t),)
-            else:
-                key = lambda t: ()
-            index = {}
-            for t in self.triples:
-                index.setdefault(key(t), []).append(t)
-            self._indexes[positions] = index
+            index = self._indexes.setdefault(positions, PositionIndex(self._listed, positions))
         return index
 
     def bind(self, prefix, iri):
@@ -174,12 +182,7 @@ class Graph:
         return isinstance(other, Graph) and self.triples == other.triples
 
     def terms(self):
-        out = set()
-        for t in self.triples:
-            out.add(t.subject)
-            out.add(t.predicate)
-            out.add(t.object)
-        return out
+        return {term for t in self.triples for term in t}
 
 
 def csv_to_graph(dataset, base, row_prefix="row") -> Graph:
@@ -187,14 +190,12 @@ def csv_to_graph(dataset, base, row_prefix="row") -> Graph:
     predicate <base><column>, object typed from the cell value
     (int -> integer, float -> decimal, token -> string)."""
     base = base.value if isinstance(base, Iri) else base
-    g = Graph()
-    g.bind("ds", base)
     predicates = [Iri(base + col.name) for col in dataset.schema]
+    triples = []
     for i, row in enumerate(dataset.rows):
         subject = Iri(f"{base}{row_prefix}{i}")
-        for predicate, value in zip(predicates, row):
-            g.add(Triple(subject, predicate, literal_for(value)))
-    return g
+        triples.extend(Triple(subject, p, literal_for(v)) for p, v in zip(predicates, row))
+    return Graph(triples, {"ds": base})
 
 
 # --- serialization -----------------------------------------------------------
@@ -208,9 +209,9 @@ def _escape(text):
 
 
 def _term_nt(term):
-    if isinstance(term, Iri):
-        return f"<{term.value}>"
-    return f'"{_escape(term.lexical)}"^^<{DATATYPE_IRIS[term.datatype]}>'
+    if term[0] is Iri:
+        return f"<{term[1]}>"
+    return f'"{_escape(term[1])}"^^<{DATATYPE_IRIS[term[2]]}>'
 
 
 def serialize(g: Graph, format="ntriples") -> str:
@@ -308,19 +309,9 @@ def _unescape(text):
     return "".join(out)
 
 
-def _interned(iris, value):
-    """One Iri object per distinct IRI in a document: index and set
-    lookups then find equal terms by identity, without calling __eq__."""
-    iri = iris.get(value)
-    if iri is None:
-        iri = iris[value] = Iri(value)
-    return iri
-
-
 def parse_ntriples(text: str) -> Graph:
     """Parse N-Triples as produced by serialize(); duplicate lines collapse."""
-    g = Graph()
-    iris = {}
+    triples = []
     for lineno, raw in enumerate(text.split("\n"), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -330,10 +321,10 @@ def parse_ntriples(text: str) -> Graph:
             reason = "missing terminal '.'" if not line.endswith(".") else "malformed triple"
             raise NTriplesSyntaxError(lineno, reason)
         try:
-            subject = _interned(iris, m.group("s"))
-            predicate = _interned(iris, m.group("p"))
+            subject = Iri(m.group("s"))
+            predicate = Iri(m.group("p"))
             if m.group("o_iri") is not None:
-                obj = _interned(iris, m.group("o_iri"))
+                obj = Iri(m.group("o_iri"))
             else:
                 lex = _unescape(m.group("o_lex"))
                 dt_iri = m.group("o_dt")
@@ -346,26 +337,18 @@ def parse_ntriples(text: str) -> Graph:
                 obj = Literal(lex, datatype)
         except GraphError as exc:
             raise NTriplesSyntaxError(lineno, str(exc)) from None
-        g.add(Triple(subject, predicate, obj))
-    return g
+        triples.append(Triple(subject, predicate, obj))
+    return Graph(triples)
 
 
 # --- query AST and parser ----------------------------------------------------
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+Var = Variable
 
 
-@dataclass(frozen=True)
-class TriplePattern:
-    subject: object
-    predicate: object
-    object: object
-
-    def variables(self):
-        return {t.name for t in (self.subject, self.predicate, self.object)
-                if isinstance(t, Var)}
+class TriplePattern(Triple):
+    """A triple whose terms may be variables."""
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -390,10 +373,7 @@ class Query:
     filter: object              # Comparison | BoolExpr | None
 
     def pattern_variables(self):
-        out = set()
-        for p in self.patterns:
-            out |= p.variables()
-        return out
+        return set().union(*map(variables, self.patterns))
 
 
 _Q_TOKEN = re.compile(r"""
@@ -597,11 +577,7 @@ class _QueryParser(Cursor):
 def _filter_variables(expr):
     if isinstance(expr, BoolExpr):
         return _filter_variables(expr.left) | _filter_variables(expr.right)
-    out = set()
-    for side in (expr.left, expr.right):
-        if isinstance(side, Var):
-            out.add(side.name)
-    return out
+    return variables((expr.left, expr.right))
 
 
 def parse_query(text: str) -> Query:
@@ -620,18 +596,13 @@ class _RejectBinding(Exception):
 
 
 def _compare(op, a, b):
-    if isinstance(a, Iri) or isinstance(b, Iri):
+    if a[0] is Iri or b[0] is Iri:
         raise _RejectBinding
     an, bn = a.numeric_value(), b.numeric_value()
     if an is not None and bn is not None:
         x, y = an, bn
-    elif a.datatype == "string" and b.datatype == "string":
-        x, y = a.lexical, b.lexical
-    elif a.datatype == "boolean" and b.datatype == "boolean":
-        if op in ("=", "!="):
-            x, y = a.lexical, b.lexical
-        else:
-            raise _RejectBinding
+    elif a[2] == b[2] and (a[2] == "string" or op in ("=", "!=")):
+        x, y = a[1], b[1]       # strings, or booleans for (in)equality
     else:
         raise _RejectBinding
     return COMPARISONS[op](x, y)
@@ -665,22 +636,6 @@ class ResultTable:
         return len(self.rows)
 
 
-def _match_pattern(pattern, triple, binding):
-    out = dict(binding)
-    for pat, val in ((pattern.subject, triple.subject),
-                     (pattern.predicate, triple.predicate),
-                     (pattern.object, triple.object)):
-        if isinstance(pat, Var):
-            bound = out.get(pat.name)
-            if bound is None:
-                out[pat.name] = val
-            elif bound != val:
-                return None
-        elif pat != val:
-            return None
-    return out
-
-
 def execute(q: Query, g: Graph) -> ResultTable:
     """Natural join of pattern matches, filter, project, deduplicate.
 
@@ -695,28 +650,30 @@ def execute(q: Query, g: Graph) -> ResultTable:
     clash is counted on the result, and a binding whose filter comes out
     false is rejected. Rows come back in canonical lexicographic order.
     """
+    triples = g._listed
+    n = len(triples)
     bindings = [{}]
     bound = set()
     remaining = list(enumerate(q.patterns))
     plan = []
     while remaining and bindings:
-        step = max(remaining, key=lambda item: len(_bound_slots(item[1], bound)))
+        step = max(remaining, key=lambda item: len(bound_positions(item[1], bound)))
         remaining.remove(step)
         i, pattern = step
-        slots = _bound_slots(pattern, bound)
-        index = g._index(tuple(name for name, _ in slots))
+        positions = bound_positions(pattern, bound)
+        index = g._index(positions) if positions else None
+        terms = tuple([pattern[p] for p in positions])
         nxt = []
         candidates = 0
         for b in bindings:
-            key = tuple([b[t.name] if isinstance(t, Var) else t for _, t in slots])
-            matches = index.get(key, ())
-            candidates += len(matches)
-            for triple in matches:
-                m = _match_pattern(pattern, triple, b)
+            found = range(n) if index is None else index.between(terms, b, 0, n)
+            candidates += len(found)
+            for p in found:
+                m = match(pattern, triples[p], b)
                 if m is not None:
                     nxt.append(m)
         bindings = nxt
-        bound |= pattern.variables()
+        bound |= variables(pattern)
         plan.append((i, candidates, len(bindings)))
 
     clashes = [0]
@@ -724,8 +681,7 @@ def execute(q: Query, g: Graph) -> ResultTable:
         bindings = [b for b in bindings if _eval_filter(q.filter, b, clashes)]
 
     if q.select is None:
-        seen = []
-        columns = tuple(n for p in q.patterns for n in _pattern_var_order(p, seen))
+        columns = tuple(dict.fromkeys(t[1] for p in q.patterns for t in p if t[0] is Var))
     else:
         columns = q.select
 
@@ -734,25 +690,6 @@ def execute(q: Query, g: Graph) -> ResultTable:
     return ResultTable(columns, ordered, clashes[0], tuple(plan))
 
 
-def _bound_slots(pattern, bound):
-    """(position name, term) for each position that a constant or a
-    variable in `bound` fixes."""
-    return [(name, t) for name, t in zip(
-        _POSITIONS, (pattern.subject, pattern.predicate, pattern.object))
-        if not isinstance(t, Var) or t.name in bound]
-
-
-def _pattern_var_order(pattern, seen):
-    out = []
-    for t in (pattern.subject, pattern.predicate, pattern.object):
-        if isinstance(t, Var) and t.name not in seen:
-            seen.append(t.name)
-            out.append(t.name)
-    return out
-
-
 def format_cell(term) -> str:
     """Human-readable cell rendering for tables: IRIs bare, literals lexical."""
-    if isinstance(term, Iri):
-        return term.value
-    return term.lexical
+    return term[1]
