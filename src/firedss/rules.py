@@ -319,7 +319,7 @@ class _Parser(Cursor):
             return Variable(text[1:])
         if kind == "number":
             value = float(text)
-            if not math.isfinite(value):
+            if not math.isfinite(value) or (value == 0 and text.strip("-0.")):
                 raise self.fail(pos, "number out of range")
             self.next()
             return Num(value)

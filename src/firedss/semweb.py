@@ -61,7 +61,8 @@ class UnknownPrefix(GraphError):
 
 
 # an absolute IRI whose characters may all stand raw in an N-Triples IRIREF
-_IRI_OK = re.compile(r'[A-Za-z][A-Za-z0-9+.-]*:[^\x00-\x20<>"{}|^`\\]+')
+# (no lone surrogates, which UTF-8 cannot write)
+_IRI_OK = re.compile(r'[A-Za-z][A-Za-z0-9+.-]*:[^\x00-\x20<>"{}|^`\\\ud800-\udfff]+')
 
 
 class Iri(Term):
@@ -146,19 +147,23 @@ class Triple(tuple):
 
 
 class Graph:
-    """Set of triples plus a prefix map. Queries share position indexes of
-    a list of the triples in the order they were added, which catch up as
-    `add` extends it."""
+    """Set of triples plus a prefix map. `triples` is a read-only set-like
+    view; queries share position indexes of a list of the triples in the
+    order they were added, which catch up as `add` extends it."""
 
     def __init__(self, triples=(), prefixes=None):
-        self.triples = set(triples)
-        self._listed = list(self.triples)
+        self._triples = dict.fromkeys(triples)
+        self._listed = list(self._triples)
         self.prefixes = dict(prefixes or {})
         self._indexes = {}
 
+    @property
+    def triples(self):
+        return self._triples.keys()
+
     def add(self, triple: Triple):
-        if triple not in self.triples:
-            self.triples.add(triple)
+        if triple not in self._triples:
+            self._triples[triple] = None
             self._listed.append(triple)
 
     def _index(self, positions):
@@ -173,10 +178,10 @@ class Graph:
         self.prefixes[prefix] = iri if isinstance(iri, str) else iri.value
 
     def __len__(self):
-        return len(self.triples)
+        return len(self._triples)
 
     def __contains__(self, triple):
-        return triple in self.triples
+        return triple in self._triples
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.triples == other.triples
@@ -596,11 +601,11 @@ class _RejectBinding(Exception):
 
 
 def _compare(op, a, b):
+    """Compare two literals; numbers by their exact values."""
     if a[0] is Iri or b[0] is Iri:
         raise _RejectBinding
-    an, bn = a.numeric_value(), b.numeric_value()
-    if an is not None and bn is not None:
-        x, y = an, bn
+    if a[2] in _NUMERIC_LEXICAL and b[2] in _NUMERIC_LEXICAL:
+        x, y = decimal.Decimal(a[1]), decimal.Decimal(b[1])
     elif a[2] == b[2] and (a[2] == "string" or op in ("=", "!=")):
         x, y = a[1], b[1]       # strings, or booleans for (in)equality
     else:

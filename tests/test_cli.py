@@ -62,6 +62,18 @@ class TestConvert:
         assert code == 1 and "not an absolute IRI" in err
         assert not out.exists()
 
+    def test_namespace_of_non_utf8_bytes_exits_1_without_traceback(self, tmp_path, small_csv):
+        # argv bytes that are not UTF-8 arrive as lone surrogates ('\udcff')
+        out = tmp_path / "o.nt"
+        env = dict(os.environ, PYTHONPATH=str(Path(firedss.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "firedss", "convert", small_csv, str(out),
+             "--namespace", b"http://e/\xff#"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr and "not an absolute IRI" in done.stderr
+        assert not out.exists()
+
     def test_unknown_format_is_usage_error(self, tmp_path, small_csv, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["convert", small_csv, str(tmp_path / "o.x"), "--format", "bogus"])

@@ -67,6 +67,8 @@ MALFORMED = [
      RuleSyntaxError, "line 3, column 1: unexpected character '%'", (3, 1)),
     (parse_rules, "rule r: when A(?x)\n  then assert hasLimit(?x, " + "9" * 400 + ")",
      RuleSyntaxError, "line 2, column 28: number out of range", (2, 28)),
+    (parse_rules, "rule r: when A(?x)\n  then assert hasLimit(?x, 0." + "0" * 400 + "1)",
+     RuleSyntaxError, "line 2, column 28: number out of range", (2, 28)),
     (parse_facts, "A(a)\n\nB(?x)\n",
      RuleSyntaxError, "line 3, column 1: not a ground atom: 'B(?x)'", (3, 1)),
     (parse_facts, "lessThan(1, 2)",
@@ -80,6 +82,8 @@ MALFORMED = [
     (parse_facts, "A(a)\nA(x\n",
      RuleSyntaxError, "line 2, column 4: expected ), found 'end of input'", (2, 4)),
     (parse_facts, "A(a)\nhasV(a, -1" + "0" * 400 + ".5)",
+     RuleSyntaxError, "line 2, column 9: number out of range", (2, 9)),
+    (parse_facts, "A(a)\nhasV(a, -0." + "0" * 400 + "1)",
      RuleSyntaxError, "line 2, column 9: number out of range", (2, 9)),
     (parse_query, "SELECT ?x WHERE { ?x ?p ?o . } $",
      QuerySyntaxError, "at 31: unexpected character '$'", 31),
