@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -588,3 +589,90 @@ class TestRecordFormats:
             '{"batch_seq": 25, "fingerprint": "' + "ab" * 32 + '", '
             '"offset": 517, "source_id": "file:data.csv"}\n'
             "2a95081014cb86c2dfdb4428ad5b7a08bcf21ea3785fe2886f8517a624d0af54\n")
+
+
+class TestBatchPathParity:
+    """What the batch path must keep however it encodes records: offsets of
+    RULE alerts, the errors of out-of-range codes, and the facts it
+    saturates."""
+
+    BUI_INF_ROW = "8,6,aug,mon,92.3,1e300,1e308,8.5,24.1,27,3.1,0.0,0.0"
+    FWI_INF_ROW = "8,6,aug,mon,92.3,88.9,495.6,1e308,24.1,27,3.1,0.0,0.0"
+    BOTH_INF_ROW = "8,6,aug,mon,92.3,1e300,1e308,1e308,24.1,27,3.1,0.0,0.0"
+
+    def test_head_constant_rec_n_yields_offset_n(self, dataset_text, rules_alerts_text):
+        rs = rules.parse_rules(rules_alerts_text + "rule near: when fireTrigger(?r) "
+                               "then assert near(?r, rec_3)\n")
+        batch = next(cut_batches(open_source_text(dataset_text), 20))
+        # rec_3 need not be a record of the batch
+        late = Batch(0, tuple((o + 100, r) for o, r in batch.records))
+        for b, shift in ((batch, 0), (late, 100)):
+            events = batch_evaluate(b, rules=rs)
+            fired = sorted(e.offsets for e in events if e.rule == "fire_trigger")
+            near = sorted(e.offsets for e in events if e.rule == "near")
+            assert (10 + shift,) in fired
+            assert near == [(o, 3) for o, in fired]
+
+    @staticmethod
+    def _bands(*trigger):
+        return fwi.ClassBands(fwi.DEFAULT_BANDS.bands, trigger)
+
+    @pytest.mark.parametrize("row, trigger, error, message", [
+        # a trigger quantity is classified per record, naming the record
+        (BUI_INF_ROW, [("bui_class", "high")], stream.BatchEvaluationError,
+         "batch 4, offset 1: bui_class value inf not finite and >= 0"),
+        (FWI_INF_ROW, [("fwi_class", "low"), ("bui_class", "high")],
+         stream.BatchEvaluationError,
+         "batch 4, offset 1: fwi_class value inf not finite and >= 0"),
+        (BOTH_INF_ROW, [("fwi_class", "low"), ("bui_class", "high")],
+         stream.BatchEvaluationError,
+         "batch 4, offset 1: fwi_class value inf not finite and >= 0"),
+        # fwi.classify stops at the first trigger quantity whose label misses
+        (BUI_INF_ROW, [("fwi_class", "low"), ("bui_class", "high")], fwi.OutOfRange,
+         "bui_class value inf not finite and >= 0"),
+        # otherwise only the aggregate of the batch is classified
+        (BUI_INF_ROW, [("dc_class", "easy")], fwi.OutOfRange,
+         "bui_class value inf not finite and >= 0"),
+        (FWI_INF_ROW, [], fwi.OutOfRange,
+         "fwi_class value inf not finite and >= 0"),
+    ])
+    def test_out_of_range_codes_raise_as_before(self, row, trigger, error, message,
+                                                alert_rules):
+        batch = batch_of([CALM_ROW, row, TRIGGER_ROW], seq=4)
+        with pytest.raises(error) as caught:
+            batch_evaluate(batch, self._bands(*trigger), alert_rules)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+        if error is stream.BatchEvaluationError:
+            assert caught.value.offset == 1
+
+    def test_out_of_range_labelled_code_names_its_record(self, alert_rules):
+        (calm, trigger) = records_of(CALM_ROW, TRIGGER_ROW)
+        bad = dataclasses.replace(trigger, ffmc=math.nan)
+        batch = Batch(2, ((40, calm), (41, bad)))
+        with pytest.raises(stream.BatchEvaluationError) as caught:
+            batch_evaluate(batch, rules=alert_rules)
+        assert (caught.value.batch_seq, caught.value.offset) == (2, 41)
+        assert str(caught.value) == (
+            "batch 2, offset 41: ignition_potential value nan not finite and >= 0")
+
+    def test_saturated_facts_are_the_record_facts(self, monkeypatch, alert_rules):
+        bands = fwi.ClassBands(dict(
+            fwi.DEFAULT_BANDS.bands,
+            dc_class=[(100, "calm"), (300, "a-b"), (math.inf, "très-grim / 2")],
+            spread_rate=[(4, "a b"), (math.inf, "a+b")]), [("dc_class", "a-b")])
+        batch = batch_of([CALM_ROW, TRIGGER_ROW, HIGH_DC_ROW, CALM_ROW], start_offset=9)
+        handed = []
+        evaluate = rules.evaluate
+
+        def recording(rs, facts):
+            handed.append(list(facts.facts))
+            return evaluate(rs, facts)
+
+        monkeypatch.setattr(rules, "evaluate", recording)
+        batch_evaluate(batch, bands, alert_rules)
+        expected = []
+        for offset, record in batch.records:
+            codes = fwi.compute_codes(record)
+            expected.extend(stream.record_facts(offset, codes, fwi.classify(codes, bands)))
+        assert handed == [expected]
