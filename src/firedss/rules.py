@@ -152,6 +152,32 @@ class RuleSet:
     def __iter__(self):
         return iter(self.rules)
 
+    @functools.cached_property
+    def _compiled(self):
+        """The part of `evaluate`'s work that no fact changes, done once:
+        per rule its name, positive atoms, builtins, head, the (predicate,
+        arity) key of each body atom and the argument positions and terms
+        of its index probe (None for a full scan); and the trigger index,
+        each body key in rule order mapped to the ascending rules whose
+        body uses it; and the set of body predicates."""
+        plans, triggers = [], {}
+        for r, rule in enumerate(self.rules):
+            atoms, keys, probes, bound = rule.positive_atoms(), [], [], set()
+            for atom in atoms:
+                key = (atom[0], len(atom[1]))
+                keys.append(key)
+                positions = bound_positions(atom[1], bound)
+                probes.append((positions, tuple(atom[1][p] for p in positions))
+                              if positions else None)
+                bound |= atom.variables()
+                woken = triggers.setdefault(key, [])
+                if not woken or woken[-1] != r:
+                    woken.append(r)
+            plans.append((rule.name, atoms, rule.builtins(), rule.head,
+                          tuple(keys), tuple(probes)))
+        return (tuple(plans), {key: tuple(rs) for key, rs in triggers.items()},
+                frozenset(key[0] for key in triggers))
+
 
 @dataclass(frozen=True)
 class Derivation:
@@ -448,32 +474,23 @@ def _passes_builtins(rule_name, builtins, bindings):
 
 
 class _Plan:
-    """One rule as `evaluate` runs it: its body split once, the list of
-    fact arguments and the index probe of each body atom, and the
+    """One rule as one `evaluate` call runs it: its compiled part, the
+    list of fact arguments and the index probe of each body atom, and the
     watermarks of its last run."""
 
     __slots__ = ("name", "atoms", "builtins", "head", "lists", "probes", "seen")
 
-    def __init__(self, rule, by_key, indexes):
-        self.name = rule.name
-        self.atoms = rule.positive_atoms()
-        self.builtins = rule.builtins()
-        self.head = rule.head
-        self.lists, self.probes = [], []
-        bound = set()
-        for atom in self.atoms:
-            key = (atom[0], len(atom[1]))
-            facts = by_key.setdefault(key, [])
-            self.lists.append(facts)
-            positions = bound_positions(atom[1], bound)
-            if positions:
-                index = indexes.get((key, positions))
+    def __init__(self, compiled, by_key, indexes):
+        self.name, self.atoms, self.builtins, self.head, keys, probes = compiled
+        self.lists = [by_key[key] for key in keys]
+        self.probes = []
+        for key, probe in zip(keys, probes):
+            if probe is not None:
+                index = indexes.get((key, probe[0]))
                 if index is None:
-                    index = indexes[key, positions] = PositionIndex(facts, positions)
-                self.probes.append((index, tuple(atom[1][p] for p in positions)))
-            else:
-                self.probes.append(None)
-            bound |= atom.variables()
+                    index = indexes[key, probe[0]] = PositionIndex(by_key[key], probe[0])
+                probe = (index, probe[1])
+            self.probes.append(probe)
         self.seen = [0] * len(self.atoms)
 
 
@@ -538,15 +555,10 @@ def evaluate(rules: RuleSet, facts: FactBase) -> FactBase:
     """
     known = facts._atoms.copy()     # a dict copy reuses the stored hashes
     derivations = dict(facts.derivations)
-    by_key, indexes = {}, {}        # argument lists of the body (predicate, arity) keys only
-    plans = [_Plan(rule, by_key, indexes) for rule in rules]
-    triggers = {}                   # (predicate, arity) -> rules, ascending
-    for r, plan in enumerate(plans):
-        for atom in plan.atoms:
-            woken = triggers.setdefault((atom[0], len(atom[1])), [])
-            if not woken or woken[-1] != r:
-                woken.append(r)
-    predicates = {key[0] for key in by_key}
+    compiled, triggers, predicates = rules._compiled
+    by_key = {key: [] for key in triggers}  # argument lists of the body keys only
+    indexes = {}
+    plans = [_Plan(plan, by_key, indexes) for plan in compiled]
     for f in known:
         if f[0] in predicates:
             facts_of = by_key.get((f[0], len(f[1])))

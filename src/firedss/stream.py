@@ -22,10 +22,14 @@ import hashlib
 import itertools
 import json
 import math
+import operator
+import os
 import socket
 import sys
 import time
-from collections import Counter
+import weakref
+from bisect import bisect_right
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,6 +37,8 @@ from . import fwi, ingest, rules as rules_mod
 
 # json.dumps(x, sort_keys=True) without building an encoder on every call
 _to_json = json.JSONEncoder(sort_keys=True).encode
+_json_value = json.JSONEncoder().encode
+_json_str = json.encoder.encode_basestring_ascii
 
 # (alert kind, band quantity, code-fact predicate, label-fact prefix or None
 # where DangerClassification has no label) in emission order
@@ -96,18 +102,20 @@ class Batch:
         return len(self.records)
 
 
-@dataclass(frozen=True)
-class AlertEvent:
-    batch: int
-    kind: str
-    severity: str
-    value: float | None
-    offsets: tuple
-    rule: str | None
-    ts_ms: int
+class AlertEvent(namedtuple("AlertEvent", "batch kind severity value offsets rule ts_ms")):
+    """One sink line's fields; a tuple, as rules.Atom is."""
+
+    __slots__ = ()
 
     def to_json(self):
-        return _to_json(vars(self))
+        """The sink line: the fields as a JSON object with sorted keys, as
+        json.dumps(..., sort_keys=True) writes it."""
+        batch, kind, severity, value, offsets, rule, ts_ms = self
+        return (f'{{"batch": {batch:d}, "kind": {_json_str(kind)}, '
+                f'"offsets": [{", ".join(map(str, offsets))}], '
+                f'"rule": {"null" if rule is None else _json_str(rule)}, '
+                f'"severity": {_json_str(severity)}, "ts_ms": {ts_ms:d}, '
+                f'"value": {"null" if value is None else _json_value(value)}}}')
 
 
 @dataclass(frozen=True)
@@ -232,87 +240,134 @@ def _label_predicate(prefix, label):
     return prefix + "_" + "".join(c if c.isalnum() else "_" for c in label)
 
 
+_codes_of = operator.attrgetter(*fwi.QUANTITIES.values())   # in alert order
+_code_predicates = tuple(predicate for _, _, predicate, _ in _ALERT_QUANTITIES)
+_Num = functools.partial(tuple.__new__, rules_mod.Num)      # _Num((Num, v)) is Num(v)
+
+
+def _append_facts(facts, individual, labels, codes):
+    """The fact encoding of one record, appended to `facts`: per quantity in
+    alert order, its label atom (predicate <Quantity>_<label>, None where
+    the quantity has no label) and then its code atom."""
+    make_atom, num = rules_mod.make_atom, rules_mod.Num
+    subject = (individual,)
+    for predicate, label, value in zip(_code_predicates, labels, codes):
+        if label is not None:
+            facts.append(make_atom((label, subject)))
+        facts.append(make_atom((predicate, (individual, _Num((num, float(value)))))))
+
+
 def record_facts(offset, codes, classification):
     """Fact encoding for one record: individual rec_<offset>, one unary atom
     per classification label (predicate <Quantity>_<label>), one binary atom
     per code value."""
-    make_atom = rules_mod.make_atom
-    individual = rules_mod.Individual(f"rec_{offset}")
-    subject = (individual,)
+    labels = [None if prefix is None else
+              _label_predicate(prefix, getattr(classification, quantity))
+              for _, quantity, _, prefix in _ALERT_QUANTITIES]
     facts = []
-    for _kind, quantity, predicate, prefix in _ALERT_QUANTITIES:
-        if prefix is not None:
-            label = getattr(classification, quantity)
-            facts.append(make_atom((_label_predicate(prefix, label), subject)))
-        value = rules_mod.Num(float(getattr(codes, fwi.QUANTITIES[quantity])))
-        facts.append(make_atom((predicate, (individual, value))))
+    _append_facts(facts, rules_mod.Individual(f"rec_{offset}"), labels, _codes_of(codes))
     return facts
 
 
-def _offsets_in_fact(fact):
+_TABLES = weakref.WeakKeyDictionary()
+
+
+def _quantity_table(bands):
+    """Per quantity in alert order, how the batch path classifies a record's
+    code: None if it does not (a quantity without a label and outside the
+    trigger), else the band upper bounds and the label predicates (None for
+    a trigger quantity without a label, which is only range-checked). This
+    is the work of fwi.classify; built once per ClassBands."""
+    table = _TABLES.get(bands)
+    if table is None:
+        missing = [q for q in fwi.QUANTITIES if q not in bands.bands]
+        if missing:     # bands built in code may leave quantities out
+            raise StreamError(f"bands lack the quantities {', '.join(missing)}")
+        triggered = {q for q, _ in bands.trigger}
+        table = _TABLES[bands] = tuple(
+            None if prefix is None and quantity not in triggered else
+            (tuple(u for u, _ in bands.bands[quantity]), prefix and tuple(
+                _label_predicate(prefix, label) for label in bands.labels(quantity)))
+            for _, quantity, _, prefix in _ALERT_QUANTITIES)
+    return table
+
+
+def _offsets(args, individuals):
+    """The record offsets among a fact's arguments: the individuals of the
+    batch's records, and any other rec_<n> as n."""
     out = []
-    for arg in fact.args:
-        if isinstance(arg, rules_mod.Individual) and arg.name.startswith("rec_"):
+    for arg in args:
+        offset = individuals.get(arg)
+        if offset is None and arg[0] is rules_mod.Individual and arg[1].startswith("rec_"):
             try:
-                out.append(int(arg.name[4:]))
+                offset = int(arg[1][4:])
             except ValueError:
                 continue
+        if offset is not None:
+            out.append(offset)
     return tuple(out)
-
-
-def _require_all_quantities(bands):
-    """Bands built in code may leave quantities out; the stream needs all six."""
-    missing = [q for q in fwi.QUANTITIES if q not in bands.bands]
-    if missing:
-        raise StreamError(f"bands lack the quantities {', '.join(missing)}")
 
 
 def batch_evaluate(batch, bands=fwi.DEFAULT_BANDS, rules=None, aggregate="max"):
     """Alerts for one batch: six aggregate-classification alerts plus one
-    RULE alert per fact the rule set derives from the record facts."""
-    _require_all_quantities(bands)
+    RULE alert per fact the rule set derives from the record facts.
+
+    One pass per record computes its codes, classifies each of them that
+    fwi.classify would (by bisection of the band bounds) and appends its
+    facts, the same as record_facts(offset, codes, fwi.classify(codes,
+    bands)) gives; an out-of-range code raises what fwi.classify raises."""
+    table = _quantity_table(bands)
     if not batch.records:
         raise StreamError(f"batch {batch.seq} is empty")
     if aggregate not in ("max", "mean"):
         raise StreamError(f"unknown aggregate: {aggregate}")
 
     now = int(time.time() * 1000)
-    per_record = []
+    use_rules = rules is not None and len(rules) > 0
+    rows, facts, individuals = [], [], {}
     for offset, record in batch.records:
         try:
             codes = fwi.compute_codes(record)
-            classification = fwi.classify(codes, bands)
+            values = _codes_of(codes)
+            labels = []
+            for value, classes in zip(values, table):
+                if classes is None:
+                    labels.append(None)
+                    continue
+                if not 0.0 <= value < math.inf:
+                    fwi.classify(codes, bands)  # raises, unless it skips this trigger quantity
+                uppers, predicates = classes
+                labels.append(predicates and predicates[bisect_right(uppers, value)])
         except (fwi.OutOfRange, fwi.BandConfigError) as exc:
             raise BatchEvaluationError(batch.seq, offset, exc) from None
-        per_record.append((offset, codes, classification))
+        rows.append(values)
+        if use_rules:
+            individual = rules_mod.Individual(f"rec_{offset}")
+            individuals[individual] = offset
+            _append_facts(facts, individual, labels, values)
 
+    offsets = [offset for offset, _ in batch.records]
     events = []
-    for kind, quantity, _predicate, _prefix in _ALERT_QUANTITIES:
-        attr = fwi.QUANTITIES[quantity]
-        values = [(getattr(codes, attr), offset) for offset, codes, _ in per_record]
+    for (kind, quantity, _, _), column in zip(_ALERT_QUANTITIES, zip(*rows)):
         if aggregate == "max":
-            agg = max(v for v, _ in values)
-            offsets = tuple(o for v, o in values if v == agg)
+            agg = max(column)
+            hit = tuple(o for v, o in zip(column, offsets) if v == agg)
         else:
-            agg = sum(v for v, _ in values) / len(values)
-            offsets = tuple(o for _, o in values)
+            agg = sum(column) / len(column)
+            hit = tuple(offsets)
         severity = bands.classify_value(quantity, agg)
-        events.append(AlertEvent(batch.seq, kind, severity, agg, offsets, None, now))
+        events.append(AlertEvent(batch.seq, kind, severity, agg, hit, None, now))
 
-    if rules is not None and len(rules) > 0:
-        facts = []
-        for offset, codes, classification in per_record:
-            facts.extend(record_facts(offset, codes, classification))
+    if use_rules:
         try:
             saturated = rules_mod.evaluate(rules, rules_mod.FactBase(facts))
         except rules_mod.TypeClash as exc:
             raise BatchEvaluationError(batch.seq, batch.first_offset, exc) from None
-        derived = sorted(saturated.derived(), key=rules_mod.format_atom)
-        for fact in derived:
-            deriv = saturated.derivations[fact]
+        derivations = saturated.derivations
+        for fact in sorted(saturated.derived(), key=rules_mod.format_atom):
             events.append(AlertEvent(
-                batch.seq, "RULE", fact.predicate, None,
-                _offsets_in_fact(fact), deriv.rule, now))
+                batch.seq, "RULE", fact[0], None, _offsets(fact[1], individuals),
+                derivations[fact].rule, now))
     return events
 
 
@@ -327,24 +382,25 @@ _CHECKPOINT_FIELDS = {"source_id": str, "batch_seq": int, "offset": int,
                       "fingerprint": str}
 
 
-def checkpoint_save(path, cp: Checkpoint):
+def checkpoint_save(path, cp: Checkpoint, previous=None):
     """Atomic write (temp + rename) with a trailing integrity hash line.
-    Refuses to regress behind an existing valid checkpoint."""
-    path = Path(path)
-    if path.exists():
+    Refuses to regress behind `previous`, the checkpoint the caller last
+    wrote there, or, without one, behind an existing valid checkpoint."""
+    if previous is None and os.path.exists(path):
         try:
-            existing = checkpoint_load(path)
+            previous = checkpoint_load(path)
         except CorruptCheckpoint:
-            existing = None
-        if existing is not None and cp.batch_seq < existing.batch_seq:
-            raise StaleCheckpoint(
-                f"refusing to regress checkpoint from batch {existing.batch_seq} "
-                f"to {cp.batch_seq}")
+            pass
+    if previous is not None and cp.batch_seq < previous.batch_seq:
+        raise StaleCheckpoint(
+            f"refusing to regress checkpoint from batch {previous.batch_seq} "
+            f"to {cp.batch_seq}")
     body = _to_json(vars(cp))
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(body + "\n" + digest + "\n", encoding="utf-8")
-    tmp.replace(path)
+    tmp = os.fspath(path) + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(body + "\n" + digest + "\n")
+    os.replace(tmp, path)
 
 
 def checkpoint_load(path) -> Checkpoint:
@@ -382,10 +438,10 @@ def run_pipeline(source_spec, sink_path, checkpoint_path=None, batch_size=20,
     must match the checkpoint or the run is refused. crash_hook(point, seq)
     is called at the instrumented points "after_sink" and "after_checkpoint".
     """
-    _require_all_quantities(bands)
+    _quantity_table(bands)
     fingerprint = config_fingerprint(rules_text, bands)
     source_id = parse_source(source_spec).source_id
-    start_offset, first_seq = 0, 0
+    start_offset, first_seq, cp = 0, 0, None
     if checkpoint_path is not None and Path(checkpoint_path).exists():
         cp = checkpoint_load(checkpoint_path)
         if cp.fingerprint != fingerprint:
@@ -407,14 +463,15 @@ def run_pipeline(source_spec, sink_path, checkpoint_path=None, batch_size=20,
     with sink:
         for batch in cut_batches(source, batch_size, first_seq):
             events = batch_evaluate(batch, bands, rules, aggregate)
-            for event in events:
-                sink.write(event.to_json() + "\n")
+            sink.write("".join([event.to_json() + "\n" for event in events]))
             sink.flush()
             if crash_hook is not None:
                 crash_hook("after_sink", batch.seq)
             if checkpoint_path is not None:
-                checkpoint_save(checkpoint_path, Checkpoint(
-                    source_id, batch.seq, batch.last_offset + 1, fingerprint))
+                written = Checkpoint(source_id, batch.seq, batch.last_offset + 1,
+                                     fingerprint)
+                checkpoint_save(checkpoint_path, written, cp)
+                cp = written
             if crash_hook is not None:
                 crash_hook("after_checkpoint", batch.seq)
             stats.records_in += len(batch)

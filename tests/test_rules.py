@@ -793,3 +793,76 @@ class TestShippedRuleBoundaries:
             facts = _guard_violating_facts(rule)
             out = rules.evaluate(rules.RuleSet([rule]), FactBase(facts))
             assert not out.derived(), f"{rule.name} fired through a violated guard"
+
+
+def _saturation(out):
+    """Everything evaluate hands back, in order: facts and derivations."""
+    return list(out.facts), list(out.derivations.items())
+
+
+class TestCompiledRuleSet:
+    """A RuleSet compiles its plans once; evaluating through them must give
+    what compiling afresh for every call gives."""
+
+    @staticmethod
+    def _programs():
+        """The shipped alert rules plus a reversed chain over the record
+        facts of bundled batches, and one random program's rules over other
+        random programs' facts."""
+        from firedss import fwi, ingest, stream
+        alert = rules.parse_rules(data_text("fwi_alerts.rules") + "".join(
+            f"rule link{k}: when "
+            f"{'DcClass_difficult_and_extensive' if k == 1 else f'Stage{k - 1}'}(?r) "
+            f"then assert Stage{k}(?r)\n" for k in range(6, 0, -1)))
+        records = list(ingest.iter_records(
+            data_text("forestfires_synthetic.csv").splitlines(), header=True))
+        bases = []
+        for start in range(0, 160, 20):
+            facts = []
+            for offset in range(start, start + 20):
+                codes = fwi.compute_codes(records[offset])
+                facts.extend(stream.record_facts(offset, codes, fwi.classify(codes)))
+            bases.append(FactBase(facts))
+        rng = random.Random(7)
+        random_rules, _ = _random_program(rng)
+        return [(alert, bases),
+                (random_rules, [_random_program(rng)[1] for _ in range(30)])]
+
+    def test_one_rule_set_over_many_fact_bases(self):
+        for rs, bases in self._programs():
+            for base in bases:
+                fresh = rules.evaluate(rules.RuleSet(rs.rules), base)
+                assert _saturation(rules.evaluate(rs, base)) == _saturation(fresh)
+
+    def test_one_rule_set_shared_by_two_threads(self):
+        import threading
+        for rs, bases in self._programs():
+            expected = [_saturation(rules.evaluate(rules.RuleSet(rs.rules), base))
+                        for base in bases]
+            shared = rules.RuleSet(rs.rules)       # compiled by whichever thread is first
+            start = threading.Barrier(2)
+            got = [None, None]
+
+            def run(slot):
+                start.wait()
+                got[slot] = [_saturation(rules.evaluate(shared, base))
+                             for base in bases * 3]
+
+            threads = [threading.Thread(target=run, args=(slot,)) for slot in (0, 1)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert got == [expected * 3, expected * 3]
+
+    @pytest.mark.parametrize("duplicate", [
+        lambda rs: pickle.loads(pickle.dumps(rs)), copy.copy, copy.deepcopy])
+    def test_pickled_and_copied_rule_sets_evaluate_the_same(self, duplicate):
+        for rs, bases in self._programs():
+            before = duplicate(rs)                 # possibly not compiled yet
+            expected = [_saturation(rules.evaluate(rs, base)) for base in bases]
+            after = duplicate(rs)                  # compiled
+            for other in (before, after):
+                assert other.rules == rs.rules
+                assert [_saturation(rules.evaluate(other, base))
+                        for base in bases] == expected

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import pickle
 import random
 import socket
 import threading
@@ -348,6 +349,16 @@ class TestCheckpoints:
         with pytest.raises(StaleCheckpoint):
             checkpoint_save(path, Checkpoint("s", 3, 80, "f"))
 
+    def test_save_checks_the_previous_checkpoint_without_reading(self, tmp_path,
+                                                                 monkeypatch):
+        path = tmp_path / "cp"
+        checkpoint_save(path, Checkpoint("s", 5, 120, "f"))
+        monkeypatch.setattr(stream, "checkpoint_load", None)    # must not be called
+        with pytest.raises(StaleCheckpoint, match="from batch 7 to 6"):
+            checkpoint_save(path, Checkpoint("s", 6, 140, "f"), Checkpoint("s", 7, 160, "f"))
+        checkpoint_save(path, Checkpoint("s", 6, 140, "f"), Checkpoint("s", 5, 120, "f"))
+        assert checkpoint_load(path) == Checkpoint("s", 6, 140, "f")
+
     def test_truncated_file_is_corrupt(self, tmp_path):
         path = tmp_path / "cp"
         checkpoint_save(path, Checkpoint("s", 1, 40, "f"))
@@ -518,6 +529,32 @@ class TestRunPipeline:
             run_pipeline(dataset_file, sink, cp, rules=alert_rules,
                          rules_text=rules_alerts_text + "\n# changed\n")
 
+    def test_checkpoint_is_read_once_per_run(self, dataset_file, tmp_path, monkeypatch,
+                                             alert_rules, rules_alerts_text):
+        loads = []
+        load = stream.checkpoint_load
+
+        def counting(path):
+            loads.append(path)
+            return load(path)
+
+        def crash(point, seq):
+            if point == "after_checkpoint" and seq == 10:
+                raise SimulatedCrash("crash")
+
+        monkeypatch.setattr(stream, "checkpoint_load", counting)
+        sink, cp = tmp_path / "alerts.jsonl", tmp_path / "cp"
+        with pytest.raises(SimulatedCrash):
+            run_pipeline(dataset_file, sink, cp, rules=alert_rules,
+                         rules_text=rules_alerts_text, crash_hook=crash)
+        assert loads == []                  # a fresh run reads none
+        stats = run_pipeline(dataset_file, sink, cp, rules=alert_rules,
+                             rules_text=rules_alerts_text)
+        assert loads == [cp]                # a resumed run reads it once
+        assert stats.batches_out == 15
+        assert load(cp) == Checkpoint(f"file:{dataset_file}", 25, 517,
+                                      stream.config_fingerprint(rules_alerts_text))
+
     def test_source_change_refuses_resume(self, dataset_file, tmp_path):
         sink = tmp_path / "alerts.jsonl"
         cp = tmp_path / "cp"
@@ -573,6 +610,32 @@ class TestRecordFormats:
             '{"batch": 3, "kind": "RULE", "offsets": [40, 41], '
             '"rule": "trigger_alert", "severity": "FireTrigger", '
             '"ts_ms": 1700000000123, "value": null}')
+
+    @pytest.mark.parametrize("event", [
+        (0, "FFMC_IGNITION", "moderately easy", 85.1, (3, 17), None, 0),
+        (12, "DC_MOPUP", "très-grim / 2", 1e300, (), None, -5),
+        (7, "FWI", "extreme", math.inf, (1,), None, 1),
+        (7, "FWI", "low", -math.inf, (1,), None, 1),
+        (7, "BUI", "low", math.nan, (1,), None, 1),
+        (7, "BUI", "low", 2, (1,), None, 1),
+        (3, "RULE", 'a"b\\c\u2028', None, (40, 41), "r\x00", 1700000000123),
+    ])
+    def test_alert_line_is_json_dumps_with_sorted_keys(self, event):
+        alert = stream.AlertEvent(*event)
+        fields = dict(zip(("batch", "kind", "severity", "value", "offsets", "rule",
+                           "ts_ms"), event))
+        assert alert.to_json() == json.dumps(fields, sort_keys=True)
+
+    def test_alert_is_a_tuple_with_named_fields(self):
+        event = stream.AlertEvent(3, "RULE", "FireTrigger", None, (40, 41),
+                                  "trigger_alert", 1700000000123)
+        assert isinstance(event, tuple)
+        assert (event.batch, event.kind, event.severity, event.value, event.offsets,
+                event.rule, event.ts_ms) == tuple(event)
+        assert pickle.loads(pickle.dumps(event)) == event
+        assert repr(event) == (
+            "AlertEvent(batch=3, kind='RULE', severity='FireTrigger', value=None, "
+            "offsets=(40, 41), rule='trigger_alert', ts_ms=1700000000123)")
 
     def test_stats_line_sorts_alert_kinds(self):
         stats = stream.PipelineStats(records_in=517, batches_out=26, duration_ms=12.5)
@@ -635,7 +698,8 @@ class TestBatchPathParity:
          "bui_class value inf not finite and >= 0"),
         (FWI_INF_ROW, [], fwi.OutOfRange,
          "fwi_class value inf not finite and >= 0"),
-    ])
+    ], ids=["bui-in-trigger", "fwi-first-in-trigger", "both-fwi-first-in-trigger",
+            "bui-skipped-by-trigger", "bui-not-in-trigger", "fwi-no-trigger"])
     def test_out_of_range_codes_raise_as_before(self, row, trigger, error, message,
                                                 alert_rules):
         batch = batch_of([CALM_ROW, row, TRIGGER_ROW], seq=4)
