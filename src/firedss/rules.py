@@ -154,12 +154,10 @@ class RuleSet:
 
     @functools.cached_property
     def _compiled(self):
-        """The part of `evaluate`'s work that no fact changes, done once:
-        per rule its name, positive atoms, builtins, head, the (predicate,
-        arity) key of each body atom and the argument positions and terms
-        of its index probe (None for a full scan); and the trigger index,
-        each body key in rule order mapped to the ascending rules whose
-        body uses it; and the set of body predicates."""
+        """Per rule its name, positive atoms, builtins, head, and each body
+        atom's (predicate, arity) key and index probe (positions and terms,
+        None to scan); the trigger index, each body key in rule order ->
+        its rules ascending; and the body predicates."""
         plans, triggers = [], {}
         for r, rule in enumerate(self.rules):
             atoms, keys, probes, bound = rule.positive_atoms(), [], [], set()
@@ -547,6 +545,10 @@ def evaluate(rules: RuleSet, facts: FactBase) -> FactBase:
     atoms runs once. Saturation stops when a round wakes no rule for the
     next. Each (round, rule) step derives the same new facts as re-joining
     everything would, so the rule credited for a fact is the same too.
+
+    What no fact changes is compiled once per RuleSet and cached on it
+    (`RuleSet._compiled`); a call builds only the fact lists, the indexes
+    and the watermarks, so calls and threads can share one RuleSet.
 
     Heads cannot introduce new individuals, so the fixpoint exists and the
     fact set is independent of rule and fact ordering. The facts are kept

@@ -2,17 +2,21 @@
 classification + rule evaluation, alert emission, and checkpointed resume.
 
 Batches are cut by record count (default 20), which keeps file replay
-deterministic. Each batch is evaluated twice over:
+deterministic. One pass over each record computes its codes, classifies
+them (band bounds tabled once per ClassBands) and encodes the record as
+facts: individual ``rec_<offset>`` with one unary atom per classification
+label and one binary atom per code. Then:
 
-* the six code quantities are aggregated (max by default) and classified,
+* the six code columns are aggregated (max by default) and classified,
   emitting one alert per quantity;
-* every record is translated into facts (individual ``rec_<offset>`` with
-  one unary atom per classification label and one binary atom per code),
-  the rule set is saturated, and each derived fact becomes a RULE alert.
+* the rule set, compiled once per RuleSet, is saturated over the facts,
+  and each derived fact becomes a RULE alert, its offsets taken from the
+  batch's individual -> offset map (any other ``rec_<n>`` giving n).
 
 Delivery is at-least-once: alerts are flushed to the sink before the
 checkpoint is saved, so a crash in between replays one whole batch.
 Checkpoints refuse to resume when the rule/band fingerprint has changed.
+A run reads its checkpoint once, at start.
 """
 
 from __future__ import annotations
@@ -108,8 +112,7 @@ class AlertEvent(namedtuple("AlertEvent", "batch kind severity value offsets rul
     __slots__ = ()
 
     def to_json(self):
-        """The sink line: the fields as a JSON object with sorted keys, as
-        json.dumps(..., sort_keys=True) writes it."""
+        """The sink line, as json.dumps(fields, sort_keys=True) writes it."""
         batch, kind, severity, value, offsets, rule, ts_ms = self
         return (f'{{"batch": {batch:d}, "kind": {_json_str(kind)}, '
                 f'"offsets": [{", ".join(map(str, offsets))}], '
@@ -269,15 +272,13 @@ def record_facts(offset, codes, classification):
     return facts
 
 
-_TABLES = weakref.WeakKeyDictionary()
+_TABLES = weakref.WeakKeyDictionary()     # ClassBands -> its _quantity_table
 
 
 def _quantity_table(bands):
-    """Per quantity in alert order, how the batch path classifies a record's
-    code: None if it does not (a quantity without a label and outside the
-    trigger), else the band upper bounds and the label predicates (None for
-    a trigger quantity without a label, which is only range-checked). This
-    is the work of fwi.classify; built once per ClassBands."""
+    """Per quantity in alert order, the band upper bounds (None unless
+    fwi.classify classifies it: it has a label or is in the trigger) and
+    the label predicates (None if it has no label)."""
     table = _TABLES.get(bands)
     if table is None:
         missing = [q for q in fwi.QUANTITIES if q not in bands.bands]
@@ -285,9 +286,9 @@ def _quantity_table(bands):
             raise StreamError(f"bands lack the quantities {', '.join(missing)}")
         triggered = {q for q, _ in bands.trigger}
         table = _TABLES[bands] = tuple(
-            None if prefix is None and quantity not in triggered else
-            (tuple(u for u, _ in bands.bands[quantity]), prefix and tuple(
-                _label_predicate(prefix, label) for label in bands.labels(quantity)))
+            (tuple(u for u, _ in bands.bands[quantity])
+             if prefix or quantity in triggered else None,
+             prefix and tuple(_label_predicate(prefix, l) for l in bands.labels(quantity)))
             for _, quantity, _, prefix in _ALERT_QUANTITIES)
     return table
 
@@ -297,14 +298,13 @@ def _offsets(args, individuals):
     batch's records, and any other rec_<n> as n."""
     out = []
     for arg in args:
-        offset = individuals.get(arg)
-        if offset is None and arg[0] is rules_mod.Individual and arg[1].startswith("rec_"):
+        if arg in individuals:
+            out.append(individuals[arg])
+        elif arg[0] is rules_mod.Individual and arg[1].startswith("rec_"):
             try:
-                offset = int(arg[1][4:])
+                out.append(int(arg[1][4:]))
             except ValueError:
-                continue
-        if offset is not None:
-            out.append(offset)
+                pass
     return tuple(out)
 
 
@@ -330,13 +330,9 @@ def batch_evaluate(batch, bands=fwi.DEFAULT_BANDS, rules=None, aggregate="max"):
             codes = fwi.compute_codes(record)
             values = _codes_of(codes)
             labels = []
-            for value, classes in zip(values, table):
-                if classes is None:
-                    labels.append(None)
-                    continue
-                if not 0.0 <= value < math.inf:
+            for value, (uppers, predicates) in zip(values, table):
+                if uppers is not None and not 0.0 <= value < math.inf:
                     fwi.classify(codes, bands)  # raises, unless it skips this trigger quantity
-                uppers, predicates = classes
                 labels.append(predicates and predicates[bisect_right(uppers, value)])
         except (fwi.OutOfRange, fwi.BandConfigError) as exc:
             raise BatchEvaluationError(batch.seq, offset, exc) from None
