@@ -434,7 +434,7 @@ def run_pipeline(source_spec, sink_path, checkpoint_path=None, batch_size=20,
     must match the checkpoint or the run is refused. crash_hook(point, seq)
     is called at the instrumented points "after_sink" and "after_checkpoint".
     """
-    _quantity_table(bands)
+    _quantity_table(bands)      # all six quantities, checked before the sink opens
     fingerprint = config_fingerprint(rules_text, bands)
     source_id = parse_source(source_spec).source_id
     start_offset, first_seq, cp = 0, 0, None

@@ -5,12 +5,13 @@ import pickle
 import random
 import subprocess
 import sys
+import threading
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from firedss import data_text, rules
+from firedss import data_text, fwi, ingest, rules, stream
 from firedss.rules import (
     Atom, Bool, DuplicateRuleName, FactBase, Individual, Num, RuleSyntaxError,
     Str, TypeClash, UnknownBuiltin, UnknownFact, UnsafeVariable, Variable,
@@ -809,7 +810,6 @@ class TestCompiledRuleSet:
         """The shipped alert rules plus a reversed chain over the record
         facts of bundled batches, and one random program's rules over other
         random programs' facts."""
-        from firedss import fwi, ingest, stream
         alert = rules.parse_rules(data_text("fwi_alerts.rules") + "".join(
             f"rule link{k}: when "
             f"{'DcClass_difficult_and_extensive' if k == 1 else f'Stage{k - 1}'}(?r) "
@@ -834,26 +834,31 @@ class TestCompiledRuleSet:
                 fresh = rules.evaluate(rules.RuleSet(rs.rules), base)
                 assert _saturation(rules.evaluate(rs, base)) == _saturation(fresh)
 
-    def test_one_rule_set_shared_by_two_threads(self):
-        import threading
-        for rs, bases in self._programs():
-            expected = [_saturation(rules.evaluate(rules.RuleSet(rs.rules), base))
-                        for base in bases]
-            shared = rules.RuleSet(rs.rules)       # compiled by whichever thread is first
-            start = threading.Barrier(2)
-            got = [None, None]
+    def test_one_rule_set_shared_by_threads(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for rs, bases in self._programs():
+                expected = [_saturation(rules.evaluate(rules.RuleSet(rs.rules), base))
+                            for base in bases]
+                shared = rules.RuleSet(rs.rules)   # compiled by whichever thread is first
+                start = threading.Barrier(4)
+                got = [None] * 4
 
-            def run(slot):
-                start.wait()
-                got[slot] = [_saturation(rules.evaluate(shared, base))
-                             for base in bases * 3]
+                def run(slot):
+                    start.wait(timeout=30)
+                    got[slot] = [_saturation(rules.evaluate(shared, base))
+                                 for base in bases * 2]
 
-            threads = [threading.Thread(target=run, args=(slot,)) for slot in (0, 1)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            assert got == [expected * 3, expected * 3]
+                threads = [threading.Thread(target=run, args=(slot,)) for slot in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert got == [expected * 2] * 4
+        finally:
+            sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("duplicate", [
         lambda rs: pickle.loads(pickle.dumps(rs)), copy.copy, copy.deepcopy])
