@@ -236,7 +236,6 @@ def cut_batches(source, size=20, first_seq=0):
 
 # --- per-batch evaluation ------------------------------------------------------
 
-@functools.lru_cache(maxsize=1024)
 def _label_predicate(prefix, label):
     """Unary predicate <prefix>_<label>, each non-alphanumeric label
     character replaced by an underscore."""
@@ -312,10 +311,9 @@ def batch_evaluate(batch, bands=fwi.DEFAULT_BANDS, rules=None, aggregate="max"):
     """Alerts for one batch: six aggregate-classification alerts plus one
     RULE alert per fact the rule set derives from the record facts.
 
-    One pass per record computes its codes, classifies each of them that
-    fwi.classify would (by bisection of the band bounds) and appends its
-    facts, the same as record_facts(offset, codes, fwi.classify(codes,
-    bands)) gives; an out-of-range code raises what fwi.classify raises."""
+    One pass per record classifies the codes fwi.classify would, raising
+    as it does, and, with rules, encodes the facts that record_facts(offset,
+    codes, fwi.classify(codes, bands)) gives."""
     table = _quantity_table(bands)
     if not batch.records:
         raise StreamError(f"batch {batch.seq} is empty")

@@ -6,6 +6,7 @@ import pickle
 import random
 import socket
 import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -719,6 +720,64 @@ class TestBatchPathParity:
         assert (caught.value.batch_seq, caught.value.offset) == (2, 41)
         assert str(caught.value) == (
             "batch 2, offset 41: ignition_potential value nan not finite and >= 0")
+
+    @staticmethod
+    def _reference(batch, bands, rs, aggregate):
+        """The batch path as it was before one-pass records: fwi.classify and
+        record_facts per record, offsets parsed back from rec_<n>."""
+        per_record = []
+        for offset, record in batch.records:
+            try:
+                codes = fwi.compute_codes(record)
+                per_record.append((offset, codes, fwi.classify(codes, bands)))
+            except fwi.OutOfRange as exc:
+                raise stream.BatchEvaluationError(batch.seq, offset, exc) from None
+        events = []
+        for kind, quantity, _, _ in stream._ALERT_QUANTITIES:
+            values = [(getattr(c, fwi.QUANTITIES[quantity]), o) for o, c, _ in per_record]
+            if aggregate == "max":
+                agg = max(v for v, _ in values)
+                offsets = tuple(o for v, o in values if v == agg)
+            else:
+                agg = sum(v for v, _ in values) / len(values)
+                offsets = tuple(o for _, o in values)
+            events.append((kind, bands.classify_value(quantity, agg), agg, offsets, None))
+        facts = [f for o, c, cls in per_record for f in stream.record_facts(o, c, cls)]
+        out = rules.evaluate(rs, rules.FactBase(facts))
+        for fact in sorted(out.derived(), key=rules.format_atom):
+            offsets = tuple(int(a.name[4:]) for a in fact.args
+                            if isinstance(a, rules.Individual) and a.name.startswith("rec_"))
+            events.append(("RULE", fact.predicate, None, offsets, out.derivations[fact].rule))
+        return events
+
+    def test_random_batches_match_the_reference(self, dataset_text, rules_alerts_text):
+        rs = rules.parse_rules(rules_alerts_text + "rule near: when mopUpNeeded(?r) "
+                               "then assert near(?r, rec_3)\n")
+        rows = dataset_text.splitlines()[1:]
+        extreme = [self.BUI_INF_ROW, self.FWI_INF_ROW, self.BOTH_INF_ROW]
+        choices = [(q, label) for q in fwi.QUANTITIES for label in
+                   fwi.DEFAULT_BANDS.labels(q)]
+        rng = random.Random(12)
+        outcomes = Counter()
+        for case in range(150):
+            bands = self._bands(*rng.sample(choices, rng.randint(0, 3)))
+            batch = batch_of([rng.choice(extreme if rng.random() < 0.05 else rows)
+                              for _ in range(rng.randint(1, 8))],
+                             seq=case, start_offset=rng.randint(0, 30))
+            aggregate = rng.choice(["max", "mean"])
+            try:
+                expected = self._reference(batch, bands, rs, aggregate)
+            except (fwi.OutOfRange, stream.BatchEvaluationError) as exc:
+                with pytest.raises(type(exc)) as caught:
+                    batch_evaluate(batch, bands, rs, aggregate)
+                assert type(caught.value) is type(exc) and str(caught.value) == str(exc)
+                outcomes[type(exc).__name__] += 1
+                continue
+            got = batch_evaluate(batch, bands, rs, aggregate)
+            assert [(e.kind, e.severity, e.value, e.offsets, e.rule) for e in got] == expected
+            assert {e.batch for e in got} == {case}
+            outcomes["alerts"] += 1
+        assert set(outcomes) == {"alerts", "OutOfRange", "BatchEvaluationError"}
 
     def test_saturated_facts_are_the_record_facts(self, monkeypatch, alert_rules):
         bands = fwi.ClassBands(dict(
