@@ -864,9 +864,9 @@ class TestCompiledRuleSet:
         lambda rs: pickle.loads(pickle.dumps(rs)), copy.copy, copy.deepcopy])
     def test_pickled_and_copied_rule_sets_evaluate_the_same(self, duplicate):
         for rs, bases in self._programs():
-            before = duplicate(rs)                 # possibly not compiled yet
+            before = duplicate(rs)                 # taken before the first evaluate
             expected = [_saturation(rules.evaluate(rs, base)) for base in bases]
-            after = duplicate(rs)                  # compiled
+            after = duplicate(rs)                  # taken after compiling
             for other in (before, after):
                 assert other.rules == rs.rules
                 assert [_saturation(rules.evaluate(other, base))
