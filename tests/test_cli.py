@@ -188,6 +188,23 @@ class TestStream:
                            "--sink", str(tmp_path / "alerts.jsonl"))
         assert code == 1 and "missing column" in err
 
+    @pytest.mark.parametrize("rows, flags, cause", [
+        (["8,6,aug,mon,92.3,1e308,1e308,8.5,24.1,27,3.1,0.0,0.0"], [],
+         "dmc 1e+308 too large for the BUI equation"),
+        (["8,6,aug,mon,92.3,88.9,495.6,1e308,24.1,27,3.1,0.0,0.0"], [],
+         "fwi_class value inf not finite and >= 0"),
+        (["8,6,aug,mon,92.3,1.0,1e308,8.5,24.1,27,3.1,0.0,0.0"] * 2, ["--aggregate", "mean"],
+         "dc_class value inf not finite and >= 0"),
+    ], ids=["bui-overflow", "isi-1e308", "mean-overflow"])
+    def test_codes_past_the_float_range_name_the_record(self, capsys, tmp_path, rows,
+                                                        flags, cause):
+        data = tmp_path / "extreme.csv"
+        data.write_text("\n".join([HEADER, *rows]) + "\n", encoding="utf-8")
+        code, _, err = run(capsys, "stream", "--dataset", str(data),
+                           "--sink", str(tmp_path / "alerts.jsonl"), *flags)
+        assert code == 1
+        assert err == f"firedss: error: batch 0, offset 0: {cause}\n"
+
 
 def _stream_stdin(tmp_path, text):
     """Run `firedss stream --dataset -` in a child process fed ``text``."""

@@ -127,6 +127,13 @@ class TestBui:
         want = oracles.ref_bui(88.9, 495.6)
         assert fwi.bui(88.9, 495.6) == pytest.approx(want, abs=1e-9)
 
+    def test_dmc_past_the_equation_range_is_out_of_range(self):
+        # (0.0114 * dmc) ** 1.7 passes the float maximum near dmc = 1.7e183
+        assert math.isfinite(fwi.bui(1e180, 1e180))
+        with pytest.raises(OutOfRange) as caught:
+            fwi.bui(1e308, 1e308)
+        assert str(caught.value) == "dmc 1e+308 too large for the BUI equation"
+
 
 class TestFwi:
     def test_zero_isi(self):
@@ -241,9 +248,28 @@ class TestClassify:
         lo, hi = min(a, b), max(a, b)
         for quantity in fwi.QUANTITIES:
             bands = fwi.DEFAULT_BANDS
-            idx_lo = bands.label_index(quantity, bands.classify_value(quantity, lo))
-            idx_hi = bands.label_index(quantity, bands.classify_value(quantity, hi))
+            idx_lo = bands.band_index(quantity, lo)
+            idx_hi = bands.band_index(quantity, hi)
             assert idx_lo <= idx_hi
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1e-300])
+    def test_band_index_is_the_range_check(self, value):
+        bands = fwi.DEFAULT_BANDS
+        for quantity in fwi.QUANTITIES:
+            for lookup in (bands.band_index, bands.classify_value):
+                with pytest.raises(OutOfRange) as caught:
+                    lookup(quantity, value)
+                assert str(caught.value) == f"{quantity} value {value} not finite and >= 0"
+
+    def test_band_index_is_the_label_position(self):
+        bands = fwi.DEFAULT_BANDS
+        for quantity, entries in bands.bands.items():
+            bounds = [0.0, -0.0] + [u for u, _ in entries[:-1]]
+            for value in bounds + [math.nextafter(u, 0.0) for u in bounds[2:]] + [1e308]:
+                index = bands.band_index(quantity, value)
+                assert bands.labels(quantity)[index] == bands.classify_value(quantity, value)
+                assert value < entries[index][0]
+                assert index == 0 or entries[index - 1][0] <= value
 
     def test_band_boundaries_are_half_open(self):
         bands = fwi.DEFAULT_BANDS

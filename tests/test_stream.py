@@ -682,7 +682,8 @@ class TestBatchPathParity:
         return fwi.ClassBands(fwi.DEFAULT_BANDS.bands, trigger)
 
     @pytest.mark.parametrize("row, trigger, error, message", [
-        # a trigger quantity is classified per record, naming the record
+        # every code of every record is checked, in alert order, whatever the
+        # trigger, and the first one out of range names its record
         (BUI_INF_ROW, [("bui_class", "high")], stream.BatchEvaluationError,
          "batch 4, offset 1: bui_class value inf not finite and >= 0"),
         (FWI_INF_ROW, [("fwi_class", "low"), ("bui_class", "high")],
@@ -690,15 +691,14 @@ class TestBatchPathParity:
          "batch 4, offset 1: fwi_class value inf not finite and >= 0"),
         (BOTH_INF_ROW, [("fwi_class", "low"), ("bui_class", "high")],
          stream.BatchEvaluationError,
+         "batch 4, offset 1: bui_class value inf not finite and >= 0"),
+        (BUI_INF_ROW, [("fwi_class", "low"), ("bui_class", "high")],
+         stream.BatchEvaluationError,
+         "batch 4, offset 1: bui_class value inf not finite and >= 0"),
+        (BUI_INF_ROW, [("dc_class", "easy")], stream.BatchEvaluationError,
+         "batch 4, offset 1: bui_class value inf not finite and >= 0"),
+        (FWI_INF_ROW, [], stream.BatchEvaluationError,
          "batch 4, offset 1: fwi_class value inf not finite and >= 0"),
-        # fwi.classify stops at the first trigger quantity whose label misses
-        (BUI_INF_ROW, [("fwi_class", "low"), ("bui_class", "high")], fwi.OutOfRange,
-         "bui_class value inf not finite and >= 0"),
-        # otherwise only the aggregate of the batch is classified
-        (BUI_INF_ROW, [("dc_class", "easy")], fwi.OutOfRange,
-         "bui_class value inf not finite and >= 0"),
-        (FWI_INF_ROW, [], fwi.OutOfRange,
-         "fwi_class value inf not finite and >= 0"),
     ], ids=["bui-in-trigger", "fwi-first-in-trigger", "both-fwi-first-in-trigger",
             "bui-skipped-by-trigger", "bui-not-in-trigger", "fwi-no-trigger"])
     def test_out_of_range_codes_raise_as_before(self, row, trigger, error, message,
@@ -721,14 +721,35 @@ class TestBatchPathParity:
         assert str(caught.value) == (
             "batch 2, offset 41: ignition_potential value nan not finite and >= 0")
 
+    def test_bui_past_its_equation_names_its_record(self, alert_rules):
+        row = "8,6,aug,mon,92.3,1e308,1e308,8.5,24.1,27,3.1,0.0,0.0"
+        with pytest.raises(stream.BatchEvaluationError) as caught:
+            batch_evaluate(batch_of([CALM_ROW, row], seq=3), rules=alert_rules)
+        assert str(caught.value) == (
+            "batch 3, offset 1: dmc 1e+308 too large for the BUI equation")
+
+    def test_overflowing_mean_names_the_first_record(self, alert_rules):
+        # each DC is in range, and so is their max; their sum is not finite
+        row = "8,6,aug,mon,92.3,1.0,1e308,8.5,24.1,27,3.1,0.0,0.0"
+        batch = batch_of([row, row], seq=5, start_offset=7)
+        assert batch_evaluate(batch, rules=alert_rules, aggregate="max")[2].value == 1e308
+        with pytest.raises(stream.BatchEvaluationError) as caught:
+            batch_evaluate(batch, rules=alert_rules, aggregate="mean")
+        assert (caught.value.batch_seq, caught.value.offset) == (5, 7)
+        assert str(caught.value) == (
+            "batch 5, offset 7: dc_class value inf not finite and >= 0")
+
     @staticmethod
     def _reference(batch, bands, rs, aggregate):
         """The batch path as it was before one-pass records: fwi.classify and
-        record_facts per record, offsets parsed back from rec_<n>."""
+        record_facts per record, offsets parsed back from rec_<n>; each code
+        of each record, and each aggregate, classified first."""
         per_record = []
         for offset, record in batch.records:
             try:
                 codes = fwi.compute_codes(record)
+                for _, quantity, _, _ in stream._ALERT_QUANTITIES:
+                    bands.classify_value(quantity, getattr(codes, fwi.QUANTITIES[quantity]))
                 per_record.append((offset, codes, fwi.classify(codes, bands)))
             except fwi.OutOfRange as exc:
                 raise stream.BatchEvaluationError(batch.seq, offset, exc) from None
@@ -741,7 +762,11 @@ class TestBatchPathParity:
             else:
                 agg = sum(v for v, _ in values) / len(values)
                 offsets = tuple(o for _, o in values)
-            events.append((kind, bands.classify_value(quantity, agg), agg, offsets, None))
+            try:
+                severity = bands.classify_value(quantity, agg)
+            except fwi.OutOfRange as exc:
+                raise stream.BatchEvaluationError(batch.seq, offsets[0], exc) from None
+            events.append((kind, severity, agg, offsets, None))
         facts = [f for o, c, cls in per_record for f in stream.record_facts(o, c, cls)]
         out = rules.evaluate(rs, rules.FactBase(facts))
         for fact in sorted(out.derived(), key=rules.format_atom):
@@ -767,7 +792,7 @@ class TestBatchPathParity:
             aggregate = rng.choice(["max", "mean"])
             try:
                 expected = self._reference(batch, bands, rs, aggregate)
-            except (fwi.OutOfRange, stream.BatchEvaluationError) as exc:
+            except stream.BatchEvaluationError as exc:
                 with pytest.raises(type(exc)) as caught:
                     batch_evaluate(batch, bands, rs, aggregate)
                 assert type(caught.value) is type(exc) and str(caught.value) == str(exc)
@@ -777,7 +802,7 @@ class TestBatchPathParity:
             assert [(e.kind, e.severity, e.value, e.offsets, e.rule) for e in got] == expected
             assert {e.batch for e in got} == {case}
             outcomes["alerts"] += 1
-        assert set(outcomes) == {"alerts", "OutOfRange", "BatchEvaluationError"}
+        assert set(outcomes) == {"alerts", "BatchEvaluationError"}
 
     def test_saturated_facts_are_the_record_facts(self, monkeypatch, alert_rules):
         bands = fwi.ClassBands(dict(
