@@ -18,6 +18,7 @@ band thresholds and the fire-trigger predicate are configuration, not code.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, fields
 
 from ._syntax import key_values
@@ -186,8 +187,12 @@ def bui(dmc_value, dc_value) -> float:
     if dmc_value <= 0.4 * dc_value:
         value = 0.8 * dmc_value * dc_value / (dmc_value + 0.4 * dc_value)
     else:
+        try:
+            growth = (0.0114 * dmc_value) ** 1.7
+        except OverflowError:
+            raise OutOfRange(f"dmc {dmc_value} too large for the BUI equation") from None
         value = dmc_value - (1.0 - 0.8 * dc_value / (dmc_value + 0.4 * dc_value)) \
-            * (0.92 + (0.0114 * dmc_value) ** 1.7)
+            * (0.92 + growth)
     return max(value, 0.0)
 
 
@@ -216,8 +221,8 @@ def compute_codes(record) -> FwiCodes:
 
 # --- classification ---------------------------------------------------------
 
-# danger quantity -> the code it classifies, in stream alert order; the
-# quantities that are DangerClassification fields are also its labels
+# danger quantity -> the code it classifies; the quantities that are
+# DangerClassification fields are also its labels
 QUANTITIES = {
     "ignition_potential": "ffmc",
     "dmc_class": "dmc",
@@ -245,7 +250,8 @@ class ClassBands:
 
     Bands are half-open [lo, hi); the last band of every quantity is
     unbounded. `trigger` is a conjunction of (quantity, label) pairs that
-    defines the fire-trigger predicate.
+    defines the fire-trigger predicate. A value is looked up by bisection
+    of its quantity's upper bounds, tabled once here.
     """
 
     def __init__(self, bands, trigger):
@@ -254,6 +260,7 @@ class ClassBands:
         self.trigger = tuple((q, l) for q, l in trigger)
         for q, bs in self.bands.items():
             _check_bands(q, bs)
+        self._uppers = {q: tuple(u for u, _ in bs) for q, bs in self.bands.items()}
         for q, label in self.trigger:
             if q not in self.bands:
                 raise BandConfigError(f"trigger references unknown quantity {q}")
@@ -263,16 +270,14 @@ class ClassBands:
     def labels(self, quantity):
         return tuple(l for _, l in self.bands[quantity])
 
-    def classify_value(self, quantity, value):
-        if not math.isfinite(value) or value < 0.0:
+    def band_index(self, quantity, value):
+        """The position of the band of `quantity` that holds `value`."""
+        if not 0.0 <= value < math.inf:
             raise OutOfRange(f"{quantity} value {value} not finite and >= 0")
-        for upper, label in self.bands[quantity]:
-            if value < upper:
-                return label
-        raise AssertionError("unreachable: last band is unbounded")
+        return bisect_right(self._uppers[quantity], value)
 
-    def label_index(self, quantity, label):
-        return self.labels(quantity).index(label)
+    def classify_value(self, quantity, value):
+        return self.bands[quantity][self.band_index(quantity, value)][1]
 
 
 def _check_bands(quantity, bands, where=""):

@@ -23,9 +23,9 @@ from __future__ import annotations
 import functools
 import math
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from operator import itemgetter
 
 from ._syntax import Cursor, tokenize
 from ._terms import PositionIndex, Variable, bound_positions, ground, term_class, variables
@@ -86,20 +86,8 @@ Num = term_class("Num", "value")
 Bool = term_class("Bool", "value")
 
 
-class Atom(tuple):
+class Atom(namedtuple("Atom", "predicate args")):
     __slots__ = ()
-
-    def __new__(cls, predicate, args):
-        return tuple.__new__(cls, (predicate, args))
-
-    def __getnewargs__(self):
-        return tuple(self)
-
-    def __repr__(self):
-        return f"Atom(predicate={self[0]!r}, args={self[1]!r})"
-
-    predicate = property(itemgetter(0))
-    args = property(itemgetter(1))
 
     def variables(self):
         return variables(self[1])

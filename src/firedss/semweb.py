@@ -17,6 +17,7 @@ import decimal
 import math
 import operator
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 
 from ._syntax import Cursor, tokenize
@@ -127,23 +128,9 @@ def literal_for(value) -> Literal:
     return Literal(str(value), "string")
 
 
-class Triple(tuple):
+class Triple(namedtuple("Triple", "subject predicate object")):
     """The tuple (subject, predicate, object) of terms."""
     __slots__ = ()
-
-    def __new__(cls, subject, predicate, object):
-        return tuple.__new__(cls, (subject, predicate, object))
-
-    def __getnewargs__(self):
-        return tuple(self)
-
-    def __repr__(self):
-        return (f"{type(self).__name__}(subject={self[0]!r}, "
-                f"predicate={self[1]!r}, object={self[2]!r})")
-
-    subject = property(operator.itemgetter(0))
-    predicate = property(operator.itemgetter(1))
-    object = property(operator.itemgetter(2))
 
 
 class Graph:

@@ -3,12 +3,15 @@ classification + rule evaluation, alert emission, and checkpointed resume.
 
 Batches are cut by record count (default 20), which keeps file replay
 deterministic. One pass over each record computes its codes, classifies
-them (band bounds tabled once per ClassBands) and encodes the record as
-facts: individual ``rec_<offset>`` with one unary atom per classification
-label and one binary atom per code. Then:
+all six through ClassBands.band_index and encodes the record as facts:
+individual ``rec_<offset>`` with one unary atom per classification label
+and one binary atom per code. The first code outside [0, inf) fails the
+batch with a BatchEvaluationError naming its record, whatever the band
+trigger. Then:
 
 * the six code columns are aggregated (max by default) and classified,
-  emitting one alert per quantity;
+  emitting one alert per quantity; a mean past the float range fails the
+  batch naming its first record;
 * the rule set, compiled once per RuleSet, is saturated over the facts,
   and each derived fact becomes a RULE alert, its offsets taken from the
   batch's individual -> offset map (any other ``rec_<n>`` giving n).
@@ -32,7 +35,6 @@ import socket
 import sys
 import time
 import weakref
-from bisect import bisect_right
 from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -242,7 +244,8 @@ def _label_predicate(prefix, label):
     return prefix + "_" + "".join(c if c.isalnum() else "_" for c in label)
 
 
-_codes_of = operator.attrgetter(*fwi.QUANTITIES.values())   # in alert order
+_quantities = tuple(quantity for _, quantity, _, _ in _ALERT_QUANTITIES)
+_codes_of = operator.attrgetter(*(fwi.QUANTITIES[q] for q in _quantities))
 _code_predicates = tuple(predicate for _, _, predicate, _ in _ALERT_QUANTITIES)
 _Num = functools.partial(tuple.__new__, rules_mod.Num)      # _Num((Num, v)) is Num(v)
 
@@ -271,23 +274,19 @@ def record_facts(offset, codes, classification):
     return facts
 
 
-_TABLES = weakref.WeakKeyDictionary()     # ClassBands -> its _quantity_table
+_LABEL_TABLES = weakref.WeakKeyDictionary()     # ClassBands -> its _label_table
 
 
-def _quantity_table(bands):
-    """Per quantity in alert order, the band upper bounds (None unless
-    fwi.classify classifies it: it has a label or is in the trigger) and
-    the label predicates (None if it has no label)."""
-    table = _TABLES.get(bands)
+def _label_table(bands):
+    """Per quantity in alert order, its label predicates by band index
+    (None if it has no label)."""
+    table = _LABEL_TABLES.get(bands)
     if table is None:
         missing = [q for q in fwi.QUANTITIES if q not in bands.bands]
         if missing:     # bands built in code may leave quantities out
             raise StreamError(f"bands lack the quantities {', '.join(missing)}")
-        triggered = {q for q, _ in bands.trigger}
-        table = _TABLES[bands] = tuple(
-            (tuple(u for u, _ in bands.bands[quantity])
-             if prefix or quantity in triggered else None,
-             prefix and tuple(_label_predicate(prefix, l) for l in bands.labels(quantity)))
+        table = _LABEL_TABLES[bands] = tuple(
+            prefix and tuple(_label_predicate(prefix, l) for l in bands.labels(quantity))
             for _, quantity, _, prefix in _ALERT_QUANTITIES)
     return table
 
@@ -311,10 +310,12 @@ def batch_evaluate(batch, bands=fwi.DEFAULT_BANDS, rules=None, aggregate="max"):
     """Alerts for one batch: six aggregate-classification alerts plus one
     RULE alert per fact the rule set derives from the record facts.
 
-    One pass per record classifies the codes fwi.classify would, raising
-    as it does, and, with rules, encodes the facts that record_facts(offset,
-    codes, fwi.classify(codes, bands)) gives."""
-    table = _quantity_table(bands)
+    One pass per record classifies its six codes in alert order and, with
+    rules, encodes the facts that record_facts gives for the record and its
+    classification. The first code out of range, or an aggregate mean past
+    the float range, raises BatchEvaluationError naming the batch and the
+    record (the batch's first for a mean)."""
+    table = _label_table(bands)
     if not batch.records:
         raise StreamError(f"batch {batch.seq} is empty")
     if aggregate not in ("max", "mean"):
@@ -322,22 +323,19 @@ def batch_evaluate(batch, bands=fwi.DEFAULT_BANDS, rules=None, aggregate="max"):
 
     now = int(time.time() * 1000)
     use_rules = rules is not None and len(rules) > 0
+    band_index = bands.band_index
     rows, facts, individuals = [], [], {}
     for offset, record in batch.records:
         try:
-            codes = fwi.compute_codes(record)
-            values = _codes_of(codes)
-            labels = []
-            for value, (uppers, predicates) in zip(values, table):
-                if uppers is not None and not 0.0 <= value < math.inf:
-                    fwi.classify(codes, bands)  # raises, unless it skips this trigger quantity
-                labels.append(predicates and predicates[bisect_right(uppers, value)])
-        except (fwi.OutOfRange, fwi.BandConfigError) as exc:
+            values = _codes_of(fwi.compute_codes(record))
+            indexes = tuple(map(band_index, _quantities, values))
+        except fwi.OutOfRange as exc:
             raise BatchEvaluationError(batch.seq, offset, exc) from None
         rows.append(values)
         if use_rules:
             individual = rules_mod.Individual(f"rec_{offset}")
             individuals[individual] = offset
+            labels = [predicates and predicates[i] for predicates, i in zip(table, indexes)]
             _append_facts(facts, individual, labels, values)
 
     offsets = [offset for offset, _ in batch.records]
@@ -349,7 +347,10 @@ def batch_evaluate(batch, bands=fwi.DEFAULT_BANDS, rules=None, aggregate="max"):
         else:
             agg = sum(column) / len(column)
             hit = tuple(offsets)
-        severity = bands.classify_value(quantity, agg)
+        try:
+            severity = bands.classify_value(quantity, agg)
+        except fwi.OutOfRange as exc:   # only a mean can leave the range
+            raise BatchEvaluationError(batch.seq, hit[0], exc) from None
         events.append(AlertEvent(batch.seq, kind, severity, agg, hit, None, now))
 
     if use_rules:
@@ -432,7 +433,7 @@ def run_pipeline(source_spec, sink_path, checkpoint_path=None, batch_size=20,
     must match the checkpoint or the run is refused. crash_hook(point, seq)
     is called at the instrumented points "after_sink" and "after_checkpoint".
     """
-    _quantity_table(bands)      # all six quantities, checked before the sink opens
+    _label_table(bands)         # all six quantities, checked before the sink opens
     fingerprint = config_fingerprint(rules_text, bands)
     source_id = parse_source(source_spec).source_id
     start_offset, first_seq, cp = 0, 0, None
