@@ -1,10 +1,13 @@
-"""Terms shared by the rule language and the RDF graph model.
+"""Terms, positional match, position index and the one join, shared by the
+rule language and the RDF graph model.
 
 A term is the tuple (kind, *values), its kind being its own class, so
 hashing and comparing terms runs no Python code, terms of different kinds
 never compare equal, and hot loops read term[0] and term[1] directly. Atom
 arguments and triples are plain tuples of terms: a pattern matches one
-position by position, its variables binding to the terms they meet.
+position by position, its variables binding to the terms they meet. A rule
+body and a basic graph pattern are both conjunctive queries, which `join`
+runs in the order and over the fact ranges that each engine chooses.
 """
 
 import sys
@@ -98,3 +101,30 @@ class PositionIndex:
         if found is None:
             return ()
         return found[bisect_left(found, lo):bisect_left(found, hi)]
+
+
+def join(steps):
+    """(bindings, counts): the bindings that satisfy the steps in turn. A
+    step (pattern, facts, lo, hi, probe) matches the pattern against
+    facts[p] for lo <= p < hi, and where probe is (index, terms) only at
+    the positions that `index.between(terms, bindings, lo, hi)` returns.
+    `counts` has one (candidates tried, bindings out) pair per step run;
+    the join stops at the first step that leaves no binding."""
+    partial = [{}]
+    counts = []
+    for pattern, facts, lo, hi, probe in steps:
+        nxt = []
+        tried = 0
+        for bindings in partial:
+            positions = range(lo, hi) if probe is None else probe[0].between(
+                probe[1], bindings, lo, hi)
+            tried += len(positions)
+            for p in positions:
+                m = match(pattern, facts[p], bindings)
+                if m is not None:
+                    nxt.append(m)
+        counts.append((tried, len(nxt)))
+        partial = nxt
+        if not partial:
+            break
+    return partial, counts

@@ -15,7 +15,8 @@ derived fact for explanation. It is semi-naive: rules run in rounds in
 rule order, each rule keeps one watermark per body atom, so a rule joins
 only against facts that are new since it last ran, and a new fact wakes
 only the rules whose body uses its predicate. Body atoms with bound
-arguments are joined through per-position indexes of the fact lists.
+arguments are joined through per-position indexes of the fact lists, by
+the one join (`firedss._terms.join`) that graph queries run too.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 from ._syntax import Cursor, tokenize
-from ._terms import PositionIndex, Variable, bound_positions, ground, term_class, variables
-from ._terms import match as _match_atom
+from ._terms import (PositionIndex, Variable, bound_positions, ground, join, term_class,
+                     variables)
 from .semweb import COMPARISONS
 
 
@@ -165,11 +166,10 @@ class RuleSet:
                 frozenset(key[0] for key in triggers))
 
 
-@dataclass(frozen=True)
-class Derivation:
-    rule: str
-    bindings: tuple    # sorted (?var, term) pairs
-    premises: tuple    # ground Atoms matched by the positive body
+class Derivation(namedtuple("Derivation", "rule bindings premises")):
+    """The rule name, its bindings as sorted (?var, term) pairs, and the
+    ground Atoms that its positive body matched."""
+    __slots__ = ()
 
 
 class FactBase:
@@ -405,30 +405,6 @@ def builtin_compare(op, a, b):
                     f"{format_term(a)} / {format_term(b)}")
 
 
-def _join(atoms, lists, ranges, probes):
-    """Bindings satisfying the atoms in body order, atom k matched against
-    the fact arguments at positions lo <= p < hi of lists[k] for its
-    (lo, hi) in ranges. Where probes[k] is (index, terms), only the facts
-    that the index files under `terms` grounded by the bindings are tried."""
-    match = _match_atom
-    partial = [{}]
-    for (_, pattern), facts, (lo, hi), probe in zip(atoms, lists, ranges, probes):
-        nxt = []
-        for bindings in partial:
-            if probe is None:
-                positions = range(lo, hi)
-            else:
-                positions = probe[0].between(probe[1], bindings, lo, hi)
-            for p in positions:
-                m = match(pattern, facts[p], bindings)
-                if m is not None:
-                    nxt.append(m)
-        partial = nxt
-        if not partial:
-            break
-    return partial
-
-
 def _new_bindings(atoms, lists, seen, sizes, probes):
     """Bindings of the atoms that use at least one fact past the watermarks
     `seen`, each once: for every atom i whose list grew, atoms before i
@@ -439,7 +415,8 @@ def _new_bindings(atoms, lists, seen, sizes, probes):
         if new > old:
             ranges = ([(0, s) for s in seen[:i]] + [(old, new)]
                       + [(0, s) for s in sizes[i + 1:]])
-            out.extend(_join(atoms, lists, ranges, probes))
+            out.extend(join((atom[1], facts, lo, hi, probe) for atom, facts, (lo, hi), probe
+                            in zip(atoms, lists, ranges, probes))[0])
     return out
 
 

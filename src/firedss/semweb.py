@@ -4,9 +4,9 @@ The graph model is deliberately small: IRIs, typed literals (integer,
 decimal, string, boolean), and set-semantics triples with a prefix map.
 It shares the rule language's term model (`firedss._terms`): `Iri` and
 `Literal` are tagged-tuple term kinds, `Var` is the one variable kind, and
-a triple or triple pattern is the tuple (subject, predicate, object), which
-queries match with the rules' positional match through the same position
-index. Queries cover the fragment `SELECT ... WHERE { patterns . FILTER
+a triple or triple pattern is the tuple (subject, predicate, object), and
+queries run the rules' join (`firedss._terms.join`) through the same
+position index. Queries cover the fragment `SELECT ... WHERE { patterns . FILTER
 (...) }` with comparison filters joined by && and ||. Result rows are
 returned in a canonical order so query output is stable across runs.
 """
@@ -21,7 +21,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 from ._syntax import Cursor, tokenize
-from ._terms import PositionIndex, Term, Variable, bound_positions, match, variables
+from ._terms import PositionIndex, Term, Variable, bound_positions, join, variables
 
 XSD = "http://www.w3.org/2001/XMLSchema#"
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
@@ -634,7 +634,8 @@ def execute(q: Query, g: Graph) -> ResultTable:
     Patterns run most-bound first: each step takes the remaining pattern
     with the most positions fixed by a constant or an already-bound
     variable (ties in query order), and looks its candidates up in the
-    graph index on exactly those positions. The multiset of full bindings
+    graph index on exactly those positions; `_terms.join` runs the steps
+    in that order, as it runs rule bodies. The multiset of full bindings
     does not depend on that order.
 
     A filter comparison over incompatible kinds (IRI vs number, string vs
@@ -642,31 +643,21 @@ def execute(q: Query, g: Graph) -> ResultTable:
     clash is counted on the result, and a binding whose filter comes out
     false is rejected. Rows come back in canonical lexicographic order.
     """
-    triples = g._listed
-    n = len(triples)
-    bindings = [{}]
-    bound = set()
+    n = len(g._listed)
+    order, steps, bound = [], [], set()
     remaining = list(enumerate(q.patterns))
-    plan = []
-    while remaining and bindings:
+    while remaining:
         step = max(remaining, key=lambda item: len(bound_positions(item[1], bound)))
         remaining.remove(step)
         i, pattern = step
         positions = bound_positions(pattern, bound)
-        index = g._index(positions) if positions else None
-        terms = tuple([pattern[p] for p in positions])
-        nxt = []
-        candidates = 0
-        for b in bindings:
-            found = range(n) if index is None else index.between(terms, b, 0, n)
-            candidates += len(found)
-            for p in found:
-                m = match(pattern, triples[p], b)
-                if m is not None:
-                    nxt.append(m)
-        bindings = nxt
+        probe = ((g._index(positions), tuple([pattern[p] for p in positions]))
+                 if positions else None)
+        order.append(i)
+        steps.append((pattern, g._listed, 0, n, probe))
         bound |= variables(pattern)
-        plan.append((i, candidates, len(bindings)))
+    bindings, counts = join(steps)
+    plan = tuple([(i, *count) for i, count in zip(order, counts)])
 
     clashes = [0]
     if q.filter is not None:
@@ -679,7 +670,7 @@ def execute(q: Query, g: Graph) -> ResultTable:
 
     rows = {tuple(b[name] for name in columns) for b in bindings}
     ordered = tuple(sorted(rows, key=lambda row: tuple(_term_nt(c) for c in row)))
-    return ResultTable(columns, ordered, clashes[0], tuple(plan))
+    return ResultTable(columns, ordered, clashes[0], plan)
 
 
 def format_cell(term) -> str:

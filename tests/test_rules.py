@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from firedss import data_text, fwi, ingest, rules, stream
+from firedss import _terms, data_text, fwi, ingest, rules, stream
 from firedss.rules import (
     Atom, Bool, DuplicateRuleName, FactBase, Individual, Num, RuleSyntaxError,
     Str, TypeClash, UnknownBuiltin, UnknownFact, UnsafeVariable, Variable,
@@ -534,17 +534,20 @@ class TestSemiNaive:
 
     @staticmethod
     def _match_calls(monkeypatch, rs, base):
-        """Calls of the only match test while saturating: the join work."""
+        """Calls of the only match test while saturating: the join work.
+        `_terms.join` looks `match` up as a module global, so every
+        candidate it tries is counted."""
         calls = []
-        match = rules._match_atom
+        match = _terms.match
 
         def counting(pattern, fact, bindings):
             calls.append(1)
             return match(pattern, fact, bindings)
 
-        monkeypatch.setattr(rules, "_match_atom", counting)
+        monkeypatch.setattr(_terms, "match", counting)
         rules.evaluate(rs, base)
         monkeypatch.undo()
+        assert calls, "the seam counts no join work"
         return len(calls)
 
     def test_join_work_grows_linearly_on_reversed_chains(self, monkeypatch):

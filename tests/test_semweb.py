@@ -7,7 +7,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from firedss import ingest, rules, semweb
+from firedss import _terms, ingest, rules, semweb
 from firedss.semweb import (
     BoolExpr, Comparison, Graph, GraphError, Iri, Literal, NTriplesSyntaxError,
     Query, QuerySyntaxError, TriplePattern, Triple, UnboundVariable,
@@ -538,6 +538,28 @@ class TestExecute:
             "SELECT ?r WHERE { ?r ex:hasTemperature ?t . ?r ex:nothing ?x . "
             "?r ex:hasName ?n }"), g)
         assert empty.plan == ((0, 4, 4), (1, 0, 0))
+
+    def test_plan_candidates_are_the_match_calls_of_the_join(
+            self, monkeypatch, regions_graph_text, regions_query_text, dataset_text):
+        calls = []
+        match = _terms.match
+
+        def counting(pattern, terms, bindings):
+            calls.append(1)
+            return match(pattern, terms, bindings)
+
+        monkeypatch.setattr(_terms, "match", counting)
+        regions = parse_ntriples(regions_graph_text)
+        table = csv_to_graph(ingest.parse_dataset(dataset_text), EX)
+        # the last query scans: its one pattern has no bound position
+        for q, g in ((parse_query(regions_query_text), regions),
+                     (parse_query(f"SELECT ?r ?t ?h WHERE {{ ?r <{EX}temp> ?t . "
+                                  f'?r <{EX}RH> ?h . ?r <{EX}month> "aug" }}'), table),
+                     (parse_query("SELECT ?s ?o WHERE { ?s ?p ?o }"), regions)):
+            calls.clear()
+            result = execute(q, g)
+            assert len(result.plan) == len(q.patterns) and len(result) > 0
+            assert sum(candidates for _, candidates, _ in result.plan) == len(calls)
 
     def test_join_commutativity(self):
         rng = random.Random(17)
