@@ -341,7 +341,8 @@ def load_bands(text: str) -> ClassBands:
         <quantity> = <upper>:<label>, <upper>:<label>, ..., inf:<label>
         trigger = <quantity>=<label> & <quantity>=<label>
 
-    Every quantity in QUANTITIES is defined once, the trigger at most once.
+    Every quantity in QUANTITIES is defined once, the trigger at most once;
+    an empty `trigger =`, as dump_bands writes it, is the same as none.
     """
     def fail(lineno, message):
         return BandConfigError(f"line {lineno}: {message}")
@@ -351,7 +352,7 @@ def load_bands(text: str) -> ClassBands:
     for lineno, key, value in key_values(lines, fail):
         if key == "trigger":
             pairs = []
-            for clause in value.split("&"):
+            for clause in value.split("&") if value.strip() else ():
                 if "=" not in clause:
                     raise fail(lineno, f"bad trigger clause {clause!r}")
                 q, lab = clause.split("=", 1)

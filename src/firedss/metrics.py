@@ -47,7 +47,7 @@ class OntologySummary:
 
     def __post_init__(self):
         for name, value in asdict(self).items():
-            if not isinstance(value, int) or value < 0:
+            if type(value) is not int or value < 0:    # a bool is not a count
                 raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
         if self.classes_with_instances_count > self.class_count:
             raise ValueError("classes_with_instances_count exceeds class_count")

@@ -338,6 +338,14 @@ class TestMetrics:
         code, _, err = run(capsys, "metrics")
         assert code == 1
 
+    def test_a_bool_is_not_a_count(self, capsys, tmp_path):
+        counts = tmp_path / "counts.json"
+        counts.write_text(json.dumps({"class_count": True}), encoding="utf-8")
+        code, stdout, err = run(capsys, "metrics", "--counts", str(counts))
+        assert (code, stdout) == (1, "")
+        assert err == ("firedss: error: bad counts file: "
+                       "class_count must be a non-negative integer, got True\n")
+
 
 class TestRulesCheck:
     BIG_NUMBER_RULE = f"rule big: when hasDc(?r, ?d) then assert hasLimit(?r, {'9' * 400})\n"
@@ -484,6 +492,18 @@ class TestBands:
             "spread_rate = 4:slow, 8:moderate, inf:fast\n"
             "trigger = dmc_class=difficult and extensive & "
             "dc_class=difficult and extensive\n")
+
+    def test_printed_file_without_trigger_checks(self, capsys, tmp_path):
+        untriggered = tmp_path / "untriggered.bands"
+        untriggered.write_text("".join(
+            line for line in data_path("default.bands").read_text().splitlines(True)
+            if not line.startswith("trigger")), encoding="utf-8")
+        code, stdout, _ = run(capsys, "bands", "print", "--bands", str(untriggered))
+        assert code == 0 and stdout.endswith("\ntrigger = \n")
+        printed = tmp_path / "printed.bands"
+        printed.write_text(stdout, encoding="utf-8")
+        code, stdout, _ = run(capsys, "bands", "check", "--bands", str(printed))
+        assert code == 0 and "OK" in stdout
 
     def test_file_missing_a_quantity_fails_before_the_sink_opens(self, capsys, tmp_path,
                                                                  small_csv):

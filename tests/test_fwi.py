@@ -279,11 +279,14 @@ class TestClassify:
 
 
 class TestBandConfig:
-    def test_roundtrip(self):
-        text = fwi.dump_bands(fwi.DEFAULT_BANDS)
+    @pytest.mark.parametrize("bands", [
+        fwi.DEFAULT_BANDS, ClassBands(fwi.DEFAULT_BANDS.bands, [])],
+        ids=["default", "no-trigger"])
+    def test_roundtrip(self, bands):
+        text = fwi.dump_bands(bands)
         loaded = fwi.load_bands(text)
-        assert loaded.bands == fwi.DEFAULT_BANDS.bands
-        assert loaded.trigger == fwi.DEFAULT_BANDS.trigger
+        assert loaded.bands == bands.bands
+        assert loaded.trigger == bands.trigger
 
     def test_bundled_file_matches_defaults(self):
         from firedss import data_text

@@ -173,6 +173,8 @@ class TestInvariants:
             OntologySummary(class_count=-1)
         with pytest.raises(ValueError):
             OntologySummary(class_count=1, classes_with_instances_count=2)
+        with pytest.raises(ValueError, match="class_count .* got True"):
+            OntologySummary(class_count=True)
 
 
 class TestReport:
