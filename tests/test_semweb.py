@@ -199,6 +199,21 @@ class TestNTriples:
         (t,) = back.triples
         assert t.object.lexical == tricky
 
+    def test_escaped_literal_line(self):
+        # every character that N-Triples escapes, and a non-ASCII one written raw
+        g = Graph([Triple(iri("s"), iri("p"), Literal('a\\b"c\nd\re\tf\u00e9', "string"))])
+        written = r'a\\b\"c\nd\re\tf' + "\u00e9"
+        line = f'<{EX}s> <{EX}p> "{written}"^^<{semweb.XSD}string> .\n'
+        assert serialize(g, "ntriples") == line
+        assert parse_ntriples(line) == g
+
+    @pytest.mark.parametrize("escape", [r"\q", r"\u0041"])
+    def test_bad_escape_is_rejected(self, escape):
+        lexical = f"x{escape}y"
+        with pytest.raises(NTriplesSyntaxError) as err:
+            parse_ntriples(f'<{EX}s> <{EX}p> "{lexical}" .\n')
+        assert str(err.value) == f"line 1: bad escape in literal: {lexical!r}"
+
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(st.lists(st.builds(Triple, IRIS, IRIS, st.one_of(IRIS, LITERALS)), max_size=6))
     def test_roundtrip_arbitrary_iris_and_literals(self, triples):
@@ -399,6 +414,13 @@ class TestParseQuery:
                         f"?s <{EX}q> ?v . FILTER (?v = {token}) }}")
         assert q.patterns[0].object == literal
         assert q.filter.right == literal
+
+    @pytest.mark.parametrize("escape", [r"\q", r"\u0041"])
+    def test_bad_escape_in_string_literal(self, escape):
+        lexical = f"x{escape}y"
+        with pytest.raises(GraphError) as err:
+            parse_query(f'SELECT ?s WHERE {{ ?s <{EX}p> "{lexical}" . }}')
+        assert str(err.value) == f"bad escape in literal: {lexical!r}"
 
     @pytest.mark.parametrize("text, message", [
         (f"SELECT ?s WHERE {{ ?s <{EX}p> . }}", "expected object term"),
