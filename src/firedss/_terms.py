@@ -1,5 +1,5 @@
-"""Terms, positional match, position index and the one join, shared by the
-rule language and the RDF graph model.
+"""Terms, positional match, position index, the one join and the comparison
+operators, shared by the rule language and the RDF graph model.
 
 A term is the tuple (kind, *values), its kind being its own class, so
 hashing and comparing terms runs no Python code, terms of different kinds
@@ -8,12 +8,16 @@ arguments and triples are plain tuples of terms: a pattern matches one
 position by position, its variables binding to the terms they meet. A rule
 body and a basic graph pattern are both conjunctive queries, which `join`
 runs in the order and over the fact ranges that each engine chooses.
+Rule comparison builtins and query FILTERs apply the one operator table
+`COMPARISONS`, each engine deciding which kinds it compares.
 """
 
 import sys
 import threading
 from bisect import bisect_left
-from operator import itemgetter
+from operator import eq, ge, gt, itemgetter, le, lt, ne
+
+COMPARISONS = {"<": lt, "<=": le, ">": gt, ">=": ge, "=": eq, "!=": ne}
 
 
 class Term(tuple):

@@ -167,9 +167,6 @@ class Dataset:
     def numeric_columns(self):
         return tuple(c.name for c in self.schema if c.kind == "numeric")
 
-    def with_rows(self, rows, step):
-        return Dataset(self.schema, rows, self.provenance + (step,))
-
     def replaced(self, schema, rows, step):
         return Dataset(schema, rows, self.provenance + (step,))
 
@@ -305,7 +302,7 @@ def log_transform_area(d: Dataset) -> Dataset:
         if row[i] < 0:
             raise NegativeInput(f"row {n}: area {row[i]} < 0")
     rows = [row[:i] + (math.log1p(row[i]),) + row[i + 1:] for row in d.rows]
-    return d.with_rows(rows, {"name": "log1p", "column": "area"})
+    return d.replaced(d.schema, rows, {"name": "log1p", "column": "area"})
 
 
 @dataclass(frozen=True)
@@ -341,7 +338,7 @@ def zscore_normalize(d: Dataset, columns):
         for r in rows:
             r[i] = (r[i] - mean) / std
     step = {"name": "zscore", "columns": list(columns)}
-    return d.with_rows([tuple(r) for r in rows], step), NormParams(params)
+    return d.replaced(d.schema, [tuple(r) for r in rows], step), NormParams(params)
 
 
 def denormalize(d: Dataset, norm: NormParams) -> Dataset:
@@ -352,7 +349,7 @@ def denormalize(d: Dataset, norm: NormParams) -> Dataset:
         for r in rows:
             r[i] = r[i] * std + mean
     step = {"name": "denormalize", "columns": sorted(norm.params)}
-    return d.with_rows([tuple(r) for r in rows], step)
+    return d.replaced(d.schema, [tuple(r) for r in rows], step)
 
 
 def one_hot_encode(d: Dataset, columns) -> Dataset:
@@ -478,7 +475,7 @@ def filter_outliers(d: Dataset, column, method="zscore", threshold=None) -> Data
     rows = [r for r, ok in zip(d.rows, keep) if ok]
     step = {"name": "filter_outliers", "column": column, "method": method,
             "removed": int(len(d.rows) - len(rows))}
-    return d.with_rows(rows, step)
+    return d.replaced(d.schema, rows, step)
 
 
 def _class_labels(d: Dataset, label_column):
@@ -526,4 +523,4 @@ def resample(d: Dataset, label_column, strategy="oversample", seed=0) -> Dataset
 
     step = {"name": "resample", "column": label_column,
             "strategy": strategy, "seed": seed}
-    return d.with_rows(rows, step)
+    return d.replaced(d.schema, rows, step)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -321,14 +322,7 @@ def prf_scores(response: str, reference: str) -> EvalScores:
         return EvalScores(1.0, 1.0, 1.0)
     if not resp or not ref:
         return EvalScores(0.0, 0.0, 0.0)
-    counts = {}
-    for t in ref:
-        counts[t] = counts.get(t, 0) + 1
-    overlap = 0
-    for t in resp:
-        if counts.get(t, 0) > 0:
-            counts[t] -= 1
-            overlap += 1
+    overlap = sum((Counter(resp) & Counter(ref)).values())
     precision = overlap / len(resp)
     recall = overlap / len(ref)
     f = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0

@@ -29,9 +29,8 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 from ._syntax import Cursor, tokenize
-from ._terms import (PositionIndex, Variable, bound_positions, ground, join, term_class,
-                     variables)
-from .semweb import COMPARISONS
+from ._terms import (COMPARISONS, PositionIndex, Variable, bound_positions, ground, join,
+                     term_class, variables)
 
 
 class RuleError(ValueError):

@@ -21,7 +21,8 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 from ._syntax import Cursor, tokenize
-from ._terms import PositionIndex, Term, Variable, bound_positions, join, variables
+from ._terms import (COMPARISONS, PositionIndex, Term, Variable, bound_positions, join,
+                     variables)
 
 XSD = "http://www.w3.org/2001/XMLSchema#"
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
@@ -192,18 +193,15 @@ def csv_to_graph(dataset, base, row_prefix="row") -> Graph:
 
 # --- serialization -----------------------------------------------------------
 
-_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r",
+                          "\t": "\\t"})
 _UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
-
-
-def _escape(text):
-    return "".join(_ESCAPES.get(c, c) for c in text)
 
 
 def _term_nt(term):
     if term[0] is Iri:
         return f"<{term[1]}>"
-    return f'"{_escape(term[1])}"^^<{DATATYPE_IRIS[term[2]]}>'
+    return f'"{term[1].translate(_ESCAPES)}"^^<{DATATYPE_IRIS[term[2]]}>'
 
 
 def serialize(g: Graph, format="ntriples") -> str:
@@ -285,20 +283,16 @@ _NT_LINE = re.compile(
     r'(?:\^\^<(?P<o_dt>[^>]+)>)?)\s*\.\s*$')
 
 
+_ESCAPE_SEQUENCE = re.compile(r"\\(.?)", re.DOTALL)
+
+
 def _unescape(text):
-    out = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c == "\\":
-            if i + 1 >= len(text) or text[i + 1] not in _UNESCAPES:
-                raise GraphError(f"bad escape in literal: {text!r}")
-            out.append(_UNESCAPES[text[i + 1]])
-            i += 2
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
+    def unescaped(m):
+        c = _UNESCAPES.get(m.group(1))
+        if c is None:
+            raise GraphError(f"bad escape in literal: {text!r}")
+        return c
+    return _ESCAPE_SEQUENCE.sub(unescaped, text)
 
 
 def parse_ntriples(text: str) -> Graph:
@@ -579,24 +573,17 @@ def parse_query(text: str) -> Query:
 
 # --- execution ---------------------------------------------------------------
 
-COMPARISONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
-               ">=": operator.ge, "=": operator.eq, "!=": operator.ne}
-
-
-class _RejectBinding(Exception):
-    """Filter comparison over incompatible kinds: drop the binding."""
-
-
 def _compare(op, a, b):
-    """Compare two literals; numbers by their exact values."""
+    """Compare two literals, numbers by their exact values; None if their
+    kinds cannot be compared."""
     if a[0] is Iri or b[0] is Iri:
-        raise _RejectBinding
+        return None
     if a[2] in _NUMERIC_LEXICAL and b[2] in _NUMERIC_LEXICAL:
         x, y = decimal.Decimal(a[1]), decimal.Decimal(b[1])
     elif a[2] == b[2] and (a[2] == "string" or op in ("=", "!=")):
         x, y = a[1], b[1]       # strings, or booleans for (in)equality
     else:
-        raise _RejectBinding
+        return None
     return COMPARISONS[op](x, y)
 
 
@@ -607,11 +594,11 @@ def _eval_filter(expr, binding, clashes):
         return (left and right) if expr.op == "&&" else (left or right)
     left = binding[expr.left.name] if isinstance(expr.left, Var) else expr.left
     right = binding[expr.right.name] if isinstance(expr.right, Var) else expr.right
-    try:
-        return _compare(expr.op, left, right)
-    except _RejectBinding:
+    result = _compare(expr.op, left, right)
+    if result is None:
         clashes[0] += 1
         return False
+    return result
 
 
 @dataclass(frozen=True)

@@ -697,6 +697,17 @@ class TestProcessIndependence:
                          "P(a, b0) None {}\n"
                          "P(a, b0) None {}\n"}
 
+    def test_rules_and_stream_import_no_rdf_module(self):
+        script = ("import sys\n"
+                  "import firedss.rules\n"
+                  "print('firedss.semweb' in sys.modules)\n"
+                  "import firedss.stream\n"
+                  "print('firedss.semweb' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(rules.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60, check=True)
+        assert done.stdout == "False\nFalse\n"
+
     def test_fact_base_keeps_the_callers_order_once(self):
         a, b, c = atom("A", ind("x")), atom("B", ind("x")), atom("C", ind("x"))
         base = FactBase([c, a, c, b, a])
