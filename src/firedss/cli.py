@@ -190,7 +190,7 @@ def cmd_metrics(args, config):
         try:
             raw = json.loads(_read(args.counts))
             summary = metrics.OntologySummary(**raw)
-        except (json.JSONDecodeError, TypeError, ValueError) as exc:
+        except (json.JSONDecodeError, RecursionError, TypeError, ValueError) as exc:
             raise CliError(f"bad counts file: {exc}") from None
     print(json.dumps(metrics.report(summary), indent=2, sort_keys=True))
     return 0

@@ -33,6 +33,7 @@ import operator
 import os
 import socket
 import sys
+import threading
 import time
 import weakref
 from collections import Counter, namedtuple
@@ -153,10 +154,14 @@ class SourceSpec:
     rate: float | None = None   # file replay records/s; inf means no delay
 
 
+# the smallest replay rate whose delay between records time.sleep accepts
+_MIN_RATE = 1 / threading.TIMEOUT_MAX
+
+
 def parse_source(spec):
-    """Parse a source spec: ``file:<path>`` (optionally ``?rate=<n>``, n > 0),
-    a bare path, ``socket:<host>:<port>``, or ``stdin:`` / ``-``. The rate is
-    not part of the source identity."""
+    """Parse a source spec: ``file:<path>`` (optionally ``?rate=<n>``,
+    n >= _MIN_RATE), a bare path, ``socket:<host>:<port>``, or ``stdin:`` /
+    ``-``. The rate is not part of the source identity."""
     if spec.startswith("socket:"):
         return SourceSpec(spec, "socket", spec[len("socket:"):])
     if spec in ("stdin:", "-"):
@@ -171,6 +176,8 @@ def parse_source(spec):
             rate = math.nan  # rejected with the other bad rates below
         if not rate > 0:
             raise StreamError(f"rate must be a number > 0, got {rate_text!r}")
+        if rate < _MIN_RATE:
+            raise StreamError(f"rate must be at least {_MIN_RATE:.3g}, got {rate_text!r}")
     return SourceSpec(f"file:{path}", "file", path, rate)
 
 
@@ -206,7 +213,10 @@ def open_source(spec, start_offset=0):
     if spec.kind == "socket":
         try:
             host, port = spec.target.split(":", 1)
-            listener = socket.create_server((host, int(port)))
+            port = int(port)
+            if not 0 <= port <= 65535:
+                raise ValueError(f"port must be 0-65535, got {port}")
+            listener = socket.create_server((host, port))
         except (OSError, ValueError) as exc:
             raise IoError(f"cannot bind {spec.source_id}: {exc}") from None
         records = ingest.iter_records(_socket_lines(listener), header=False)

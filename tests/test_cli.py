@@ -167,6 +167,25 @@ class TestStream:
         assert code == 1 and "rate must be a number > 0" in err
         assert not sink.exists()
 
+    def test_rate_below_the_sleep_range_exits_1_without_a_sink(self, capsys, tmp_path,
+                                                               small_csv):
+        sink = tmp_path / "alerts.jsonl"
+        code, stdout, err = run(capsys, "stream", "--dataset",
+                                f"file:{small_csv}?rate=1e-300", "--sink", str(sink))
+        assert (code, stdout) == (1, "")
+        assert err == "firedss: error: rate must be at least 1.08e-10, got '1e-300'\n"
+        assert not sink.exists()
+
+    @pytest.mark.parametrize("port", ["70000", "-1"])
+    def test_port_out_of_range_exits_1_without_binding(self, capsys, tmp_path, port):
+        sink = tmp_path / "alerts.jsonl"
+        code, stdout, err = run(capsys, "stream", "--dataset", f"socket:127.0.0.1:{port}",
+                                "--sink", str(sink))
+        assert (code, stdout) == (1, "")
+        assert err == (f"firedss: error: cannot bind socket:127.0.0.1:{port}: "
+                       f"port must be 0-65535, got {port}\n")
+        assert not sink.exists()
+
     def test_checkpoint_body_of_the_wrong_type_exits_1_without_traceback(
             self, tmp_path, small_csv):
         checkpoint = tmp_path / "cp"
@@ -345,6 +364,14 @@ class TestMetrics:
         assert (code, stdout) == (1, "")
         assert err == ("firedss: error: bad counts file: "
                        "class_count must be a non-negative integer, got True\n")
+
+    def test_deeply_nested_counts_exit_1_without_traceback(self, capsys, tmp_path):
+        counts = tmp_path / "counts.json"
+        counts.write_text("[" * 200_000, encoding="utf-8")
+        code, stdout, err = run(capsys, "metrics", "--counts", str(counts))
+        assert (code, stdout) == (1, "")
+        assert err.startswith("firedss: error: bad counts file: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestRulesCheck:
