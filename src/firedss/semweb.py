@@ -196,6 +196,7 @@ def csv_to_graph(dataset, base, row_prefix="row") -> Graph:
 _ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r",
                           "\t": "\\t"})
 _UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
+_ESCAPE_SEQUENCE = re.compile(r"\\(.?)", re.DOTALL)
 
 
 def _term_nt(term):
@@ -281,9 +282,6 @@ _NT_LINE = re.compile(
     r'^<(?P<s>[^>]+)>\s+<(?P<p>[^>]+)>\s+'
     r'(?:<(?P<o_iri>[^>]+)>|"(?P<o_lex>(?:[^"\\]|\\.)*)"'
     r'(?:\^\^<(?P<o_dt>[^>]+)>)?)\s*\.\s*$')
-
-
-_ESCAPE_SEQUENCE = re.compile(r"\\(.?)", re.DOTALL)
 
 
 def _unescape(text):
