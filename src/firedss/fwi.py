@@ -342,7 +342,8 @@ def load_bands(text: str) -> ClassBands:
         trigger = <quantity>=<label> & <quantity>=<label>
 
     Every quantity in QUANTITIES is defined once, the trigger at most once;
-    an empty `trigger =`, as dump_bands writes it, is the same as none.
+    an empty `trigger =`, as dump_bands writes it, is the same as none. No
+    trigger is the empty conjunction, so every record triggers.
     """
     def fail(lineno, message):
         return BandConfigError(f"line {lineno}: {message}")

@@ -324,9 +324,11 @@ class TestBandConfig:
         with pytest.raises(fwi.BandConfigError, match=f"^line {line}: .*{message}"):
             fwi.load_bands(text.replace(edit[0], edit[1], 1))
 
-    def test_file_without_trigger_never_triggers(self):
+    def test_file_without_trigger_triggers_on_every_record(self):
         text = fwi.dump_bands(fwi.DEFAULT_BANDS).rsplit("trigger", 1)[0]
-        assert fwi.load_bands(text).trigger == ()
+        bands = fwi.load_bands(text)
+        assert bands.trigger == ()
+        assert fwi.classify(FwiCodes(0, 0, 0, 0, 0, 0), bands).fire_trigger is True
 
     def test_nan_or_unpositive_first_bound_rejected_in_code(self):
         for first in (math.nan, -5.0, 0.0):
