@@ -433,6 +433,23 @@ def checkpoint_load(path) -> Checkpoint:
 
 # --- pipeline ------------------------------------------------------------------
 
+def _cut_torn_line(path):
+    """Cut a sink file that ends inside a line, as a kill during a sink write
+    can leave it, back to just after its last newline."""
+    if not os.path.isfile(path):        # no sink yet, or a pipe or device
+        return
+    with open(path, "rb+") as fh:
+        end = keep = fh.seek(0, os.SEEK_END)
+        while keep:
+            start = max(keep - 4096, 0)
+            fh.seek(start)
+            keep = start + fh.read(keep - start).rfind(b"\n") + 1
+            if keep > start:
+                break
+        if keep < end:
+            fh.truncate(keep)
+
+
 def run_pipeline(source_spec, sink_path, checkpoint_path=None, batch_size=20,
                  bands=fwi.DEFAULT_BANDS, rules=None, rules_text="",
                  aggregate="max", crash_hook=None) -> PipelineStats:
@@ -462,6 +479,7 @@ def run_pipeline(source_spec, sink_path, checkpoint_path=None, batch_size=20,
     stats = PipelineStats()
     started = time.perf_counter()
     try:
+        _cut_torn_line(sink_path)
         sink = open(sink_path, "a", encoding="utf-8")
     except OSError as exc:
         raise IoError(f"cannot open sink {sink_path}: {exc}") from None

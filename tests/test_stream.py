@@ -3,15 +3,20 @@ import hashlib
 import json
 import math
 import pickle
+import os
 import random
+import signal
 import socket
+import subprocess
+import sys
 import threading
+import time
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from firedss import fwi, ingest, rules, stream
+from firedss import data_path, fwi, ingest, rules, stream
 from firedss.stream import (
     BadCheckpoint, Batch, Checkpoint, CorruptCheckpoint, IoError,
     SimulatedCrash, StaleCheckpoint, StreamError, batch_evaluate,
@@ -563,6 +568,114 @@ class TestRunPipeline:
         run_pipeline(other, sink, cp, batch_size=5)
         with pytest.raises(BadCheckpoint):
             run_pipeline(dataset_file, sink, cp)
+
+    @pytest.mark.parametrize("fragment, checkpointed", [
+        ('{"batch": 4, "kind": "FFMC_IGN', 3),
+        ('{"batch": 4, "offsets": [' + "7, " * 3000, 3),    # longer than one read
+        ('{"batch": 0, "kind": "FFMC_IGN', None),           # the whole sink is torn
+    ], ids=["short", "long", "whole-sink"])
+    def test_resume_cuts_a_torn_last_sink_line(self, tmp_path, alert_rules,
+                                               rules_alerts_text, fragment, checkpointed):
+        path = write_dataset(tmp_path / "d.csv", [CALM_ROW, TRIGGER_ROW, HIGH_DC_ROW] * 10)
+        reference, sink, cp = (tmp_path / "reference.jsonl", tmp_path / "alerts.jsonl",
+                               tmp_path / "cp")
+        run_pipeline(path, reference, batch_size=5, rules=alert_rules,
+                     rules_text=rules_alerts_text)
+
+        def crash(point, seq):
+            if point == "after_checkpoint" and seq == checkpointed:
+                raise SimulatedCrash("crash")
+
+        if checkpointed is not None:
+            with pytest.raises(SimulatedCrash):
+                run_pipeline(path, sink, cp, batch_size=5, rules=alert_rules,
+                             rules_text=rules_alerts_text, crash_hook=crash)
+        with open(sink, "a", encoding="utf-8") as fh:
+            fh.write(fragment)      # what a kill during the next batch's write leaves
+        run_pipeline(path, sink, cp, batch_size=5, rules=alert_rules,
+                     rules_text=rules_alerts_text)
+        assert sink.read_text(encoding="utf-8").endswith("\n")
+        assert strip_ts(read_sink(sink)) == strip_ts(read_sink(reference))
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs SIGKILL")
+class TestRealKill:
+    """`python -m firedss stream` run as a child, SIGKILLed at seeded delays
+    and resumed from its checkpoint until one run ends unkilled."""
+
+    def test_at_least_once_under_sigkill(self, tmp_path, dataset_text):
+        header, *rows = dataset_text.splitlines()
+        data = tmp_path / "replica.csv"
+        data.write_text("\n".join([header] + rows * 10) + "\n", encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(stream.__file__).parents[1]))
+
+        def start(sink, cp):
+            return subprocess.Popen(
+                [sys.executable, "-m", "firedss", "stream", "--dataset", str(data),
+                 "--rules", str(data_path("fwi_alerts.rules")),
+                 "--sink", str(sink), "--checkpoint", str(cp)],
+                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env)
+
+        def finish(child):
+            _, err = child.communicate(timeout=60)
+            assert child.returncode in (0, -signal.SIGKILL), err
+            return child.returncode == 0
+
+        def batches(sink):
+            """Sink events without ts_ms, by batch; every line whole JSON."""
+            text = sink.read_text(encoding="utf-8")
+            assert text.endswith("\n")
+            by_batch = {}
+            for line in text.splitlines():
+                event = json.loads(line)
+                del event["ts_ms"]
+                by_batch.setdefault(event["batch"], []).append(event)
+            assert list(by_batch) == sorted(by_batch)
+            return by_batch
+
+        ref_sink, ref_cp = tmp_path / "reference.jsonl", tmp_path / "reference.cp"
+        began = time.perf_counter()
+        assert finish(start(ref_sink, ref_cp))
+        wall = time.perf_counter() - began
+        reference = batches(ref_sink)
+
+        def check(sink, cp, kills):
+            got = batches(sink)
+            assert got.keys() == reference.keys()
+            replays = 0
+            for seq, events in got.items():
+                copies, rest = divmod(len(events), len(reference[seq]))
+                assert rest == 0 and events == reference[seq] * copies, seq
+                replays += copies - 1
+            # a kill replays at most the one batch between its sink write and
+            # its checkpoint, so two kills in a row may give it three copies
+            assert replays <= kills
+            assert cp.read_bytes() == ref_cp.read_bytes()
+            assert not Path(f"{cp}.tmp").exists()
+
+        rng = random.Random(16)
+        sink, cp = tmp_path / "alerts.jsonl", tmp_path / "cp"
+        kills = mid_run = episode_kills = 0
+        for _ in range(60):
+            if kills >= 20:
+                break
+            size = sink.stat().st_size if sink.exists() else 0
+            child = start(sink, cp)
+            time.sleep(rng.uniform(0, wall))
+            child.kill()                    # a no-op once the child has exited
+            if finish(child):               # it ended unkilled: start afresh
+                check(sink, cp, episode_kills)
+                sink.unlink()
+                cp.unlink()
+                episode_kills = 0
+                continue
+            kills += 1
+            episode_kills += 1
+            mid_run += sink.exists() and sink.stat().st_size > size
+        assert finish(start(sink, cp))
+        check(sink, cp, episode_kills)
+        assert kills >= 20
+        assert mid_run >= kills / 3, (mid_run, kills)
 
 
 def _hashable(event):
