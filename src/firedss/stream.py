@@ -388,7 +388,9 @@ _CHECKPOINT_FIELDS = {"source_id": str, "batch_seq": int, "offset": int,
 
 
 def checkpoint_save(path, cp: Checkpoint, previous=None):
-    """Atomic write (temp + rename) with a trailing integrity hash line.
+    """Write the body line and its integrity hash line: a new file by temp +
+    rename, an existing one in place by one pwrite at offset 0 and a truncate
+    (a rename over it would make the file system flush it on every save).
     Refuses to regress behind `previous`, the checkpoint the caller last
     wrote there, or, without one, behind an existing valid checkpoint."""
     if previous is None and os.path.exists(path):
@@ -402,10 +404,21 @@ def checkpoint_save(path, cp: Checkpoint, previous=None):
             f"to {cp.batch_seq}")
     body = _to_json(vars(cp))
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    tmp = os.fspath(path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(body + "\n" + digest + "\n")
-    os.replace(tmp, path)
+    data = (body + "\n" + digest + "\n").encode("utf-8")
+    try:
+        fd = os.open(path, os.O_WRONLY)
+    except FileNotFoundError:
+        tmp = os.fspath(path) + ".tmp"
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+        return
+    try:
+        if os.pwrite(fd, data, 0) != len(data):
+            raise IoError(f"short write to checkpoint {path}")
+        os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def checkpoint_load(path) -> Checkpoint:

@@ -200,6 +200,17 @@ class TestStream:
         assert "Traceback" not in done.stderr
         assert "body is not a JSON object" in done.stderr
 
+    def test_short_checkpoint_write_exits_1_with_one_error_line(self, capsys, tmp_path,
+                                                               dataset_csv, monkeypatch):
+        checkpoint = tmp_path / "cp"
+        pwrite = os.pwrite
+        monkeypatch.setattr(os, "pwrite", lambda fd, data, at: pwrite(fd, data[:-1], at))
+        code, stdout, err = run(capsys, "stream", "--dataset", dataset_csv,
+                                "--sink", str(tmp_path / "alerts.jsonl"),
+                                "--checkpoint", str(checkpoint))
+        assert (code, stdout) == (1, "")
+        assert err == f"firedss: error: short write to checkpoint {checkpoint}\n"
+
     def test_zero_byte_file_exits_1(self, capsys, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("", encoding="utf-8")

@@ -399,6 +399,51 @@ class TestCheckpoints:
         with pytest.raises(CorruptCheckpoint):
             checkpoint_load(path)
 
+    @staticmethod
+    def _file_bytes(cp):
+        body = json.dumps(dataclasses.asdict(cp), sort_keys=True)
+        return f"{body}\n{hashlib.sha256(body.encode()).hexdigest()}\n".encode()
+
+    def test_save_over_a_checkpoint_renames_nothing(self, tmp_path, monkeypatch):
+        path = tmp_path / "cp"
+        checkpoint_save(path, Checkpoint("file:data.csv", 24, 500, "ab" * 32))
+
+        def rename(*args):
+            raise AssertionError(f"renamed {args}")
+
+        monkeypatch.setattr(os, "replace", rename)
+        monkeypatch.setattr(os, "rename", rename)
+        cp = Checkpoint("file:data.csv", 25, 517, "ab" * 32)
+        checkpoint_save(path, cp)
+        assert path.read_bytes() == self._file_bytes(cp)
+
+    def test_shorter_body_over_a_longer_one_is_byte_exact(self, tmp_path):
+        path = tmp_path / "cp"
+        checkpoint_save(path, Checkpoint("file:" + "x" * 300, 5, 120, "f" * 64))
+        cp = Checkpoint("s", 6, 140, "f")
+        checkpoint_save(path, cp)
+        assert path.read_bytes() == self._file_bytes(cp)
+
+    def test_bytes_after_the_hash_line_are_ignored(self, tmp_path):
+        # what a kill between the in-place write and its truncate leaves
+        path = tmp_path / "cp"
+        old = self._file_bytes(Checkpoint("file:" + "x" * 300, 5, 120, "f" * 64))
+        new = self._file_bytes(Checkpoint("s", 6, 140, "f"))
+        path.write_bytes(new + old[len(new):])
+        assert checkpoint_load(path) == Checkpoint("s", 6, 140, "f")
+
+    def test_first_save_leaves_no_temp_file(self, tmp_path):
+        checkpoint_save(tmp_path / "cp", Checkpoint("s", 0, 20, "f"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cp"]
+
+    def test_short_write_is_an_io_error(self, tmp_path, monkeypatch):
+        path = tmp_path / "cp"
+        checkpoint_save(path, Checkpoint("s", 0, 20, "f"))
+        pwrite = os.pwrite
+        monkeypatch.setattr(os, "pwrite", lambda fd, data, at: pwrite(fd, data[:-1], at))
+        with pytest.raises(IoError, match=f"short write to checkpoint {path}"):
+            checkpoint_save(path, Checkpoint("s", 1, 40, "f"))
+
     def test_deeply_nested_body_with_a_valid_hash_is_corrupt(self, tmp_path):
         path = tmp_path / "cp"
         body = "[" * 100_000 + "]" * 100_000
