@@ -19,7 +19,11 @@ trigger. Then:
 Delivery is at-least-once: alerts are flushed to the sink before the
 checkpoint is saved, so a crash in between replays one whole batch.
 Checkpoints refuse to resume when the rule/band fingerprint has changed.
-A run reads its checkpoint once, at start.
+A run reads its checkpoint once, at start, and cuts a sink that ends inside
+a line (a kill mid-write) back to its last newline. The checkpoint file is
+created by rename, then updated in place, so a symlink there is followed; a
+kill cannot tear it. Nothing is fsynced: after a power cut a torn checkpoint
+fails its hash and resume is refused with CorruptCheckpoint.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@ import dataclasses
 import hashlib
 import json
 import math
-import pickle
 import os
+import pickle
 import random
 import signal
 import socket
@@ -670,12 +670,12 @@ class TestRealKill:
             """Sink events without ts_ms, by batch; every line whole JSON."""
             text = sink.read_text(encoding="utf-8")
             assert text.endswith("\n")
+            events = [json.loads(line) for line in text.splitlines()]
+            assert [e["batch"] for e in events] == sorted(e["batch"] for e in events)
             by_batch = {}
-            for line in text.splitlines():
-                event = json.loads(line)
+            for event in events:
                 del event["ts_ms"]
                 by_batch.setdefault(event["batch"], []).append(event)
-            assert list(by_batch) == sorted(by_batch)
             return by_batch
 
         ref_sink, ref_cp = tmp_path / "reference.jsonl", tmp_path / "reference.cp"
@@ -702,12 +702,14 @@ class TestRealKill:
         sink, cp = tmp_path / "alerts.jsonl", tmp_path / "cp"
         kills = mid_run = episode_kills = 0
         for _ in range(60):
-            if kills >= 20:
+            if kills >= 20 and mid_run >= kills / 3:
                 break
             size = sink.stat().st_size if sink.exists() else 0
             child = start(sink, cp)
-            time.sleep(rng.uniform(0, wall))
-            child.kill()                    # a no-op once the child has exited
+            try:
+                child.wait(timeout=rng.uniform(0, wall))
+            except subprocess.TimeoutExpired:
+                child.kill()
             if finish(child):               # it ended unkilled: start afresh
                 check(sink, cp, episode_kills)
                 sink.unlink()
@@ -716,6 +718,7 @@ class TestRealKill:
                 continue
             kills += 1
             episode_kills += 1
+            # mid-run: killed after it wrote to the sink, not while starting
             mid_run += sink.exists() and sink.stat().st_size > size
         assert finish(start(sink, cp))
         check(sink, cp, episode_kills)
