@@ -11,8 +11,8 @@ Pickett 1985). Reference startup chain, used throughout the tests:
     bui(8.545051, 19.014)                                -> 8.490427...
     fwi(10.853661, 8.490427)                             -> 10.096371...
 
-Classification maps code values onto ordered half-open bands [lo, hi);
-band thresholds and the fire-trigger predicate are configuration, not code.
+Classification maps code values onto ordered half-open bands [lo, hi); the
+shipped bands and trigger, DEFAULT_BANDS, are read from data/default.bands.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, fields
 
+from . import data_text
 from ._syntax import key_values
 
 FFMC_START = 85.0
@@ -291,34 +292,6 @@ def _check_bands(quantity, bands, where=""):
         raise BandConfigError(f"{where}{quantity}: empty label")
 
 
-DEFAULT_BANDS = ClassBands(
-    bands={
-        "ignition_potential": [(70, "difficult"), (80, "possible"),
-                               (90, "moderately easy"), (math.inf, "extremely easy")],
-        "spread_rate": [(4, "slow"), (8, "moderate"), (math.inf, "fast")],
-        "dmc_class": [(20, "easy"), (40, "moderate"),
-                      (math.inf, "difficult and extensive")],
-        "dc_class": [(150, "easy"), (300, "moderate"),
-                     (math.inf, "difficult and extensive")],
-        "bui_class": [(40, "low"), (80, "moderate"), (math.inf, "high")],
-        "fwi_class": [(5, "low"), (15, "moderate"), (30, "high"),
-                      (math.inf, "extreme")],
-    },
-    trigger=[("dmc_class", "difficult and extensive"),
-             ("dc_class", "difficult and extensive")],
-)
-
-
-def classify(codes: FwiCodes, bands: ClassBands = DEFAULT_BANDS) -> DangerClassification:
-    """Map a code vector onto danger labels plus the fire-trigger verdict."""
-    def label_for(quantity):
-        return bands.classify_value(quantity, getattr(codes, QUANTITIES[quantity]))
-
-    labels = {q: label_for(q) for q in QUANTITIES if q in _LABELLED}
-    trigger = all(label_for(q) == lab for q, lab in bands.trigger)
-    return DangerClassification(fire_trigger=trigger, **labels)
-
-
 # --- band configuration files ------------------------------------------------
 
 def dump_bands(bands: ClassBands) -> str:
@@ -378,3 +351,16 @@ def load_bands(text: str) -> ClassBands:
         return ClassBands(bands, trigger)
     except BandConfigError as exc:  # the bands themselves passed line by line
         raise fail(trigger_line, str(exc)) from None
+
+
+DEFAULT_BANDS = load_bands(data_text("default.bands"))
+
+
+def classify(codes: FwiCodes, bands: ClassBands = DEFAULT_BANDS) -> DangerClassification:
+    """Map a code vector onto danger labels plus the fire-trigger verdict."""
+    def label_for(quantity):
+        return bands.classify_value(quantity, getattr(codes, QUANTITIES[quantity]))
+
+    labels = {q: label_for(q) for q in QUANTITIES if q in _LABELLED}
+    trigger = all(label_for(q) == lab for q, lab in bands.trigger)
+    return DangerClassification(fire_trigger=trigger, **labels)

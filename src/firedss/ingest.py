@@ -2,9 +2,10 @@
 
 The input layout is the classic Montesinho / UCI "forestfires" CSV:
 X,Y,month,day,FFMC,DMC,DC,ISI,temp,RH,wind,rain,area (comma separated,
-"." decimal point, LF or CRLF). Every transform here is a pure function:
-it returns a new :class:`Dataset` and appends an entry to the dataset's
-provenance trail, so pipelines stay replayable and diffable.
+"." decimal point, LF or CRLF, optional UTF-8 byte order mark). Every
+transform here is a pure function: it returns a new :class:`Dataset` and
+appends an entry to the dataset's provenance trail, so pipelines stay
+replayable and diffable.
 """
 
 from __future__ import annotations
@@ -28,21 +29,20 @@ CANONICAL_COLUMNS = ("X", "Y", "month", "day", "FFMC", "DMC", "DC",
 
 VOCABULARIES = {"month": MONTHS, "day": DAYS}
 
-# inclusive (lo, hi) bounds; None means unbounded on that side
-_RANGES = {
-    "X": (1, 9),
-    "Y": (2, 9),
-    "FFMC": (0.0, 101.0),
-    "RH": (0.0, 100.0),
-    "DMC": (0.0, None),
-    "DC": (0.0, None),
-    "ISI": (0.0, None),
-    "wind": (0.0, None),
-    "rain": (0.0, None),
-    "area": (0.0, None),
+# column -> (type, inclusive lo, inclusive hi); None: unbounded on that side
+_NUMBERS = {
+    "X": (int, 1, 9),
+    "Y": (int, 2, 9),
+    "FFMC": (float, 0.0, 101.0),
+    "DMC": (float, 0.0, None),
+    "DC": (float, 0.0, None),
+    "ISI": (float, 0.0, None),
+    "temp": (float, None, None),
+    "RH": (float, 0.0, 100.0),
+    "wind": (float, 0.0, None),
+    "rain": (float, 0.0, None),
+    "area": (float, 0.0, None),
 }
-
-_INT_COLUMNS = frozenset({"X", "Y"})
 
 
 class DatasetError(ValueError):
@@ -186,15 +186,6 @@ def _canonical_schema():
         for name in CANONICAL_COLUMNS)
 
 
-def _check_range(row, name, value):
-    bounds = _RANGES.get(name)
-    if bounds is None:
-        return
-    lo, hi = bounds
-    if (lo is not None and value < lo) or (hi is not None and value > hi):
-        raise RangeViolation(row, name, value)
-
-
 def _parse_cell(rownum, name, text):
     text = text.strip()
     if name in VOCABULARIES:
@@ -202,13 +193,15 @@ def _parse_cell(rownum, name, text):
         if token not in VOCABULARIES[name]:
             raise RangeViolation(rownum, name, token)
         return token
+    kind, lo, hi = _NUMBERS[name]
     try:
-        value = int(text) if name in _INT_COLUMNS else float(text)
+        value = kind(text)
     except ValueError:
         raise BadCell(rownum, name, text) from None
-    if not math.isfinite(value):
+    if kind is float and not math.isfinite(value):
         raise BadCell(rownum, name, text)
-    _check_range(rownum, name, value)
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        raise RangeViolation(rownum, name, value)
     return value
 
 
@@ -238,8 +231,10 @@ def _parse_row(rownum, fields, order):
 
 
 def _rows(lines, header):
-    """Value tuples in canonical column order from CSV lines; blank rows are
-    skipped and ``header`` is read as iter_records describes."""
+    """Value tuples in canonical column order from CSV lines, skipping one
+    leading byte order mark and blank rows; see iter_records for ``header``."""
+    lines = iter(lines)
+    lines = itertools.chain([next(lines, "").removeprefix("\ufeff")], lines)
     rows = (f for f in csv.reader(lines) if len(f) > 1 or (f and f[0].strip()))
     first, rownum = None, 0
     try:

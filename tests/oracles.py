@@ -6,6 +6,7 @@ deliberately avoids sharing code or structure with the package modules
 it checks.
 """
 
+import decimal
 import itertools
 import math
 
@@ -313,7 +314,9 @@ def _filter_holds(expr, binding):
     right = binding[expr.right.name] if isinstance(expr.right, W.Var) else expr.right
     if isinstance(left, W.Iri) or isinstance(right, W.Iri):
         return False
-    lv, rv = left.numeric_value(), right.numeric_value()
+    # integers and decimals compare as exact numbers, whatever their length
+    lv, rv = (decimal.Decimal(t.lexical) if t.datatype in ("integer", "decimal")
+              else None for t in (left, right))
     if lv is None or rv is None:
         if left.datatype == "string" and right.datatype == "string":
             lv, rv = left.lexical, right.lexical

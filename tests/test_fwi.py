@@ -1,5 +1,9 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -292,6 +296,18 @@ class TestBandConfig:
         from firedss import data_text
         loaded = fwi.load_bands(data_text("default.bands"))
         assert loaded.bands == fwi.DEFAULT_BANDS.bands
+
+    def test_shipped_bands_are_read_from_the_bundled_file(self, tmp_path):
+        # a fresh interpreter outside the source tree reads the file at import
+        from firedss import data_text
+        env = dict(os.environ, PYTHONPATH=str(Path(fwi.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-m", "firedss", "bands", "print"],
+                              cwd=tmp_path, env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == [
+            line for line in data_text("default.bands").splitlines()
+            if not line.startswith("#")]
 
     def test_rejects_unsorted_bounds(self):
         with pytest.raises(fwi.BandConfigError):

@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import io
+import json
 import math
 import random
 
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from firedss import ingest
+from firedss import cli, ingest
 from firedss.ingest import (
     BadCell, Dataset, MissingColumn, RangeViolation, SingleClass, TooFewRows,
     UnknownColumn, UnknownToken, ZeroVariance,
@@ -17,6 +19,7 @@ from oracles import two_pass_pearson
 
 HEADER = "X,Y,month,day,FFMC,DMC,DC,ISI,temp,RH,wind,rain,area"
 ROW1 = "8,6,aug,mon,92.3,88.9,495.6,8.5,24.1,27,3.1,0.0,0.0"
+BOM = "\ufeff"    # a UTF-8 byte order mark, as spreadsheet exports write
 
 
 def make_csv(*rows):
@@ -82,6 +85,14 @@ class TestParse:
         with pytest.raises(RangeViolation):
             ingest.parse_dataset(make_csv(ROW1.replace(",27,", ",140,")))
 
+    @pytest.mark.parametrize("x, y, column", [("1" * 400, "6", "X"),
+                                              ("8", "-" + "9" * 400, "Y")], ids=["X", "Y"])
+    def test_grid_index_past_float_range_is_a_range_violation(self, x, y, column):
+        # X and Y are checked as ints, never made floats
+        with pytest.raises(RangeViolation) as err:
+            ingest.parse_dataset(make_csv(ROW1.replace("8,6,", f"{x},{y},", 1)))
+        assert err.value.column == column and err.value.value == int(max(x, y, key=len))
+
     def test_unknown_month_token(self):
         with pytest.raises(RangeViolation):
             ingest.parse_dataset(make_csv(ROW1.replace("aug", "xyz")))
@@ -143,6 +154,8 @@ class TestUnifiedReader:
         (ROW1 + "\n" + ROW1 + "\n", 2),
         ("\n" + make_csv(ROW1), 1),
         ("", 0),
+        (BOM + make_csv(ROW1), 1),
+        (BOM + ROW1 + "\n", 1),
     ])
     def test_detected_header(self, text, expected):
         records = list(ingest.iter_records(io.StringIO(text), header=None))
@@ -165,6 +178,34 @@ class TestUnifiedReader:
             ingest.parse_dataset(text)
         with pytest.raises(ingest.DatasetError, match=message):
             list(ingest.iter_records(io.StringIO(text)))
+
+
+class TestByteOrderMark:
+    """The reader drops one byte order mark before the first line, in every
+    header mode (header=None: TestUnifiedReader.test_detected_header)."""
+
+    def test_convert_of_the_bundled_table(self, capsys, tmp_path, dataset_text):
+        csv_path, out = tmp_path / "bom.csv", tmp_path / "bom.nt"
+        csv_path.write_text(BOM + dataset_text, encoding="utf-8")
+        assert cli.main(["convert", str(csv_path), str(out)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            "c2a60090074e438c2f6b4d8ac212a8361f2131e257543c911d3e5c4a49e03cc3"
+
+    def test_stream_of_the_bundled_table(self, capsys, tmp_path, dataset_text):
+        csv_path, sink = tmp_path / "bom.csv", tmp_path / "alerts.jsonl"
+        csv_path.write_text(BOM + dataset_text, encoding="utf-8")
+        assert cli.main(["stream", "--dataset", str(csv_path), "--sink", str(sink)]) == 0
+        assert json.loads(capsys.readouterr().out)["records_in"] == 517
+        assert sink.stat().st_size > 0
+
+    def test_headerless_first_record(self):
+        (record,) = ingest.iter_records([BOM + ROW1 + "\n"], header=False)
+        assert dataclasses.astuple(record) == ingest.parse_dataset(make_csv(ROW1)).rows[0]
+
+    def test_only_one_mark_is_dropped(self):
+        with pytest.raises(ingest.UnknownColumn, match=f"^unknown column: {BOM}X$"):
+            ingest.parse_dataset(BOM + BOM + make_csv(ROW1))
 
 
 class TestLogTransform:

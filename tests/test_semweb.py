@@ -672,6 +672,21 @@ class TestOracleEquivalence:
             assert list(got.rows) == want_rows, f"case {case}"
             assert got.type_clashes == brute_force_clashes(q, g), f"case {case}"
 
+    @pytest.mark.parametrize("close, exact", [
+        ("0.1000000000000000055511151231257827", "0.1"),
+        ("1" * 400 + ".0", "1" * 399 + "0.0"),
+    ], ids=["one-ulp", "past-float-range"])
+    def test_decimals_compare_exactly(self, close, exact):
+        # both values of a pair read as the same float, so an oracle that
+        # compares floats would return both rows
+        g = Graph()
+        g.add(Triple(iri("a"), iri("v"), Literal(close, "decimal")))
+        g.add(Triple(iri("b"), iri("v"), Literal(exact, "decimal")))
+        q = parse_query(f"PREFIX ex: <{EX}>\n"
+                        f"SELECT ?s WHERE {{ ?s ex:v ?v . FILTER (?v = {exact}) }}")
+        assert list(execute(q, g).rows) == [(iri("b"),)]
+        assert brute_force_query(q, g) == (("s",), [(iri("b"),)])
+
 
 class TestConcurrentReads:
     def test_shared_graph_queries_from_many_threads(self):
