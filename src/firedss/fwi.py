@@ -11,14 +11,17 @@ Pickett 1985). Reference startup chain, used throughout the tests:
     bui(8.545051, 19.014)                                -> 8.490427...
     fwi(10.853661, 8.490427)                             -> 10.096371...
 
-Classification maps code values onto ordered half-open bands [lo, hi); the
-shipped bands and trigger, DEFAULT_BANDS, are read from data/default.bands.
+QUANTITIES maps each danger quantity onto the code it classifies, and
+FwiCodes takes its six fields from it, in that order. Classification maps
+code values onto ordered half-open bands [lo, hi); the shipped bands and
+trigger, DEFAULT_BANDS, are read from data/default.bands.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import namedtuple
 from dataclasses import dataclass, fields
 
 from . import data_text
@@ -61,14 +64,20 @@ class FwiInputs:
             raise OutOfRange(f"month {self.month} outside 1-12")
 
 
-@dataclass(frozen=True)
-class FwiCodes:
-    ffmc: float
-    dmc: float
-    dc: float
-    isi: float
-    bui: float
-    fwi: float
+# danger quantity -> the code it classifies; the quantities that are
+# DangerClassification fields are also its labels
+QUANTITIES = {
+    "ignition_potential": "ffmc",
+    "dmc_class": "dmc",
+    "dc_class": "dc",
+    "spread_rate": "isi",
+    "bui_class": "bui",
+    "fwi_class": "fwi",
+}
+
+
+class FwiCodes(namedtuple("FwiCodes", QUANTITIES.values())):
+    __slots__ = ()
 
 
 def _moisture_from_ffmc(ffmc_value):
@@ -221,18 +230,6 @@ def compute_codes(record) -> FwiCodes:
 
 
 # --- classification ---------------------------------------------------------
-
-# danger quantity -> the code it classifies; the quantities that are
-# DangerClassification fields are also its labels
-QUANTITIES = {
-    "ignition_potential": "ffmc",
-    "dmc_class": "dmc",
-    "dc_class": "dc",
-    "spread_rate": "isi",
-    "bui_class": "bui",
-    "fwi_class": "fwi",
-}
-
 
 @dataclass(frozen=True)
 class DangerClassification:

@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 import random
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,22 +110,10 @@ class Column:
     kind: str  # "numeric" | "categorical"
 
 
-@dataclass(frozen=True)
-class WeatherRecord:
-    """One sensor/dataset row: grid cell, calendar, weather, fire codes, burned area."""
-    x: int
-    y: int
-    month: str
-    day: str
-    ffmc: float
-    dmc: float
-    dc: float
-    isi: float
-    temp: float
-    rh: float
-    wind: float
-    rain: float
-    area: float
+class WeatherRecord(namedtuple("WeatherRecord", [name.lower() for name in CANONICAL_COLUMNS])):
+    """One sensor/dataset row: grid cell, calendar, weather, fire codes, burned
+    area. The fields are the canonical columns, lower-cased, in column order."""
+    __slots__ = ()
 
 
 class Dataset:
@@ -174,7 +163,7 @@ class Dataset:
         """View rows as WeatherRecords; requires the canonical 13-column schema."""
         if self.column_names != CANONICAL_COLUMNS:
             raise DatasetError("dataset does not have the canonical 13-column schema")
-        return [WeatherRecord(*r) for r in self.rows]
+        return list(map(WeatherRecord._make, self.rows))
 
     def provenance_json(self):
         return json.dumps({"steps": list(self.provenance)}, sort_keys=True)
@@ -278,8 +267,7 @@ def iter_records(lines, header=True):
     header=None takes the first row as a header exactly when its cells are
     the 13 names.
     """
-    for values in _rows(lines, header):
-        yield WeatherRecord(*values)
+    yield from map(WeatherRecord._make, _rows(lines, header))
 
 
 def serialize_csv(d: Dataset) -> str:

@@ -100,18 +100,6 @@ class Literal(Term):
             raise GraphError(f"bad boolean lexical form: {lexical!r}")
         return tuple.__new__(cls, (cls, lexical, datatype))
 
-    def numeric_value(self):
-        """The number of an integer or decimal literal, else None. An integer
-        past the int-string digit limit comes back as an exact Decimal."""
-        if self.datatype == "integer":
-            try:
-                return int(self.lexical)
-            except ValueError:
-                return decimal.Decimal(self.lexical)
-        if self.datatype == "decimal":
-            return float(self.lexical)
-        return None
-
 
 def literal_for(value) -> Literal:
     """Map a Python value onto the closest typed literal."""

@@ -128,12 +128,15 @@ class AlertEvent(namedtuple("AlertEvent", "batch kind severity value offsets rul
                 f'"value": {"null" if value is None else _json_value(value)}}}')
 
 
-@dataclass(frozen=True)
-class Checkpoint:
-    source_id: str
-    batch_seq: int      # last fully processed batch
-    offset: int         # next unread record offset
-    fingerprint: str
+# checkpoint field -> its JSON type, in field order
+_CHECKPOINT_FIELDS = {"source_id": str,
+                      "batch_seq": int,     # last fully processed batch
+                      "offset": int,        # next unread record offset
+                      "fingerprint": str}
+
+
+class Checkpoint(namedtuple("Checkpoint", _CHECKPOINT_FIELDS)):
+    __slots__ = ()
 
 
 @dataclass
@@ -233,11 +236,20 @@ def open_source(spec, start_offset=0):
     return enumerate(records, start_offset)
 
 
+def _check_batch_size(size):
+    if size < 1:
+        raise StreamError(f"batch size must be >= 1, got {size}")
+
+
+def _check_aggregate(aggregate):
+    if aggregate not in ("max", "mean"):
+        raise StreamError(f"unknown aggregate: {aggregate}")
+
+
 def cut_batches(source, size=20, first_seq=0):
     """Contiguous non-overlapping batches in arrival order; the final short
     batch (if any) carries the flush flag."""
-    if size < 1:
-        raise StreamError(f"batch size must be >= 1, got {size}")
+    _check_batch_size(size)
     seq = first_seq
     pending = []
     for offset, record in source:
@@ -332,8 +344,7 @@ def batch_evaluate(batch, bands=fwi.DEFAULT_BANDS, rules=None, aggregate="max"):
     table = _label_table(bands)
     if not batch.records:
         raise StreamError(f"batch {batch.seq} is empty")
-    if aggregate not in ("max", "mean"):
-        raise StreamError(f"unknown aggregate: {aggregate}")
+    _check_aggregate(aggregate)
 
     now = int(time.time() * 1000)
     use_rules = rules is not None and len(rules) > 0
@@ -387,10 +398,6 @@ def config_fingerprint(rules_text="", bands=fwi.DEFAULT_BANDS):
     return hashlib.sha256(payload).hexdigest()
 
 
-_CHECKPOINT_FIELDS = {"source_id": str, "batch_seq": int, "offset": int,
-                      "fingerprint": str}
-
-
 def checkpoint_save(path, cp: Checkpoint, previous=None):
     """Write the body line and its integrity hash line: a new file by temp +
     rename, an existing one in place by one pwrite at offset 0 and a truncate
@@ -406,7 +413,7 @@ def checkpoint_save(path, cp: Checkpoint, previous=None):
         raise StaleCheckpoint(
             f"refusing to regress checkpoint from batch {previous.batch_seq} "
             f"to {cp.batch_seq}")
-    body = _to_json(vars(cp))
+    body = _to_json(cp._asdict())
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
     data = (body + "\n" + digest + "\n").encode("utf-8")
     try:
@@ -445,7 +452,7 @@ def checkpoint_load(path) -> Checkpoint:
     for name, kind in _CHECKPOINT_FIELDS.items():
         if type(obj.get(name)) is not kind:    # a bool is not an int here
             raise CorruptCheckpoint(f"{path}: {name} must be a JSON {kind.__name__}")
-    return Checkpoint(**{name: obj[name] for name in _CHECKPOINT_FIELDS})
+    return Checkpoint._make(obj[name] for name in _CHECKPOINT_FIELDS)
 
 
 # --- pipeline ------------------------------------------------------------------
@@ -476,8 +483,13 @@ def run_pipeline(source_spec, sink_path, checkpoint_path=None, batch_size=20,
     persist the checkpoint. On resume the fingerprint and source identity
     must match the checkpoint or the run is refused. crash_hook(point, seq)
     is called at the instrumented points "after_sink" and "after_checkpoint".
+
+    The bands, batch size and aggregate are checked first, so a bad one
+    creates no sink and leaves an existing one as it was.
     """
-    _label_table(bands)         # all six quantities, checked before the sink opens
+    _label_table(bands)         # all six quantities
+    _check_batch_size(batch_size)
+    _check_aggregate(aggregate)
     fingerprint = config_fingerprint(rules_text, bands)
     source_id = parse_source(source_spec).source_id
     start_offset, first_seq, cp = 0, 0, None

@@ -176,6 +176,32 @@ class TestStream:
         assert err == "firedss: error: rate must be at least 1.08e-10, got '1e-300'\n"
         assert not sink.exists()
 
+    @pytest.mark.parametrize("config_text, flags, message", [
+        ("", ["--batch-size", "0"], "batch size must be >= 1, got 0"),
+        ("", ["--batch-size", "-3"], "batch size must be >= 1, got -3"),
+        ("aggregate = median\n", [], "unknown aggregate: median"),
+    ], ids=["batch-size-0", "batch-size-negative", "aggregate-median"])
+    def test_bad_batch_setting_exits_1_without_a_sink(self, capsys, tmp_path, config_text,
+                                                      flags, message):
+        config = tmp_path / "c.conf"
+        config.write_text(config_text, encoding="utf-8")
+        sink = tmp_path / "alerts.jsonl"
+        code, stdout, err = run(capsys, "--config", str(config), "stream", "--dataset",
+                                str(data_path("forestfires_synthetic.csv")),
+                                "--sink", str(sink), *flags)
+        assert (code, stdout) == (1, "")
+        assert err == f"firedss: error: {message}\n"
+        assert not sink.exists()
+
+    def test_bad_batch_size_leaves_a_torn_sink_as_it_was(self, capsys, tmp_path, small_csv):
+        sink = tmp_path / "alerts.jsonl"
+        torn = b'{"batch": 0, "kind": "DC_MOPUP"}\n{"batch": 1, "ki'
+        sink.write_bytes(torn)
+        code, _, err = run(capsys, "stream", "--dataset", small_csv, "--sink", str(sink),
+                           "--batch-size", "0")
+        assert code == 1 and err == "firedss: error: batch size must be >= 1, got 0\n"
+        assert sink.read_bytes() == torn
+
     @pytest.mark.parametrize("port", ["70000", "-1"])
     def test_port_out_of_range_exits_1_without_binding(self, capsys, tmp_path, port):
         sink = tmp_path / "alerts.jsonl"

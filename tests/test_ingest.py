@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import io
 import json
@@ -135,7 +134,7 @@ class TestUnifiedReader:
         text = EDGE_INPUTS[name]
         batch = _outcome(lambda: ingest.parse_dataset(text).rows)
         streamed = _outcome(lambda: tuple(
-            dataclasses.astuple(r) for r in ingest.iter_records(io.StringIO(text))))
+            tuple(r) for r in ingest.iter_records(io.StringIO(text))))
         assert batch == streamed
 
     def test_edge_outcomes(self):
@@ -159,12 +158,12 @@ class TestUnifiedReader:
     ])
     def test_detected_header(self, text, expected):
         records = list(ingest.iter_records(io.StringIO(text), header=None))
-        assert [dataclasses.astuple(r) for r in records] == \
+        assert [tuple(r) for r in records] == \
             [ingest.parse_dataset(make_csv(ROW1)).rows[0]] * expected
 
     def test_headerless_rows_in_canonical_order(self):
         (record,) = ingest.iter_records([ROW1 + "\n"], header=False)
-        assert dataclasses.astuple(record) == ingest.parse_dataset(make_csv(ROW1)).rows[0]
+        assert tuple(record) == ingest.parse_dataset(make_csv(ROW1)).rows[0]
         with pytest.raises(BadCell):
             list(ingest.iter_records([HEADER + "\n"], header=False))
 
@@ -201,7 +200,7 @@ class TestByteOrderMark:
 
     def test_headerless_first_record(self):
         (record,) = ingest.iter_records([BOM + ROW1 + "\n"], header=False)
-        assert dataclasses.astuple(record) == ingest.parse_dataset(make_csv(ROW1)).rows[0]
+        assert tuple(record) == ingest.parse_dataset(make_csv(ROW1)).rows[0]
 
     def test_only_one_mark_is_dropped(self):
         with pytest.raises(ingest.UnknownColumn, match=f"^unknown column: {BOM}X$"):

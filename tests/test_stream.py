@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import math
@@ -401,7 +400,7 @@ class TestCheckpoints:
 
     @staticmethod
     def _file_bytes(cp):
-        body = json.dumps(dataclasses.asdict(cp), sort_keys=True)
+        body = json.dumps(cp._asdict(), sort_keys=True)
         return f"{body}\n{hashlib.sha256(body.encode()).hexdigest()}\n".encode()
 
     def test_save_over_a_checkpoint_renames_nothing(self, tmp_path, monkeypatch):
@@ -678,9 +677,17 @@ class TestRealKill:
                 by_batch.setdefault(event["batch"], []).append(event)
             return by_batch
 
+        def first_write(child, sink, size):
+            """Wait until the child has grown the sink past size, or has ended."""
+            while child.poll() is None and not (sink.exists() and sink.stat().st_size > size):
+                time.sleep(0.001)
+
         ref_sink, ref_cp = tmp_path / "reference.jsonl", tmp_path / "reference.cp"
         began = time.perf_counter()
-        assert finish(start(ref_sink, ref_cp))
+        child = start(ref_sink, ref_cp)
+        first_write(child, ref_sink, 0)
+        startup = time.perf_counter() - began
+        assert finish(child)
         wall = time.perf_counter() - began
         reference = batches(ref_sink)
 
@@ -705,9 +712,16 @@ class TestRealKill:
             if kills >= 20 and mid_run >= kills / 3:
                 break
             size = sink.stat().st_size if sink.exists() else 0
+            delay = rng.uniform(0, wall)
             child = start(sink, cp)
+            # a delay past the reference start-up is timed from this child's
+            # own first sink write, so the share of kills that land mid-run
+            # does not fall when the host slows down
+            if delay > startup:
+                first_write(child, sink, size)
+                delay -= startup
             try:
-                child.wait(timeout=rng.uniform(0, wall))
+                child.wait(timeout=delay)
             except subprocess.TimeoutExpired:
                 child.kill()
             if finish(child):               # it ended unkilled: start afresh
@@ -874,7 +888,7 @@ class TestBatchPathParity:
 
     def test_out_of_range_labelled_code_names_its_record(self, alert_rules):
         (calm, trigger) = records_of(CALM_ROW, TRIGGER_ROW)
-        bad = dataclasses.replace(trigger, ffmc=math.nan)
+        bad = trigger._replace(ffmc=math.nan)
         batch = Batch(2, ((40, calm), (41, bad)))
         with pytest.raises(stream.BatchEvaluationError) as caught:
             batch_evaluate(batch, rules=alert_rules)
