@@ -10,13 +10,14 @@ The caret/arrow surface form is accepted in the clause as well
 (`rule r1: A(?x) ^ B(?x, 3) -> C(?x)`), and comparison builtins may carry
 a `swrlb:` prefix. Atoms are unary (class membership) or binary (property);
 heads never invent new individuals, so saturation always terminates.
-Evaluation runs to the least fixpoint and records one derivation per
-derived fact for explanation. It is semi-naive: rules run in rounds in
-rule order, each rule keeps one watermark per body atom, so a rule joins
-only against facts that are new since it last ran, and a new fact wakes
-only the rules whose body uses its predicate. Body atoms with bound
-arguments are joined through per-position indexes of the fact lists, by
-the one join (`firedss._terms.join`) that graph queries run too.
+Evaluation runs to the least fixpoint and records per derived fact its
+rule and bindings, from which its Derivation is built when it is read, for
+explanation. It is semi-naive: rules run in rounds in rule order, each
+rule keeps one watermark per body atom, so a rule joins only against
+facts that are new since it last ran, and a new fact wakes only the rules
+whose body uses its predicate. Body atoms with bound arguments are
+joined through per-position indexes of the fact lists, by the one join
+(`firedss._terms.join`) that graph queries run too.
 """
 
 from __future__ import annotations
@@ -175,15 +176,29 @@ class FactBase:
     """Ground atoms, each once and in the caller's order, plus one
     derivation record per derived fact. `facts` is a read-only set-like view
     of the atom -> None dict `_atoms`; the atoms are checked where text enters
-    (`parse_rules`, `parse_facts`)."""
+    (`parse_rules`, `parse_facts`). `_made` maps each derived fact to a
+    Derivation or to the raw (rule name, bindings, body atoms) that `evaluate`
+    stores, which `derivations` and `explain` replace in place by its
+    Derivation when they first read it; `derived()` and `rule_of` build none.
+    This is safe for threads sharing a RuleSet: the body atoms are those of
+    the immutable `RuleSet._compiled`, each `evaluate` call owns its FactBase,
+    and threads building one FactBase's derivations at once only replace
+    values under existing keys, which never resizes the dict, with equal
+    Derivations."""
 
     def __init__(self, facts=(), derivations=None):
         self._atoms = dict.fromkeys(facts)
-        self.derivations = dict(derivations or {})
+        self._made = dict(derivations or {})
 
     @property
     def facts(self):
         return self._atoms.keys()
+
+    @property
+    def derivations(self):
+        for fact in self._made:
+            self._derivation(fact)
+        return self._made
 
     def __contains__(self, atom):
         return atom in self._atoms
@@ -192,7 +207,20 @@ class FactBase:
         return len(self._atoms)
 
     def derived(self):
-        return self.derivations.keys()
+        return self._made.keys()
+
+    def rule_of(self, fact):
+        """The name of the rule that derived `fact`."""
+        return self._made[fact][0]
+
+    def _derivation(self, fact):
+        """The Derivation of `fact`, built in place if raw; None if not derived."""
+        made = self._made.get(fact)
+        if made is not None and not isinstance(made, Derivation):
+            rule, bindings, atoms = made
+            made = self._made[fact] = Derivation(rule, tuple(sorted(bindings.items())), tuple(
+                [make_atom((a[0], ground(a[1], bindings))) for a in atoms]))
+        return made
 
 
 # --- textual forms -----------------------------------------------------------
@@ -456,10 +484,10 @@ class _Plan:
         self.seen = [0] * len(self.atoms)
 
 
-def _fire(plan, known, by_key, derivations):
+def _fire(plan, known, by_key, made):
     """One run of a rule: join the bindings that use a fact new since its
-    last run and add each new head fact with its derivation. Returns the
-    (predicate, arity) keys of the lists that grew."""
+    last run and add each new head fact with its raw derivation record.
+    Returns the (predicate, arity) keys of the lists that grew."""
     if plan.atoms:
         sizes = list(map(len, plan.lists))
         found = _new_bindings(plan.atoms, plan.lists, plan.seen, sizes, plan.probes)
@@ -467,10 +495,9 @@ def _fire(plan, known, by_key, derivations):
     else:
         found = [{}]
     grown = set()
-    for bindings in found:
+    for bindings in found:      # each a dict of its own, kept in the record
         if plan.builtins and not _passes_builtins(plan.name, plan.builtins, bindings):
             continue
-        premises = None
         for predicate, args in plan.head:
             terms = ground(args, bindings)
             fact = make_atom((predicate, terms))
@@ -482,11 +509,7 @@ def _fire(plan, known, by_key, derivations):
             if facts_of is not None:
                 facts_of.append(terms)
                 grown.add(key)
-            if premises is None:
-                premises = tuple([make_atom((a[0], ground(a[1], bindings)))
-                                  for a in plan.atoms])
-            derivations[fact] = Derivation(
-                plan.name, tuple(sorted(bindings.items())), premises)
+            made[fact] = (plan.name, bindings, plan.atoms)
     return grown
 
 
@@ -517,10 +540,11 @@ def evaluate(rules: RuleSet, facts: FactBase) -> FactBase:
     Heads cannot introduce new individuals, so the fixpoint exists and the
     fact set is independent of rule and fact ordering. The facts are kept
     in input order, so the recorded bindings and premises are the same in
-    every process.
+    every process. Per derived fact it stores the rule name, the bindings
+    and the rule's body atoms; FactBase builds the Derivation when it is read.
     """
     known = facts._atoms.copy()     # a dict copy reuses the stored hashes
-    derivations = dict(facts.derivations)
+    made = dict(facts._made)
     compiled, triggers, predicates = rules._compiled
     by_key = {key: [] for key in triggers}  # argument lists of the body keys only
     indexes = {}
@@ -537,7 +561,7 @@ def evaluate(rules: RuleSet, facts: FactBase) -> FactBase:
         queued, later = set(pending), set()
         while pending:
             r = heappop(pending)
-            for key in _fire(plans[r], known, by_key, derivations):
+            for key in _fire(plans[r], known, by_key, made):
                 for s in triggers.get(key, ()):
                     if s <= r:
                         later.add(s)
@@ -545,7 +569,7 @@ def evaluate(rules: RuleSet, facts: FactBase) -> FactBase:
                         queued.add(s)
                         heappush(pending, s)
         pending = list(later)
-    return FactBase(known, derivations)
+    return FactBase(known, made)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -607,7 +631,7 @@ def explain(facts: FactBase, fact: Atom) -> DerivationTree:
             continue
         if f not in facts:
             raise UnknownFact(format_atom(f))
-        deriv = facts.derivations.get(f) or Derivation(None, (), ())
+        deriv = facts._derivation(f) or Derivation(None, (), ())
         if any(p in trees and trees[p] is None for p in deriv.premises):
             raise RuleError(f"cyclic derivation of {format_atom(f)}")
         todo = [p for p in deriv.premises if p not in trees]

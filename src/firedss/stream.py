@@ -14,16 +14,20 @@ trigger. Then:
   batch naming its first record;
 * the rule set, compiled once per RuleSet, is saturated over the facts,
   and each derived fact becomes a RULE alert, its offsets taken from the
-  batch's individual -> offset map (any other ``rec_<n>`` giving n).
+  batch's individual -> offset map (any other ``rec_<n>`` giving n, for n
+  in canonical decimal form).
 
 Delivery is at-least-once: alerts are flushed to the sink before the
 checkpoint is saved, so a crash in between replays one whole batch.
 Checkpoints refuse to resume when the rule/band fingerprint has changed.
 A run reads its checkpoint once, at start, and cuts a sink that ends inside
-a line (a kill mid-write) back to its last newline. The checkpoint file is
-created by rename, then updated in place, so a symlink there is followed; a
-kill cannot tear it. Nothing is fsynced: after a power cut a torn checkpoint
-fails its hash and resume is refused with CorruptCheckpoint.
+a line (a kill mid-write) back to its last newline; resuming a file source,
+it cuts the first replayed batch's lines at the sink's end back to whole
+copies, as a kill during a multi-page write can leave part of one. The
+checkpoint file is created by rename, then updated in place, so a symlink
+there is followed; a kill cannot tear it. Nothing is fsynced: after a power
+cut a torn checkpoint fails its hash and resume is refused with
+CorruptCheckpoint.
 """
 
 from __future__ import annotations
@@ -319,16 +323,18 @@ def _label_table(bands):
 
 def _offsets(args, individuals):
     """The record offsets among a fact's arguments: the individuals of the
-    batch's records, and any other rec_<n> as n."""
+    batch's records, and any other rec_<n>, n in canonical decimal, as n."""
     out = []
     for arg in args:
         if arg in individuals:
             out.append(individuals[arg])
         elif arg[0] is rules_mod.Individual and arg[1].startswith("rec_"):
             try:
-                out.append(int(arg[1][4:]))
-            except ValueError:
-                pass
+                n = int(arg[1][4:])
+            except ValueError:      # not a number, or past int()'s digit limit
+                continue
+            if n >= 0 and str(n) == arg[1][4:]:     # not "007", "1_0", "+7", " 7", "-7"
+                out.append(n)
     return tuple(out)
 
 
@@ -383,11 +389,11 @@ def batch_evaluate(batch, bands=fwi.DEFAULT_BANDS, rules=None, aggregate="max"):
             saturated = rules_mod.evaluate(rules, rules_mod.FactBase(facts))
         except rules_mod.TypeClash as exc:
             raise BatchEvaluationError(batch.seq, batch.first_offset, exc) from None
-        derivations = saturated.derivations
+        rule_of = saturated.rule_of
         for fact in sorted(saturated.derived(), key=rules_mod.format_atom):
             events.append(AlertEvent(
                 batch.seq, "RULE", fact[0], None, _offsets(fact[1], individuals),
-                derivations[fact].rule, now))
+                rule_of(fact), now))
     return events
 
 
@@ -459,9 +465,10 @@ def checkpoint_load(path) -> Checkpoint:
 
 def _cut_torn_line(path):
     """Cut a sink file that ends inside a line, as a kill during a sink write
-    can leave it, back to just after its last newline."""
+    can leave it, back to just after its last newline. Returns the length
+    kept, 0 where there is no sink file or it is not a regular file."""
     if not os.path.isfile(path):        # no sink yet, or a pipe or device
-        return
+        return 0
     with open(path, "rb+") as fh:
         end = keep = fh.seek(0, os.SEEK_END)
         while keep:
@@ -472,6 +479,29 @@ def _cut_torn_line(path):
                 break
         if keep < end:
             fh.truncate(keep)
+    return keep
+
+
+def _cut_partial_batch(path, seq, n):
+    """Cut the lines of batch `seq` at the end of a sink file that ends in a
+    newline back to whole copies of its `n` lines: a kill during a
+    multi-page sink write can leave the leading lines of a copy."""
+    prefix, size = b'{"batch": %d, ' % seq, 65536
+    with open(path, "rb+") as fh:
+        end = fh.seek(0, os.SEEK_END)
+        while True:     # read back to a line of another batch, or to the start
+            fh.seek(max(end - size, 0))
+            lines = fh.read(size).split(b"\n")[:-1]
+            if end > size:
+                del lines[0]            # it may begin inside a line
+            k = 0
+            while k < len(lines) and lines[-1 - k].startswith(prefix):
+                k += 1
+            if k < len(lines) or end <= size:
+                break
+            size *= 2
+        if k % n:
+            fh.truncate(end - sum(len(line) + 1 for line in lines[-(k % n):]))
 
 
 def run_pipeline(source_spec, sink_path, checkpoint_path=None, batch_size=20,
@@ -508,13 +538,18 @@ def run_pipeline(source_spec, sink_path, checkpoint_path=None, batch_size=20,
     stats = PipelineStats()
     started = time.perf_counter()
     try:
-        _cut_torn_line(sink_path)
+        # only a file source replays a batch that a kill cut short record for record
+        replayed = (_cut_torn_line(sink_path) and checkpoint_path is not None
+                    and source_id.startswith("file:"))
         sink = open(sink_path, "a", encoding="utf-8")
     except OSError as exc:
         raise IoError(f"cannot open sink {sink_path}: {exc}") from None
     with sink:
         for batch in cut_batches(source, batch_size, first_seq):
             events = batch_evaluate(batch, bands, rules, aggregate)
+            if replayed:
+                _cut_partial_batch(sink_path, batch.seq, len(events))
+                replayed = False
             sink.write("".join([event.to_json() + "\n" for event in events]))
             sink.flush()
             if crash_hook is not None:

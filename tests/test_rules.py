@@ -885,3 +885,127 @@ class TestCompiledRuleSet:
                 assert other.rules == rs.rules
                 assert [_saturation(rules.evaluate(other, base))
                         for base in bases] == expected
+
+
+def _counting_derivations(monkeypatch):
+    """The rule names of the Derivations constructed from now on, counted
+    through the class, so pickling and isinstance are unaffected."""
+    built = []
+    new = rules.Derivation.__new__
+
+    def counting(cls, *args):
+        built.append(args[0])
+        return new(cls, *args)
+
+    monkeypatch.setattr(rules.Derivation, "__new__", counting)
+    return built
+
+
+def _eager(rs, base):
+    """The saturated fact base with every Derivation built."""
+    out = rules.evaluate(rs, base)
+    return FactBase(out.facts, out.derivations)
+
+
+def _tree_nodes(tree):
+    """Every node of a DerivationTree, shared subtrees once."""
+    seen, stack = {}, [tree]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node.children)
+    return list(seen.values())
+
+
+class TestLazyDerivations:
+    """evaluate records each derived fact's rule and bindings; its
+    Derivation is built once, in place, when it is first read."""
+
+    @staticmethod
+    def _program():
+        """The alert rules plus a six-link chain over 160 bundled records."""
+        rs, bases = TestCompiledRuleSet._programs()[0]
+        return rs, FactBase([fact for base in bases for fact in base.facts])
+
+    def test_the_stream_builds_no_derivation(self, monkeypatch):
+        rs = rules.parse_rules(data_text("fwi_alerts.rules"))
+        records = ingest.iter_records(
+            data_text("forestfires_synthetic.csv").splitlines(), header=True)
+        batches = list(stream.cut_batches(enumerate(records), 20))
+
+        def alerts():
+            return [[event._replace(ts_ms=0) for event in stream.batch_evaluate(batch, rules=rs)]
+                    for batch in batches]
+
+        expected = alerts()
+        built = _counting_derivations(monkeypatch)
+        assert alerts() == expected
+        assert built == []
+        # the seam counts: reading the derivations builds one per derived fact
+        out = rules.evaluate(*self._program())
+        assert len(out.derivations) == len(built) > 0
+
+    def test_explain_builds_only_the_derivations_on_its_tree(self, monkeypatch):
+        rs, base = self._program()
+        eager = _eager(rs, base)
+        built = _counting_derivations(monkeypatch)
+        out = rules.evaluate(rs, base)
+        fact = next(f for f in out.derived() if f.predicate == "Stage6")
+        tree = rules.explain(out, fact)
+        on_tree = sorted(node.rule for node in _tree_nodes(tree) if node.rule is not None)
+        # explain stands an empty Derivation in for each asserted leaf
+        assert sorted(filter(None, built)) == on_tree
+        assert len(on_tree) == 6 < len(out.derived())
+        assert rules.explain(out, fact) == tree
+        assert len(list(filter(None, built))) == 6          # built in place, once
+        assert tree == rules.explain(eager, fact)
+
+    @pytest.mark.parametrize("duplicate", [
+        lambda fb: pickle.loads(pickle.dumps(fb)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"])
+    def test_a_fact_base_duplicated_before_any_build_equals_the_eager_one(
+            self, monkeypatch, duplicate):
+        rs, base = self._program()
+        eager = _eager(rs, base)
+        built = _counting_derivations(monkeypatch)
+        twin = duplicate(rules.evaluate(rs, base))
+        assert built == []
+        monkeypatch.undo()
+        assert list(twin.facts) == list(eager.facts)
+        assert all(rules.explain(twin, f) == rules.explain(eager, f) for f in twin.facts)
+        assert list(twin.derivations.items()) == list(eager.derivations.items())
+
+    def test_threads_reading_one_fresh_fact_base_get_the_eager_derivations(
+            self, monkeypatch):
+        rs, base = self._program()
+        expected = list(rules.evaluate(rs, base).derivations.items())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                built = _counting_derivations(monkeypatch)
+                out = rules.evaluate(rs, base)
+                assert built == []
+                start = threading.Barrier(2)
+                got = [None] * 2
+
+                def read(slot):
+                    start.wait(timeout=30)
+                    got[slot] = list(out.derivations.items())
+
+                threads = [threading.Thread(target=read, args=(slot,)) for slot in range(2)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert got == [expected] * 2
+                # each thread builds each derivation at most once, and a
+                # later read finds them all built
+                assert len(expected) <= len(built) <= 2 * len(expected)
+                before = len(built)
+                assert list(out.derivations.items()) == expected and len(built) == before
+                monkeypatch.undo()
+        finally:
+            sys.setswitchinterval(interval)

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import os
@@ -641,6 +642,74 @@ class TestRunPipeline:
         assert sink.read_text(encoding="utf-8").endswith("\n")
         assert strip_ts(read_sink(sink)) == strip_ts(read_sink(reference))
 
+    @pytest.mark.parametrize("crash_at, copies", [
+        (("after_checkpoint", 10), 1),      # a partial copy goes
+        (("after_sink", 11), 2),            # a whole copy stays, the partial one goes
+    ], ids=["partial", "whole-and-partial"])
+    def test_resume_cuts_a_partial_batch_to_whole_copies(
+            self, dataset_file, tmp_path, alert_rules, rules_alerts_text, crash_at, copies):
+        reference, sink, cp = (tmp_path / "reference.jsonl", tmp_path / "alerts.jsonl",
+                               tmp_path / "cp")
+        run_pipeline(dataset_file, reference, rules=alert_rules, rules_text=rules_alerts_text)
+        lines = reference.read_text(encoding="utf-8").splitlines(keepends=True)
+        batch_11 = [line for line in lines if json.loads(line)["batch"] == 11]
+        assert len(batch_11) > 12
+
+        def crash(point, seq):
+            if (point, seq) == crash_at:
+                raise SimulatedCrash("crash")
+
+        with pytest.raises(SimulatedCrash):
+            run_pipeline(dataset_file, sink, cp, rules=alert_rules,
+                         rules_text=rules_alerts_text, crash_hook=crash)
+        assert checkpoint_load(cp).batch_seq == 10
+        with open(sink, "a", encoding="utf-8") as fh:
+            # what a kill during a multi-page write of batch 11 leaves
+            fh.writelines(batch_11[:12])
+        run_pipeline(dataset_file, sink, cp, rules=alert_rules, rules_text=rules_alerts_text)
+        events = strip_ts(read_sink(reference))
+        expected = ([e for e in events if e["batch"] < 11]
+                    + [e for e in events if e["batch"] == 11] * copies
+                    + [e for e in events if e["batch"] > 11])
+        assert strip_ts(read_sink(sink)) == expected
+
+    @pytest.mark.parametrize("head", ["", '{"batch": 2, "kind": "RULE"}\n'],
+                             ids=["batch-only", "after-another-batch"])
+    def test_partial_batch_cut_reads_back_past_one_read(self, tmp_path, head):
+        line = '{"batch": 3, "kind": "RULE", "offsets": [' + "7, " * 2000 + "7]}\n"
+        sink = tmp_path / "alerts.jsonl"
+        sink.write_text(head + line * 25, encoding="utf-8")     # about 150 KB
+        stream._cut_partial_batch(sink, 3, 10)
+        assert sink.read_text(encoding="utf-8") == head + line * 20
+
+    def test_resume_from_stdin_keeps_a_partial_batch(self, tmp_path, monkeypatch,
+                                                     alert_rules, rules_alerts_text):
+        # stdin need not replay the records whose alerts a kill cut short, so
+        # the alerts already delivered stay
+        rows = [CALM_ROW, TRIGGER_ROW, HIGH_DC_ROW] * 10
+        reference, sink, cp = (tmp_path / "reference.jsonl", tmp_path / "alerts.jsonl",
+                               tmp_path / "cp")
+
+        def run(sink, cp=None, rows=rows, crash_hook=None):
+            monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(rows) + "\n"))
+            run_pipeline("-", sink, cp, batch_size=5, rules=alert_rules,
+                         rules_text=rules_alerts_text, crash_hook=crash_hook)
+
+        def crash(point, seq):
+            if point == "after_checkpoint" and seq == 2:
+                raise SimulatedCrash("crash")
+
+        run(reference)
+        batch_3 = [line for line in reference.read_text(encoding="utf-8").splitlines(
+            keepends=True) if json.loads(line)["batch"] == 3]
+        with pytest.raises(SimulatedCrash):
+            run(sink, cp, crash_hook=crash)
+        with open(sink, "a", encoding="utf-8") as fh:
+            fh.writelines(batch_3[:3])
+        run(sink, cp, rows[15:])
+        got = [e for e in strip_ts(read_sink(sink)) if e["batch"] == 3]
+        assert got == strip_ts(json.loads(line) for line in batch_3[:3] + batch_3)
+
 
 @pytest.mark.skipif(os.name != "posix", reason="needs SIGKILL")
 class TestRealKill:
@@ -851,6 +920,16 @@ class TestBatchPathParity:
             near = sorted(e.offsets for e in events if e.rule == "near")
             assert (10 + shift,) in fired
             assert near == [(o, 3) for o, in fired]
+
+    @pytest.mark.parametrize("name, offsets", [
+        ("rec_7", (7,)), ("rec_0", (0,)), ("rec_1_0", ()), ("rec_007", ()), ("rec_00", ()),
+    ])
+    def test_only_a_canonical_rec_n_gives_an_offset(self, rules_alerts_text, name, offsets):
+        # record 10's individual is rec_10 and record 7's is rec_7
+        rs = rules.parse_rules(rules_alerts_text + "rule tag: when fireTrigger(?r) "
+                               f"then assert reviewed({name})\n")
+        events = batch_evaluate(batch_of([TRIGGER_ROW], start_offset=100), rules=rs)
+        assert [e.offsets for e in events if e.rule == "tag"] == [offsets]
 
     @staticmethod
     def _bands(*trigger):
