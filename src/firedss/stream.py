@@ -20,14 +20,15 @@ trigger. Then:
 Delivery is at-least-once: alerts are flushed to the sink before the
 checkpoint is saved, so a crash in between replays one whole batch.
 Checkpoints refuse to resume when the rule/band fingerprint has changed.
-A run reads its checkpoint once, at start, and cuts a sink that ends inside
-a line (a kill mid-write) back to its last newline; resuming a file source,
-it cuts the first replayed batch's lines at the sink's end back to whole
-copies, as a kill during a multi-page write can leave part of one. The
-checkpoint file is created by rename, then updated in place, so a symlink
-there is followed; a kill cannot tear it. Nothing is fsynced: after a power
-cut a torn checkpoint fails its hash and resume is refused with
-CorruptCheckpoint.
+A run reads its checkpoint once, at start, and the sink's tail once, as it
+opens the sink: a sink that ends inside a line (a kill mid-write) is cut
+back to its last newline and, resuming a file source with a checkpoint, the
+first replayed batch's lines at its end are cut back to whole copies before
+that batch is written, as a kill during a multi-page write can leave part
+of one. The checkpoint file is created by rename, then updated in place, so
+a symlink there is followed; a kill cannot tear it. Nothing is fsynced:
+after a power cut a torn checkpoint fails its hash and resume is refused
+with CorruptCheckpoint.
 """
 
 from __future__ import annotations
@@ -463,45 +464,31 @@ def checkpoint_load(path) -> Checkpoint:
 
 # --- pipeline ------------------------------------------------------------------
 
-def _cut_torn_line(path):
+def _cut_sink(path, seq):
     """Cut a sink file that ends inside a line, as a kill during a sink write
-    can leave it, back to just after its last newline. Returns the length
-    kept, 0 where there is no sink file or it is not a regular file."""
+    leaves it, back to its last newline. Returns the byte lengths of the
+    whole lines of batch `seq` (None: of no batch) that then end the file,
+    which a kill during a multi-page write can leave short of a copy."""
     if not os.path.isfile(path):        # no sink yet, or a pipe or device
-        return 0
-    with open(path, "rb+") as fh:
-        end = keep = fh.seek(0, os.SEEK_END)
-        while keep:
-            start = max(keep - 4096, 0)
-            fh.seek(start)
-            keep = start + fh.read(keep - start).rfind(b"\n") + 1
-            if keep > start:
-                break
-        if keep < end:
-            fh.truncate(keep)
-    return keep
-
-
-def _cut_partial_batch(path, seq, n):
-    """Cut the lines of batch `seq` at the end of a sink file that ends in a
-    newline back to whole copies of its `n` lines: a kill during a
-    multi-page sink write can leave the leading lines of a copy."""
-    prefix, size = b'{"batch": %d, ' % seq, 65536
+        return []
+    prefix, size = None if seq is None else b'{"batch": %d, ' % seq, 65536
     with open(path, "rb+") as fh:
         end = fh.seek(0, os.SEEK_END)
         while True:     # read back to a line of another batch, or to the start
-            fh.seek(max(end - size, 0))
-            lines = fh.read(size).split(b"\n")[:-1]
-            if end > size:
-                del lines[0]            # it may begin inside a line
+            start = max(end - size, 0)
+            fh.seek(start)
+            lines = fh.read(end - start).split(b"\n")
+            keep = end - len(lines[-1])             # just after the last newline
+            lines = lines[1 if start else 0:-1]     # the first may begin inside a line
             k = 0
-            while k < len(lines) and lines[-1 - k].startswith(prefix):
+            while prefix and k < len(lines) and lines[-1 - k].startswith(prefix):
                 k += 1
-            if k < len(lines) or end <= size:
+            if k < len(lines) or not start:
                 break
             size *= 2
-        if k % n:
-            fh.truncate(end - sum(len(line) + 1 for line in lines[-(k % n):]))
+        if keep < end:
+            fh.truncate(keep)
+    return [len(line) + 1 for line in lines[len(lines) - k:]]
 
 
 def run_pipeline(source_spec, sink_path, checkpoint_path=None, batch_size=20,
@@ -514,14 +501,18 @@ def run_pipeline(source_spec, sink_path, checkpoint_path=None, batch_size=20,
     must match the checkpoint or the run is refused. crash_hook(point, seq)
     is called at the instrumented points "after_sink" and "after_checkpoint".
 
-    The bands, batch size and aggregate are checked first, so a bad one
-    creates no sink and leaves an existing one as it was.
+    The bands, batch size and aggregate are checked first, and so is that
+    rules under a checkpoint come with their text, so a refused run creates
+    no sink and leaves an existing one as it was.
     """
     _label_table(bands)         # all six quantities
     _check_batch_size(batch_size)
     _check_aggregate(aggregate)
+    if rules and not rules_text and checkpoint_path is not None:
+        raise StreamError("a checkpoint needs the rules' text for its fingerprint")
     fingerprint = config_fingerprint(rules_text, bands)
-    source_id = parse_source(source_spec).source_id
+    spec = parse_source(source_spec)
+    source_id = spec.source_id
     start_offset, first_seq, cp = 0, 0, None
     if checkpoint_path is not None and Path(checkpoint_path).exists():
         cp = checkpoint_load(checkpoint_path)
@@ -539,17 +530,18 @@ def run_pipeline(source_spec, sink_path, checkpoint_path=None, batch_size=20,
     started = time.perf_counter()
     try:
         # only a file source replays a batch that a kill cut short record for record
-        replayed = (_cut_torn_line(sink_path) and checkpoint_path is not None
-                    and source_id.startswith("file:"))
+        tail = _cut_sink(sink_path, first_seq if checkpoint_path is not None
+                         and spec.kind == "file" else None)
         sink = open(sink_path, "a", encoding="utf-8")
     except OSError as exc:
         raise IoError(f"cannot open sink {sink_path}: {exc}") from None
     with sink:
         for batch in cut_batches(source, batch_size, first_seq):
             events = batch_evaluate(batch, bands, rules, aggregate)
-            if replayed:
-                _cut_partial_batch(sink_path, batch.seq, len(events))
-                replayed = False
+            cut = len(tail) % len(events)   # the lines past whole copies of the batch
+            if cut:
+                sink.truncate(sink.tell() - sum(tail[-cut:]))
+            tail = ()
             sink.write("".join([event.to_json() + "\n" for event in events]))
             sink.flush()
             if crash_hook is not None:

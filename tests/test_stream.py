@@ -642,12 +642,14 @@ class TestRunPipeline:
         assert sink.read_text(encoding="utf-8").endswith("\n")
         assert strip_ts(read_sink(sink)) == strip_ts(read_sink(reference))
 
-    @pytest.mark.parametrize("crash_at, copies", [
-        (("after_checkpoint", 10), 1),      # a partial copy goes
-        (("after_sink", 11), 2),            # a whole copy stays, the partial one goes
-    ], ids=["partial", "whole-and-partial"])
+    @pytest.mark.parametrize("crash_at, copies, torn", [
+        (("after_checkpoint", 10), 1, 0),   # a partial copy goes
+        (("after_sink", 11), 2, 0),         # a whole copy stays, the partial one goes
+        (("after_checkpoint", 10), 1, 20),  # a partial copy and its torn last line go
+    ], ids=["partial", "whole-and-partial", "partial-and-torn"])
     def test_resume_cuts_a_partial_batch_to_whole_copies(
-            self, dataset_file, tmp_path, alert_rules, rules_alerts_text, crash_at, copies):
+            self, dataset_file, tmp_path, alert_rules, rules_alerts_text, crash_at, copies,
+            torn):
         reference, sink, cp = (tmp_path / "reference.jsonl", tmp_path / "alerts.jsonl",
                                tmp_path / "cp")
         run_pipeline(dataset_file, reference, rules=alert_rules, rules_text=rules_alerts_text)
@@ -666,6 +668,7 @@ class TestRunPipeline:
         with open(sink, "a", encoding="utf-8") as fh:
             # what a kill during a multi-page write of batch 11 leaves
             fh.writelines(batch_11[:12])
+            fh.write(batch_11[12][:torn])
         run_pipeline(dataset_file, sink, cp, rules=alert_rules, rules_text=rules_alerts_text)
         events = strip_ts(read_sink(reference))
         expected = ([e for e in events if e["batch"] < 11]
@@ -679,8 +682,23 @@ class TestRunPipeline:
         line = '{"batch": 3, "kind": "RULE", "offsets": [' + "7, " * 2000 + "7]}\n"
         sink = tmp_path / "alerts.jsonl"
         sink.write_text(head + line * 25, encoding="utf-8")     # about 150 KB
-        stream._cut_partial_batch(sink, 3, 10)
+        tail = stream._cut_sink(sink, 3)
+        assert tail == [len(line)] * 25
+        os.truncate(sink, sink.stat().st_size - sum(tail[-(25 % 10):]))
         assert sink.read_text(encoding="utf-8") == head + line * 20
+
+    def test_rules_without_their_text_are_refused_with_a_checkpoint(
+            self, dataset_file, tmp_path, alert_rules):
+        # the fingerprint is built from the text, so rules without it would
+        # resume under any other rule set
+        torn, fresh, cp = tmp_path / "torn.jsonl", tmp_path / "fresh.jsonl", tmp_path / "cp"
+        torn.write_text('{"batch": 0, "kind": "FFMC_IGN', encoding="utf-8")
+        for sink in (torn, fresh):
+            with pytest.raises(StreamError, match="rules' text"):
+                run_pipeline(dataset_file, sink, cp, rules=alert_rules)
+        assert torn.read_text(encoding="utf-8") == '{"batch": 0, "kind": "FFMC_IGN'
+        assert not fresh.exists() and not cp.exists()
+        assert run_pipeline(dataset_file, fresh, rules=alert_rules).batches_out == 26
 
     def test_resume_from_stdin_keeps_a_partial_batch(self, tmp_path, monkeypatch,
                                                      alert_rules, rules_alerts_text):
