@@ -53,13 +53,14 @@ class Cursor:
         raise self.fail(pos, f"expected {expected}, found {text or 'end of input'!r}")
 
 
-def key_values(lines, fail):
-    """(line number, key, value) for each `key = value` line, counted from 1;
-    `#` starts a comment and blank lines are skipped. The key is stripped,
-    the value is the text after the first `=`. A line without `=` or a key
-    seen before raises `fail(line number, message)`."""
+def key_values(text, fail):
+    """(line number, key, value) for each `key = value` line of `text`,
+    counted from 1; only `\n` ends a line, so a CRLF file numbers its lines
+    like an LF one. `#` starts a comment and blank lines are skipped. The
+    key is stripped, the value is the text after the first `=`. A line
+    without `=` or a key seen before raises `fail(line number, message)`."""
     seen = set()
-    for lineno, raw in enumerate(lines, 1):
+    for lineno, raw in enumerate(text.split("\n"), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

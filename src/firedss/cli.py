@@ -38,8 +38,7 @@ def load_config(path):
     def fail(lineno, message):
         return CliError(f"{path}:{lineno}: {message}")
     config = {}
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    for lineno, key, value in key_values(lines, fail):
+    for lineno, key, value in key_values(Path(path).read_text(encoding="utf-8"), fail):
         if key not in CONFIG_KEYS:
             raise fail(lineno, f"unknown config key {key!r}")
         config[key] = value.strip()

@@ -319,8 +319,7 @@ def load_bands(text: str) -> ClassBands:
         return BandConfigError(f"line {lineno}: {message}")
     bands = {}
     trigger, trigger_line = [], 0
-    lines = text.splitlines()
-    for lineno, key, value in key_values(lines, fail):
+    for lineno, key, value in key_values(text, fail):
         if key == "trigger":
             pairs = []
             for clause in value.split("&") if value.strip() else ():
@@ -343,7 +342,8 @@ def load_bands(text: str) -> ClassBands:
         bands[key] = entries
     missing = [q for q in QUANTITIES if q not in bands]
     if missing:
-        raise fail(max(len(lines), 1), f"no bands for {', '.join(missing)}")
+        last_line = text.count("\n") + (not text.endswith("\n"))
+        raise fail(last_line, f"no bands for {', '.join(missing)}")
     try:
         return ClassBands(bands, trigger)
     except BandConfigError as exc:  # the bands themselves passed line by line

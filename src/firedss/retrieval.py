@@ -1,9 +1,9 @@
 """Deterministic hashed-n-gram text embeddings with exact cosine top-k search,
 plus token-overlap precision/recall/F-measure scoring.
 
-The embedder lowercases, collapses whitespace, slides a character n-gram
-window (default length 3) over the text, hashes each gram with FNV-1a 64
-into one of `dimension` buckets, and L2-normalizes the bucket counts.
+The embedder lowercases, collapses whitespace, slides a window of 3
+characters over the text, hashes each gram with FNV-1a 64 into one of
+`dimension` buckets, and L2-normalizes the bucket counts.
 It is a stand-in with the same retrieval mechanics as a neural encoder:
 any embedder honoring the same interface (and fingerprint discipline) can
 be plugged in behind :class:`VectorIndex`.
@@ -71,19 +71,17 @@ class EvalScores:
 @dataclass(frozen=True)
 class EmbedderConfig:
     dimension: int = 256
-    ngram: int = 3
 
     def __post_init__(self):
         if self.dimension < 8:
             raise BadConfig(f"dimension {self.dimension} < 8")
-        if self.ngram < 1:
-            raise BadConfig(f"ngram length {self.ngram} < 1")
 
     @property
     def fingerprint(self):
-        return f"fnv1a64/ngram={self.ngram}/dim={self.dimension}"
+        return f"fnv1a64/ngram={_NGRAM}/dim={self.dimension}"
 
 
+_NGRAM = 3
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -114,7 +112,7 @@ def _embed_rows(texts, config: EmbedderConfig) -> np.ndarray:
     their grams (a corpus of variants) share the hashing. Counts are whole
     numbers, so each row's norm is exact and equals ``np.linalg.norm``.
     """
-    n, dim = config.ngram, config.dimension
+    n, dim = _NGRAM, config.dimension
     rows = np.zeros((len(texts), dim))
     bucket_of = {}
     for row, text in zip(rows, texts):
@@ -138,7 +136,7 @@ def embed(text: str, config: EmbedderConfig = EmbedderConfig()) -> np.ndarray:
     """Unit-norm bucket-count vector of the text's character n-grams.
 
     Empty or whitespace-only text embeds to the zero vector. Texts shorter
-    than the n-gram length contribute themselves as a single gram. Text
+    than 3 characters contribute themselves as a single gram. Text
     that is not valid Unicode (a lone surrogate) raises RetrievalError.
     """
     return _embed_rows([text], config)[0]
@@ -161,10 +159,10 @@ class VectorIndex:
 
     ``_vectors`` holds one unit-norm row per document, in insertion order,
     so a search is one matrix-vector product and an exact ranking of its
-    scores (FAISS calls this an ``IndexFlatIP``). Ties are broken by
-    ascending id through an id-rank array, built on the first search after
-    an ``add``. Searches may run concurrently; an ``add`` may not run
-    alongside them.
+    scores (FAISS calls this an ``IndexFlatIP``). Rows are embedded from
+    grams of 3 characters. Ties are broken by ascending id through an
+    id-rank array that each ``add`` rebuilds. Searches may run
+    concurrently; an ``add`` may not run alongside them.
     """
 
     def __init__(self, config: EmbedderConfig = EmbedderConfig()):
@@ -172,7 +170,7 @@ class VectorIndex:
         self.docs = []
         self._vectors = np.zeros((0, config.dimension))
         self._ids = set()
-        self._rank = None
+        self._rank = np.zeros(0, dtype=np.intp)
 
     def __len__(self):
         return len(self.docs)
@@ -194,16 +192,9 @@ class VectorIndex:
         self._vectors = np.concatenate((self._vectors, block)) if self.docs else block
         self.docs.extend(docs)
         self._ids |= new_ids
-        self._rank = None
-
-    def _id_rank(self):
-        rank = self._rank
-        if rank is None:
-            order = sorted(range(len(self.docs)), key=lambda i: self.docs[i].id)
-            rank = np.empty(len(order), dtype=np.intp)
-            rank[order] = np.arange(len(order))
-            self._rank = rank
-        return rank
+        order = sorted(range(len(self.docs)), key=lambda i: self.docs[i].id)
+        self._rank = np.empty(len(order), dtype=np.intp)
+        self._rank[order] = np.arange(len(order))
 
     def search(self, query_text, k=2, query_fingerprint=None):
         """Top-k (DocRecord, score) by descending cosine, ties broken by
@@ -221,7 +212,7 @@ class VectorIndex:
         # row tied with it stays, so the tie rule is applied exactly
         m = min(k, len(scores))
         rows = np.flatnonzero(scores >= np.partition(scores, -m)[-m])
-        order = rows[np.lexsort((self._id_rank()[rows], -scores[rows]))[:k]]
+        order = rows[np.lexsort((self._rank[rows], -scores[rows]))[:k]]
         return [(self.docs[i], float(scores[i])) for i in order]
 
 

@@ -129,11 +129,11 @@ class RuleDef:
 class RuleSet:
     def __init__(self, rules):
         self.rules = tuple(rules)
-        self.by_name = {}
+        names = set()
         for r in self.rules:
-            if r.name in self.by_name:
+            if r.name in names:
                 raise DuplicateRuleName(r.name)
-            self.by_name[r.name] = r
+            names.add(r.name)
 
     def __len__(self):
         return len(self.rules)

@@ -202,26 +202,24 @@ def _file_records(path, start_offset, rate):
             yield record
 
 
-def _socket_lines(listener):
-    conn, _addr = listener.accept()
-    try:
-        with conn.makefile("r", encoding="utf-8", newline="") as lines:
-            yield from lines
-    finally:
-        conn.close()
-        listener.close()
-
-
 def open_source(spec, start_offset=0):
-    """Open the record source named by a spec (see parse_source) as an
-    iterator of (offset, WeatherRecord) pairs, offsets counting up from
+    """Open the record source named by a spec (see parse_source) as a
+    generator of (offset, WeatherRecord) pairs, offsets counting up from
     start_offset.
 
     Files must start with a header, stdin may, and socket lines are
     headerless records. File replay honors start_offset for checkpoint
-    resume.
+    resume. A socket is bound and a file found here, so a bad source fails
+    at once; closing the generator closes a socket's listener.
     """
-    spec = parse_source(spec)
+    source = _numbered_records(parse_source(spec), start_offset)
+    next(source)
+    return source
+
+
+def _numbered_records(spec, start_offset):
+    """open_source's generator: its first step opens the source and yields
+    None, the rest yields the numbered records."""
     if spec.kind == "socket":
         try:
             host, port = spec.target.split(":", 1)
@@ -231,14 +229,20 @@ def open_source(spec, start_offset=0):
             listener = socket.create_server((host, port))
         except (OSError, ValueError) as exc:
             raise IoError(f"cannot bind {spec.source_id}: {exc}") from None
-        records = ingest.iter_records(_socket_lines(listener), header=False)
-    elif spec.kind == "stdin":
+        with listener:
+            yield
+            conn, _addr = listener.accept()
+            with conn, conn.makefile("r", encoding="utf-8", newline="") as lines:
+                yield from enumerate(ingest.iter_records(lines, header=False), start_offset)
+        return
+    if spec.kind == "stdin":
         records = ingest.iter_records(sys.stdin, header=None)
     elif not Path(spec.target).is_file():
         raise IoError(f"no such file: {spec.target}")
     else:
         records = _file_records(spec.target, start_offset, spec.rate)
-    return enumerate(records, start_offset)
+    yield
+    yield from enumerate(records, start_offset)
 
 
 def _check_batch_size(size):
@@ -534,6 +538,7 @@ def run_pipeline(source_spec, sink_path, checkpoint_path=None, batch_size=20,
                          and spec.kind == "file" else None)
         sink = open(sink_path, "a", encoding="utf-8")
     except OSError as exc:
+        source.close()
         raise IoError(f"cannot open sink {sink_path}: {exc}") from None
     with sink:
         for batch in cut_batches(source, batch_size, first_seq):

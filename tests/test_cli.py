@@ -481,6 +481,21 @@ class TestRetrieve:
         assert digest.hexdigest() == (
             "289b33dd1b24d87d8a27fb1ae7a25081729126fc475446f795193dfc6a040681")
 
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_embed_dim_from_the_flag_or_the_config_file(self, capsys, tmp_path, via):
+        corpus = str(data_path("corpus.jsonl"))
+        argv = ["retrieve", "fire weather index fwi extreme precaution action", "-k", "3"]
+        if via == "flag":
+            argv += ["--corpus", corpus, "--embed-dim", "64"]
+        else:
+            config = tmp_path / "retrieve.conf"
+            config.write_text(f"embed_dim = 64\ncorpus = {corpus}\n", encoding="utf-8")
+            argv = ["--config", str(config)] + argv
+        code, stdout, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == (
+            "3d1e743f7514039c251032e9ecf5a634c12cc25033b36483375b696e62da1f46")
+
     @pytest.mark.parametrize("corpus, query, message", [
         ('{"id": "a", "text": "ok"}\n' + "[" * 100_000 + "]" * 100_000 + "\n",
          b"query", "corpus line 2"),
@@ -629,7 +644,11 @@ class TestConfigFile:
         ("dataset = x\nturbo = on\n", "2: unknown config key 'turbo'"),
         ("# head\nbatch_size\n", "2: expected 'key = value'"),
         ("seed = 1\n\nseed = 2  # again\n", "3: seed defined twice"),
-    ], ids=["unknown-key", "no-equals", "repeated-key"])
+        ("# run settings\x0c for the north grid\nbatch_size = 20\nturbo = on\n",
+         "3: unknown config key 'turbo'"),
+        ("# run settings\x0c for the north grid\r\nbatch_size = 20\r\nturbo = on\r\n",
+         "3: unknown config key 'turbo'"),
+    ], ids=["unknown-key", "no-equals", "repeated-key", "form-feed", "form-feed-crlf"])
     def test_errors_name_the_line(self, capsys, tmp_path, text, where):
         config = tmp_path / "c.conf"
         config.write_text(text, encoding="utf-8")

@@ -284,8 +284,10 @@ class TestClassify:
 
 class TestBandConfig:
     @pytest.mark.parametrize("bands", [
-        fwi.DEFAULT_BANDS, ClassBands(fwi.DEFAULT_BANDS.bands, [])],
-        ids=["default", "no-trigger"])
+        fwi.DEFAULT_BANDS, ClassBands(fwi.DEFAULT_BANDS.bands, []),
+        ClassBands({**fwi.DEFAULT_BANDS.bands,
+                    "bui_class": [(40, "low\u2028band"), (math.inf, "high")]}, [])],
+        ids=["default", "no-trigger", "unicode-line-break-label"])
     def test_roundtrip(self, bands):
         text = fwi.dump_bands(bands)
         loaded = fwi.load_bands(text)

@@ -74,8 +74,6 @@ class TestEmbed:
     def test_bad_config(self):
         with pytest.raises(BadConfig):
             EmbedderConfig(dimension=4)
-        with pytest.raises(BadConfig):
-            EmbedderConfig(ngram=0)
 
 
 class TestCosine:
@@ -416,7 +414,7 @@ class TestAddIsAllOrNothing:
     def test_duplicate_leaves_the_index_unchanged(self, batch):
         idx = VectorIndex()
         idx.add([DocRecord("a", "first text"), DocRecord("b", "second text")])
-        idx.search("text")                  # builds the id-rank cache
+        idx.search("text")                  # an index already searched
         docs, vectors, ids, rank = self._state(idx)
         with pytest.raises(DuplicateDocId):
             idx.add(batch)

@@ -125,7 +125,7 @@ class TestParser:
 
     def test_bundled_alerts_file(self, rules_alerts_text):
         rs = rules.parse_rules(rules_alerts_text)
-        assert "fire_trigger" in rs.by_name
+        assert "fire_trigger" in {r.name for r in rs}
 
     @pytest.mark.parametrize("name", ["fwi_alerts.rules", "tables_3_4_5.rules"])
     def test_crlf_file_parses_like_lf(self, name):

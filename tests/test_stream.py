@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import json
@@ -129,6 +130,12 @@ class TestSources:
         records = [r for _, r in src]
         t.join()
         assert records == records_of(TRIGGER_ROW, CALM_ROW)
+
+    def test_unopenable_sink_closes_the_socket_listener(self, tmp_path):
+        sink = tmp_path / "no-such-dir" / "alerts.jsonl"
+        with pytest.raises(IoError, match="^cannot open sink "):
+            run_pipeline("socket:127.0.0.1:0", sink)
+        gc.collect()        # a listener left open warns by here, which fails the test
 
 
 class TestSourceSpec:

@@ -195,9 +195,9 @@ def test_arbitrary_text_fails_only_with_the_front_end_errors(rule_text, fact_tex
 def test_key_values_skips_comments_and_rejects_repeats():
     def fail(lineno, message):
         return ValueError(f"{lineno}: {message}")
-    lines = ["# head", "a = 1  # note", "", "  b=x=y  ", "c = "]
-    assert list(key_values(lines, fail)) == [(2, "a", " 1"), (4, "b", "x=y"), (5, "c", "")]
+    text = "# head\na = 1  # note\n\n  b=x=y  \nc = \n"
+    assert list(key_values(text, fail)) == [(2, "a", " 1"), (4, "b", "x=y"), (5, "c", "")]
     with pytest.raises(ValueError, match="^3: a defined twice$"):
-        list(key_values(["a = 1", "b = 2", " a=3"], fail))
+        list(key_values("a = 1\nb = 2\n a=3", fail))
     with pytest.raises(ValueError, match="^2: expected 'key = value'$"):
-        list(key_values(["a = 1", "b # = 2"], fail))
+        list(key_values("a = 1\nb # = 2", fail))
