@@ -38,7 +38,7 @@ def load_config(path):
     def fail(lineno, message):
         return CliError(f"{path}:{lineno}: {message}")
     config = {}
-    for lineno, key, value in key_values(Path(path).read_text(encoding="utf-8"), fail):
+    for lineno, key, value in key_values(_read(path), fail):
         if key not in CONFIG_KEYS:
             raise fail(lineno, f"unknown config key {key!r}")
         config[key] = value.strip()
@@ -57,7 +57,7 @@ def _setting(args, config, key, default=None):
 def _read(path):
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
 
 

@@ -127,8 +127,12 @@ class RuleDef:
 
 
 class RuleSet:
+    """Rules, all checked for variable safety and then for unique names."""
+
     def __init__(self, rules):
         self.rules = tuple(rules)
+        for r in self.rules:
+            _check_safety(r)
         names = set()
         for r in self.rules:
             if r.name in names:
@@ -383,22 +387,15 @@ def _check_safety(rule: RuleDef):
     bound = set()
     for atom in rule.positive_atoms():
         bound |= atom.variables()
-    for b in rule.builtins():
-        for v in sorted(b.variables()):
-            if v not in bound:
-                raise UnsafeVariable(rule.name, v)
-    for h in rule.head:
-        for v in sorted(h.variables()):
+    for part in rule.builtins() + rule.head:
+        for v in sorted(part.variables()):
             if v not in bound:
                 raise UnsafeVariable(rule.name, v)
 
 
 def parse_rules(text: str) -> RuleSet:
-    """Parse rule text into a RuleSet, enforcing variable safety."""
-    rules = _Parser(text).parse_rules()
-    for r in rules:
-        _check_safety(r)
-    return RuleSet(rules)
+    """Parse rule text into a RuleSet, which checks safety and unique names."""
+    return RuleSet(_Parser(text).parse_rules())
 
 
 def parse_facts(text: str) -> FactBase:
@@ -420,9 +417,12 @@ def parse_facts(text: str) -> FactBase:
 # --- evaluation --------------------------------------------------------------
 
 def builtin_compare(op, a, b):
-    """Evaluate one comparison builtin on two ground literal terms."""
+    """Evaluate one comparison builtin on two ground terms; individuals clash."""
     if a[0] is Num and b[0] is Num:
         return _BUILTIN_COMPARISONS[op](a[1], b[1])
+    for term in (a, b):
+        if term[0] is Individual:
+            raise TypeClash(f"{op} applied to individual {term[1]}")
     if op in ("equal", "notEqual"):
         if a[0] is b[0] and a[0] in (Str, Bool):
             return _BUILTIN_COMPARISONS[op](a[1], b[1])
@@ -450,10 +450,6 @@ def _new_bindings(atoms, lists, seen, sizes, probes):
 def _passes_builtins(rule_name, builtins, bindings):
     for b in builtins:
         args = ground(b.args, bindings)
-        for a in args:
-            if a[0] is Individual:
-                raise TypeClash(f"{b.op} applied to individual {a[1]}",
-                                rule=rule_name, bindings=bindings)
         try:
             ok = builtin_compare(b.op, args[0], args[1])
         except TypeClash as exc:

@@ -449,6 +449,8 @@ def checkpoint_load(path) -> Checkpoint:
         lines = path.read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise IoError(f"cannot read checkpoint {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CorruptCheckpoint(f"{path}: {exc}") from None
     if len(lines) < 2:
         raise CorruptCheckpoint(f"{path}: truncated")
     body, digest = lines[0], lines[1].strip()

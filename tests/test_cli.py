@@ -54,6 +54,14 @@ class TestConvert:
         assert code == 1
         assert "nope.csv" in err
 
+    def test_non_utf8_input_is_named(self, capsys, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"X,Y\xff")
+        code, _, err = run(capsys, "convert", str(bad), str(tmp_path / "o.nt"))
+        assert code == 1
+        assert err == (f"firedss: error: cannot read {bad}: 'utf-8' codec can't decode "
+                       "byte 0xff in position 3: invalid start byte\n")
+
     @pytest.mark.parametrize("char", '<>"{}|^`\\')
     def test_namespace_outside_iriref_exits_1(self, capsys, tmp_path, small_csv, char):
         out = tmp_path / "o.nt"
@@ -225,6 +233,17 @@ class TestStream:
         assert done.returncode == 1
         assert "Traceback" not in done.stderr
         assert "body is not a JSON object" in done.stderr
+
+    def test_non_utf8_checkpoint_exits_1_naming_it_without_a_sink(self, capsys, tmp_path,
+                                                                   dataset_csv):
+        checkpoint, sink = tmp_path / "cp", tmp_path / "alerts.jsonl"
+        checkpoint.write_bytes(b"\xff\xfe\n")
+        code, stdout, err = run(capsys, "stream", "--dataset", dataset_csv,
+                                "--sink", str(sink), "--checkpoint", str(checkpoint))
+        assert (code, stdout) == (1, "")
+        assert err == (f"firedss: error: {checkpoint}: 'utf-8' codec can't decode byte "
+                       "0xff in position 0: invalid start byte\n")
+        assert not sink.exists()
 
     def test_short_checkpoint_write_exits_1_with_one_error_line(self, capsys, tmp_path,
                                                                dataset_csv, monkeypatch):
@@ -654,6 +673,20 @@ class TestConfigFile:
         config.write_text(text, encoding="utf-8")
         code, _, err = run(capsys, "--config", str(config), "bands", "print")
         assert code == 1 and err == f"firedss: error: {config}:{where}\n"
+
+    def test_non_utf8_config_is_named(self, capsys, tmp_path):
+        config = tmp_path / "bad.conf"
+        config.write_bytes(b"batch_size = 20\n# \xff\n")
+        code, _, err = run(capsys, "--config", str(config), "bands", "print")
+        assert code == 1
+        assert err == (f"firedss: error: cannot read {config}: 'utf-8' codec can't decode "
+                       "byte 0xff in position 18: invalid start byte\n")
+
+    def test_missing_config_is_named(self, capsys, tmp_path):
+        config = tmp_path / "nope.conf"
+        code, _, err = run(capsys, "--config", str(config), "bands", "print")
+        assert code == 1
+        assert err.startswith(f"firedss: error: cannot read {config}: [Errno 2] ")
 
     def test_comments_and_blanks_ignored(self, capsys, tmp_path):
         config = tmp_path / "c.conf"

@@ -80,6 +80,13 @@ class TestParse:
             ingest.parse_dataset(make_csv(ROW1.replace("92.3", "oops")))
         assert err.value.column == "FFMC" and err.value.row == 0
 
+    @pytest.mark.parametrize("old, new, column", [("92.3", "nan", "FFMC"),
+                                                  ("24.1", "inf", "temp")])
+    def test_non_finite_cell_is_bad(self, old, new, column):
+        with pytest.raises(BadCell) as err:
+            ingest.parse_dataset(make_csv(ROW1.replace(old, new)))
+        assert str(err.value) == f"row 0, column {column}: cannot parse {new!r}"
+
     def test_range_violation(self):
         with pytest.raises(RangeViolation):
             ingest.parse_dataset(make_csv(ROW1.replace(",27,", ",140,")))

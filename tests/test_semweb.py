@@ -581,6 +581,23 @@ class TestExecute:
             assert len(result.plan) == len(q.patterns) and len(result) > 0
             assert sum(candidates for _, candidates, _ in result.plan) == len(calls)
 
+    def test_select_star_lists_the_variables_in_pattern_order(self, regions_graph_text):
+        result = execute(parse_query("SELECT * WHERE { ?s ?p ?o . ?s ?q ?v }"),
+                         parse_ntriples(regions_graph_text))
+        assert result.columns == ("s", "p", "o", "q", "v")
+        assert len(result.rows) == 64
+
+    @pytest.mark.parametrize("condition, names, clashes", [
+        ('?n < "Oak Ridge"', ["Maple Hill"], 0),
+        ("?n > 3", [], 4),
+    ], ids=["string-order", "string-vs-number"])
+    def test_string_comparison(self, regions_graph_text, condition, names, clashes):
+        q = parse_query("PREFIX ex: <http://example.org/forest#>\n"
+                        f"SELECT ?n WHERE {{ ?r ex:hasName ?n . FILTER ({condition}) }}")
+        result = execute(q, parse_ntriples(regions_graph_text))
+        assert [semweb.format_cell(row[0]) for row in result.rows] == names
+        assert result.type_clashes == clashes
+
     def test_join_commutativity(self):
         rng = random.Random(17)
         for _ in range(10):

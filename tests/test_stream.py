@@ -451,6 +451,13 @@ class TestCheckpoints:
         with pytest.raises(IoError, match=f"short write to checkpoint {path}"):
             checkpoint_save(path, Checkpoint("s", 1, 40, "f"))
 
+    def test_non_utf8_file_is_corrupt_and_named(self, tmp_path):
+        path = tmp_path / "cp"
+        path.write_bytes(b"\xff\xfe\n")
+        with pytest.raises(CorruptCheckpoint) as err:
+            checkpoint_load(path)
+        assert str(err.value).startswith(f"{path}: 'utf-8' codec can't decode byte 0xff")
+
     def test_deeply_nested_body_with_a_valid_hash_is_corrupt(self, tmp_path):
         path = tmp_path / "cp"
         body = "[" * 100_000 + "]" * 100_000
@@ -999,6 +1006,17 @@ class TestBatchPathParity:
         assert (caught.value.batch_seq, caught.value.offset) == (2, 41)
         assert str(caught.value) == (
             "batch 2, offset 41: ignition_potential value nan not finite and >= 0")
+
+    def test_rule_type_clash_names_the_batch_and_its_first_record(self, dataset_text):
+        rows = dataset_text.split("\n")[1:4]
+        batch = batch_of(rows, seq=4, start_offset=40)
+        clash = rules.parse_rules(
+            "rule clash: when hasDc(?r, ?dc), lessThan(?r, 5) then assert X(?r)")
+        with pytest.raises(stream.BatchEvaluationError) as caught:
+            batch_evaluate(batch, rules=clash)
+        assert str(caught.value) == (
+            "batch 4, offset 40: rule clash: lessThan applied to individual rec_40 "
+            "(bindings {?dc=573.5, ?r=rec_40})")
 
     def test_bui_past_its_equation_names_its_record(self, alert_rules):
         row = "8,6,aug,mon,92.3,1e308,1e308,8.5,24.1,27,3.1,0.0,0.0"
