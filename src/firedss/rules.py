@@ -15,9 +15,12 @@ rule and bindings, from which its Derivation is built when it is read, for
 explanation. It is semi-naive: rules run in rounds in rule order, each
 rule keeps one watermark per body atom, so a rule joins only against
 facts that are new since it last ran, and a new fact wakes only the rules
-whose body uses its predicate. Body atoms with bound arguments are
-joined through per-position indexes of the fact lists, by the one join
-(`firedss._terms.join`) that graph queries run too.
+whose body uses its predicate. Each rule body is compiled once, on first
+use, to slot form (`firedss._terms.compile_patterns`): its variables are
+numbered by first occurrence, a binding is the tuple of their terms, and
+heads and builtins are grounded by slot. Body atoms with bound arguments
+are joined through per-position indexes of the fact lists, by the one
+join (`firedss._terms.join`) that graph queries run too.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 from ._syntax import Cursor, tokenize
-from ._terms import (COMPARISONS, PositionIndex, Variable, bound_positions, ground, join,
-                     term_class, variables)
+from ._terms import (COMPARISONS, PositionIndex, Variable, compile_patterns, ground, grounder,
+                     join, term_class, variables)
 
 
 class RuleError(ValueError):
@@ -145,27 +148,31 @@ class RuleSet:
     def __iter__(self):
         return iter(self.rules)
 
+    def __getstate__(self):
+        """The rules alone: a pickle or copy compiles its own plans on first use."""
+        return {"rules": self.rules}
+
     @functools.cached_property
     def _compiled(self):
-        """Per rule its name, positive atoms, builtins, head, and each body
-        atom's (predicate, arity) key and index probe (positions and terms,
-        None to scan); the trigger index, each body key in rule order ->
-        its rules ascending; and the body predicates."""
+        """Per rule its name, positive atoms and variable names by slot
+        (`firedss._terms.compile_patterns`), each body atom's (predicate,
+        arity) key and Match, its builtins as (op, grounder of the args)
+        and its head atoms as (predicate, key, grounder of the args); the
+        trigger index, each body key in rule order -> its rules ascending;
+        and the body predicates."""
         plans, triggers = [], {}
         for r, rule in enumerate(self.rules):
-            atoms, keys, probes, bound = rule.positive_atoms(), [], [], set()
-            for atom in atoms:
-                key = (atom[0], len(atom[1]))
-                keys.append(key)
-                positions = bound_positions(atom[1], bound)
-                probes.append((positions, tuple(atom[1][p] for p in positions))
-                              if positions else None)
-                bound |= atom.variables()
+            atoms = rule.positive_atoms()
+            slots, matches = compile_patterns([atom[1] for atom in atoms])
+            keys = tuple([(atom[0], len(atom[1])) for atom in atoms])
+            for key in keys:
                 woken = triggers.setdefault(key, [])
                 if not woken or woken[-1] != r:
                     woken.append(r)
-            plans.append((rule.name, atoms, rule.builtins(), rule.head,
-                          tuple(keys), tuple(probes)))
+            plans.append((rule.name, atoms, tuple(slots), keys, tuple(matches),
+                          tuple([(b.op, grounder(b.args, slots)) for b in rule.builtins()]),
+                          tuple([(a[0], (a[0], len(a[1])), grounder(a[1], slots))
+                                 for a in rule.head])))
         return (tuple(plans), {key: tuple(rs) for key, rs in triggers.items()},
                 frozenset(key[0] for key in triggers))
 
@@ -181,11 +188,12 @@ class FactBase:
     derivation record per derived fact. `facts` is a read-only set-like view
     of the atom -> None dict `_atoms`; the atoms are checked where text enters
     (`parse_rules`, `parse_facts`). `_made` maps each derived fact to a
-    Derivation or to the raw (rule name, bindings, body atoms) that `evaluate`
-    stores, which `derivations` and `explain` replace in place by its
-    Derivation when they first read it; `derived()` and `rule_of` build none.
-    This is safe for threads sharing a RuleSet: the body atoms are those of
-    the immutable `RuleSet._compiled`, each `evaluate` call owns its FactBase,
+    Derivation or to the raw (rule name, binding tuple, variable names by
+    slot, body atoms) that `evaluate` stores, which `derivations` and
+    `explain` replace in place by its Derivation when they first read it;
+    `derived()` and `rule_of` build none. This is safe for threads sharing
+    a RuleSet: the names and body atoms are those of the immutable
+    `RuleSet._compiled`, each `evaluate` call owns its FactBase,
     and threads building one FactBase's derivations at once only replace
     values under existing keys, which never resizes the dict, with equal
     Derivations."""
@@ -221,7 +229,8 @@ class FactBase:
         """The Derivation of `fact`, built in place if raw; None if not derived."""
         made = self._made.get(fact)
         if made is not None and not isinstance(made, Derivation):
-            rule, bindings, atoms = made
+            rule, values, names, atoms = made
+            bindings = dict(zip(names, values))
             made = self._made[fact] = Derivation(rule, tuple(sorted(bindings.items())), tuple(
                 [make_atom((a[0], ground(a[1], bindings))) for a in atoms]))
         return made
@@ -432,81 +441,87 @@ def builtin_compare(op, a, b):
                     f"{format_term(a)} / {format_term(b)}")
 
 
-def _new_bindings(atoms, lists, seen, sizes, probes):
-    """Bindings of the atoms that use at least one fact past the watermarks
-    `seen`, each once: for every atom i whose list grew, atoms before i
-    range over their old prefix, atom i over its new facts and atoms after
-    i over their list up to `sizes`."""
+def _new_bindings(plan, sizes):
+    """Binding tuples of the rule's body atoms that use at least one fact
+    past the watermarks `plan.seen`, each once: for every atom i whose list
+    grew, atoms before i range over their old prefix, atom i over its new
+    facts and atoms after i over their list up to `sizes`."""
     out = []
+    seen = plan.seen
     for i, (old, new) in enumerate(zip(seen, sizes)):
         if new > old:
             ranges = ([(0, s) for s in seen[:i]] + [(old, new)]
                       + [(0, s) for s in sizes[i + 1:]])
-            out.extend(join((atom[1], facts, lo, hi, probe) for atom, facts, (lo, hi), probe
-                            in zip(atoms, lists, ranges, probes))[0])
+            out += join([(match, facts, lo, hi, index) for match, facts, (lo, hi), index
+                         in zip(plan.matches, plan.lists, ranges, plan.indexes)])[0]
     return out
 
 
-def _passes_builtins(rule_name, builtins, bindings):
-    for b in builtins:
-        args = ground(b.args, bindings)
+def _passes_builtins(plan, binding):
+    for op, args in plan.builtins:
+        a, b = args(binding)
         try:
-            ok = builtin_compare(b.op, args[0], args[1])
+            ok = builtin_compare(op, a, b)
         except TypeClash as exc:
-            raise TypeClash(str(exc), rule=rule_name, bindings=bindings) from None
+            raise TypeClash(str(exc), rule=plan.name,
+                            bindings=dict(zip(plan.names, binding))) from None
         if not ok:
             return False
     return True
 
 
 class _Plan:
-    """One rule as one `evaluate` call runs it: its compiled part, the
-    list of fact arguments and the index probe of each body atom, and the
+    """One rule as one `evaluate` call runs it: its compiled part, per body
+    atom its list of fact arguments and its position index (None to scan),
+    per head atom its list (None if no body uses its key), and the
     watermarks of its last run."""
 
-    __slots__ = ("name", "atoms", "builtins", "head", "lists", "probes", "seen")
+    __slots__ = ("name", "atoms", "names", "matches", "builtins", "heads", "lists",
+                 "indexes", "seen")
 
     def __init__(self, compiled, by_key, indexes):
-        self.name, self.atoms, self.builtins, self.head, keys, probes = compiled
+        self.name, self.atoms, self.names, keys, self.matches, self.builtins, heads = compiled
         self.lists = [by_key[key] for key in keys]
-        self.probes = []
-        for key, probe in zip(keys, probes):
-            if probe is not None:
-                index = indexes.get((key, probe[0]))
+        self.indexes = []
+        for key, match in zip(keys, self.matches):
+            index = None
+            if match.positions:
+                index = indexes.get((key, match.positions))
                 if index is None:
-                    index = indexes[key, probe[0]] = PositionIndex(by_key[key], probe[0])
-                probe = (index, probe[1])
-            self.probes.append(probe)
+                    index = indexes[key, match.positions] = PositionIndex(
+                        by_key[key], match.positions)
+            self.indexes.append(index)
+        self.heads = [(predicate, key, by_key.get(key), args) for predicate, key, args in heads]
         self.seen = [0] * len(self.atoms)
 
 
-def _fire(plan, known, by_key, made):
+def _fire(plan, known, made):
     """One run of a rule: join the bindings that use a fact new since its
     last run and add each new head fact with its raw derivation record.
     Returns the (predicate, arity) keys of the lists that grew."""
     if plan.atoms:
         sizes = list(map(len, plan.lists))
-        found = _new_bindings(plan.atoms, plan.lists, plan.seen, sizes, plan.probes)
+        found = _new_bindings(plan, sizes)
         plan.seen = sizes
     else:
-        found = [{}]
-    grown = set()
-    for bindings in found:      # each a dict of its own, kept in the record
-        if plan.builtins and not _passes_builtins(plan.name, plan.builtins, bindings):
+        found = [()]
+    heads = plan.heads
+    before = [0 if facts_of is None else len(facts_of) for _, _, facts_of, _ in heads]
+    name, names, atoms = plan.name, plan.names, plan.atoms
+    for binding in found:
+        if plan.builtins and not _passes_builtins(plan, binding):
             continue
-        for predicate, args in plan.head:
-            terms = ground(args, bindings)
+        for predicate, _, facts_of, args in heads:
+            terms = args(binding)
             fact = make_atom((predicate, terms))
             if fact in known:
                 continue
             known[fact] = None
-            key = (predicate, len(args))
-            facts_of = by_key.get(key)
             if facts_of is not None:
                 facts_of.append(terms)
-                grown.add(key)
-            made[fact] = (plan.name, bindings, plan.atoms)
-    return grown
+            made[fact] = (name, binding, names, atoms)
+    return [key for (_, key, facts_of, _), n in zip(heads, before)
+            if facts_of is not None and len(facts_of) > n]
 
 
 def evaluate(rules: RuleSet, facts: FactBase) -> FactBase:
@@ -529,15 +544,20 @@ def evaluate(rules: RuleSet, facts: FactBase) -> FactBase:
     next. Each (round, rule) step derives the same new facts as re-joining
     everything would, so the rule credited for a fact is the same too.
 
-    What no fact changes is compiled once per RuleSet and cached on it
-    (`RuleSet._compiled`); a call builds only the fact lists, the indexes
-    and the watermarks, so calls and threads can share one RuleSet.
+    What no fact changes is compiled once per RuleSet, on first use, and
+    cached on it (`RuleSet._compiled`): each body in slot form, its
+    variables numbered by first occurrence, so a binding is a tuple, a
+    body atom of only new variables extends it by a fact's arguments as
+    they are, and heads, builtins and index keys are grounded by slot. A
+    call builds only the fact lists, the indexes and the watermarks, so
+    calls and threads can share one RuleSet.
 
     Heads cannot introduce new individuals, so the fixpoint exists and the
     fact set is independent of rule and fact ordering. The facts are kept
     in input order, so the recorded bindings and premises are the same in
-    every process. Per derived fact it stores the rule name, the bindings
-    and the rule's body atoms; FactBase builds the Derivation when it is read.
+    every process. Per derived fact it stores the rule name, the binding
+    tuple, the rule's variable names and its body atoms; FactBase builds
+    the Derivation, with the same sorted bindings, when it is read.
     """
     known = facts._atoms.copy()     # a dict copy reuses the stored hashes
     made = dict(facts._made)
@@ -557,7 +577,7 @@ def evaluate(rules: RuleSet, facts: FactBase) -> FactBase:
         queued, later = set(pending), set()
         while pending:
             r = heappop(pending)
-            for key in _fire(plans[r], known, by_key, made):
+            for key in _fire(plans[r], known, made):
                 for s in triggers.get(key, ()):
                     if s <= r:
                         later.add(s)

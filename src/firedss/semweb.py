@@ -6,9 +6,11 @@ It shares the rule language's term model (`firedss._terms`): `Iri` and
 `Literal` are tagged-tuple term kinds, `Var` is the one variable kind, and
 a triple or triple pattern is the tuple (subject, predicate, object), and
 queries run the rules' join (`firedss._terms.join`) through the same
-position index. Queries cover the fragment `SELECT ... WHERE { patterns . FILTER
-(...) }` with comparison filters joined by && and ||. Result rows are
-returned in a canonical order so query output is stable across runs.
+position index, their patterns compiled to slot form per call in the
+order the join runs them. Queries cover the fragment `SELECT ... WHERE {
+patterns . FILTER (...) }` with comparison filters joined by && and ||.
+Result rows are returned in a canonical order so query output is stable
+across runs.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 from ._syntax import Cursor, tokenize
-from ._terms import (COMPARISONS, PositionIndex, Term, Variable, bound_positions, join,
-                     variables)
+from ._terms import (COMPARISONS, PositionIndex, Term, Variable, bound_positions,
+                     compile_patterns, grounder, join, variables)
 
 XSD = "http://www.w3.org/2001/XMLSchema#"
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
@@ -573,13 +575,13 @@ def _compare(op, a, b):
     return COMPARISONS[op](x, y)
 
 
-def _eval_filter(expr, binding, clashes):
+def _eval_filter(expr, binding, slots, clashes):
     if isinstance(expr, BoolExpr):
-        left = _eval_filter(expr.left, binding, clashes)
-        right = _eval_filter(expr.right, binding, clashes)
+        left = _eval_filter(expr.left, binding, slots, clashes)
+        right = _eval_filter(expr.right, binding, slots, clashes)
         return (left and right) if expr.op == "&&" else (left or right)
-    left = binding[expr.left.name] if isinstance(expr.left, Var) else expr.left
-    right = binding[expr.right.name] if isinstance(expr.right, Var) else expr.right
+    left = binding[slots[expr.left.name]] if isinstance(expr.left, Var) else expr.left
+    right = binding[slots[expr.right.name]] if isinstance(expr.right, Var) else expr.right
     result = _compare(expr.op, left, right)
     if result is None:
         clashes[0] += 1
@@ -607,8 +609,9 @@ def execute(q: Query, g: Graph) -> ResultTable:
     Patterns run most-bound first: each step takes the remaining pattern
     with the most positions fixed by a constant or an already-bound
     variable (ties in query order), and looks its candidates up in the
-    graph index on exactly those positions; `_terms.join` runs the steps
-    in that order, as it runs rule bodies. The multiset of full bindings
+    graph index on exactly those positions; the patterns are compiled to
+    slot form in that order and `_terms.join` runs them, as it runs rule
+    bodies. The multiset of full bindings
     does not depend on that order.
 
     A filter comparison over incompatible kinds (IRI vs number, string vs
@@ -616,32 +619,30 @@ def execute(q: Query, g: Graph) -> ResultTable:
     clash is counted on the result, and a binding whose filter comes out
     false is rejected. Rows come back in canonical lexicographic order.
     """
-    n = len(g._listed)
-    order, steps, bound = [], [], set()
+    order, bound = [], set()
     remaining = list(enumerate(q.patterns))
     while remaining:
         step = max(remaining, key=lambda item: len(bound_positions(item[1], bound)))
         remaining.remove(step)
-        i, pattern = step
-        positions = bound_positions(pattern, bound)
-        probe = ((g._index(positions), tuple([pattern[p] for p in positions]))
-                 if positions else None)
-        order.append(i)
-        steps.append((pattern, g._listed, 0, n, probe))
-        bound |= variables(pattern)
-    bindings, counts = join(steps)
+        order.append(step[0])
+        bound |= variables(step[1])
+    slots, matches = compile_patterns([q.patterns[i] for i in order])
+    n = len(g._listed)
+    bindings, counts = join([(match, g._listed, 0, n,
+                              g._index(match.positions) if match.positions else None)
+                             for match in matches])
     plan = tuple([(i, *count) for i, count in zip(order, counts)])
 
     clashes = [0]
     if q.filter is not None:
-        bindings = [b for b in bindings if _eval_filter(q.filter, b, clashes)]
+        bindings = [b for b in bindings if _eval_filter(q.filter, b, slots, clashes)]
 
     if q.select is None:
         columns = tuple(dict.fromkeys(t[1] for p in q.patterns for t in p if t[0] is Var))
     else:
         columns = q.select
 
-    rows = {tuple(b[name] for name in columns) for b in bindings}
+    rows = set(map(grounder([Var(name) for name in columns], slots), bindings))
     ordered = tuple(sorted(rows, key=lambda row: tuple(_term_nt(c) for c in row)))
     return ResultTable(columns, ordered, clashes[0], plan)
 

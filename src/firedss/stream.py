@@ -15,7 +15,15 @@ trigger. Then:
 * the rule set, compiled once per RuleSet, is saturated over the facts,
   and each derived fact becomes a RULE alert, its offsets taken from the
   batch's individual -> offset map (any other ``rec_<n>`` giving n, for n
-  in canonical decimal form).
+  in canonical decimal form). RULE alerts come in the order of their
+  facts' ``rules.format_atom`` text, which is joined from one per-batch
+  table of each argument term's text and offsets rather than formatted
+  per fact.
+
+A batch's sink lines are written from templates: the fixed parts of a
+line are cut from one ``AlertEvent.to_json`` call per (batch, kind,
+severity, rule, ts_ms), so only the offsets and the value are formatted
+per alert, and every line is the one ``to_json`` writes.
 
 Delivery is at-least-once: alerts are flushed to the sink before the
 checkpoint is saved, so a crash in between replays one whole batch.
@@ -131,6 +139,35 @@ class AlertEvent(namedtuple("AlertEvent", "batch kind severity value offsets rul
                 f'"rule": {"null" if rule is None else _json_str(rule)}, '
                 f'"severity": {_json_str(severity)}, "ts_ms": {ts_ms:d}, '
                 f'"value": {"null" if value is None else _json_value(value)}}}')
+
+
+# _alert_event((batch, kind, ...)) is AlertEvent(batch, kind, ...) without a Python-level call
+_alert_event = functools.partial(tuple.__new__, AlertEvent)
+
+# the stand-in offset from which sink_text cuts a line's fixed parts: JSON
+# escapes every control character that a field holds
+_MARK = "\x00"
+
+
+def sink_text(events):
+    """The sink lines of `events`, each as `to_json()` writes it and ended
+    by a newline. The fixed parts of a line (batch, kind, rule, severity,
+    ts_ms) come from one to_json() call per distinct (batch, kind,
+    severity, rule, ts_ms), made with a stand-in offset and no value; only
+    the offsets and the value are formatted per event."""
+    parts, lines = {}, []
+    for batch, kind, severity, value, offsets, rule, ts_ms in events:
+        fixed = (batch, kind, severity, rule, ts_ms)
+        part = parts.get(fixed)
+        if part is None:
+            line = AlertEvent(batch, kind, severity, None, (_MARK,), rule, ts_ms).to_json()
+            head, _, rest = line.partition(_MARK)
+            middle, _, tail = rest.rpartition("null")
+            part = parts[fixed] = (head, middle, tail + "\n")
+        head, middle, tail = part
+        lines.append(f"{head}{offsets[0] if len(offsets) == 1 else ', '.join(map(str, offsets))}"
+                     f"{middle}{'null' if value is None else _json_value(value)}{tail}")
+    return "".join(lines)
 
 
 # checkpoint field -> its JSON type, in field order
@@ -326,21 +363,45 @@ def _label_table(bands):
     return table
 
 
-def _offsets(args, individuals):
-    """The record offsets among a fact's arguments: the individuals of the
-    batch's records, and any other rec_<n>, n in canonical decimal, as n."""
-    out = []
-    for arg in args:
-        if arg in individuals:
-            out.append(individuals[arg])
-        elif arg[0] is rules_mod.Individual and arg[1].startswith("rec_"):
-            try:
-                n = int(arg[1][4:])
-            except ValueError:      # not a number, or past int()'s digit limit
-                continue
-            if n >= 0 and str(n) == arg[1][4:]:     # not "007", "1_0", "+7", " 7", "-7"
-                out.append(n)
-    return tuple(out)
+_first = operator.itemgetter(0)
+
+
+def _term_entry(term):
+    """(text, offsets) of a fact argument outside the batch's records: its
+    rules.format_term text, and (n,) for an individual rec_<n>, n in
+    canonical decimal, else ()."""
+    text = rules_mod.format_term(term)
+    if term[0] is rules_mod.Individual and text.startswith("rec_"):
+        try:
+            n = int(text[4:])
+        except ValueError:          # not a number, or past int()'s digit limit
+            return text, ()
+        if n >= 0 and str(n) == text[4:]:   # not "007", "1_0", "+7", " 7", "-7"
+            return text, (n,)
+    return text, ()
+
+
+def _rule_alerts(saturated, table, seq, now):
+    """One RULE alert of batch `seq` per fact that `saturated` derived, in
+    the order of sorted(derived, key=rules.format_atom), without formatting
+    each fact through it. `table` maps each argument term to its text and
+    its record offsets; it holds the individuals of the batch's records,
+    and other terms are added as they are met. A fact's sort key is its
+    format_atom text joined from the table."""
+    rule_of = saturated.rule_of
+    keyed = []
+    for fact in saturated.derived():
+        predicate, args = fact
+        if len(args) == 1:
+            text, offsets = table.get(args[0]) or table.setdefault(args[0], _term_entry(args[0]))
+        else:
+            entries = [table.get(a) or table.setdefault(a, _term_entry(a)) for a in args]
+            text = ", ".join([t for t, _ in entries])
+            offsets = sum([o for _, o in entries], ())
+        keyed.append((f"{predicate}({text})", _alert_event(
+            (seq, "RULE", predicate, None, offsets, rule_of(fact), now))))
+    keyed.sort(key=_first)
+    return [event for _, event in keyed]
 
 
 def batch_evaluate(batch, bands=fwi.DEFAULT_BANDS, rules=None, aggregate="max"):
@@ -360,7 +421,7 @@ def batch_evaluate(batch, bands=fwi.DEFAULT_BANDS, rules=None, aggregate="max"):
     now = int(time.time() * 1000)
     use_rules = rules is not None and len(rules) > 0
     band_index = bands.band_index
-    rows, facts, individuals = [], [], {}
+    rows, facts, terms = [], [], {}
     for offset, record in batch.records:
         try:
             values = _codes_of(fwi.compute_codes(record))
@@ -369,8 +430,9 @@ def batch_evaluate(batch, bands=fwi.DEFAULT_BANDS, rules=None, aggregate="max"):
             raise BatchEvaluationError(batch.seq, offset, exc) from None
         rows.append(values)
         if use_rules:
-            individual = rules_mod.Individual(f"rec_{offset}")
-            individuals[individual] = offset
+            name = f"rec_{offset}"
+            individual = rules_mod.Individual(name)
+            terms[individual] = (name, (offset,))
             labels = [predicates and predicates[i] for predicates, i in zip(table, indexes)]
             _append_facts(facts, individual, labels, values)
 
@@ -394,11 +456,7 @@ def batch_evaluate(batch, bands=fwi.DEFAULT_BANDS, rules=None, aggregate="max"):
             saturated = rules_mod.evaluate(rules, rules_mod.FactBase(facts))
         except rules_mod.TypeClash as exc:
             raise BatchEvaluationError(batch.seq, batch.first_offset, exc) from None
-        rule_of = saturated.rule_of
-        for fact in sorted(saturated.derived(), key=rules_mod.format_atom):
-            events.append(AlertEvent(
-                batch.seq, "RULE", fact[0], None, _offsets(fact[1], individuals),
-                rule_of(fact), now))
+        events += _rule_alerts(saturated, terms, batch.seq, now)
     return events
 
 
@@ -549,7 +607,7 @@ def run_pipeline(source_spec, sink_path, checkpoint_path=None, batch_size=20,
             if cut:
                 sink.truncate(sink.tell() - sum(tail[-cut:]))
             tail = ()
-            sink.write("".join([event.to_json() + "\n" for event in events]))
+            sink.write(sink_text(events))
             sink.flush()
             if crash_hook is not None:
                 crash_hook("after_sink", batch.seq)

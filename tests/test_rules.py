@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from firedss import _terms, data_text, fwi, ingest, rules, stream
+from firedss import data_text, fwi, ingest, rules, stream
 from firedss.rules import (
     Atom, Bool, DuplicateRuleName, FactBase, Individual, Num, RuleSyntaxError,
     Str, TypeClash, UnknownBuiltin, UnknownFact, UnsafeVariable, Variable,
@@ -501,9 +501,12 @@ class TestSemiNaive:
         for rs, base in programs:
             joined = Counter()
 
-            def recording(atoms, *args):
-                found = new_bindings(atoms, *args)
-                joined.update((atoms, tuple(sorted(b.items()))) for b in found)
+            def recording(plan, *args):
+                found = new_bindings(plan, *args)
+                # a binding is the tuple of the body's variables by first occurrence
+                names = dict.fromkeys(t.name for a in plan.atoms for t in a.args
+                                      if isinstance(t, Variable))
+                joined.update((plan.atoms, tuple(sorted(zip(names, b)))) for b in found)
                 return found
 
             monkeypatch.setattr(rules, "_new_bindings", recording)
@@ -533,26 +536,27 @@ class TestSemiNaive:
         assert out.derivations[atom("D", ind("a"))].rule == "bd"
 
     @staticmethod
-    def _match_calls(monkeypatch, rs, base):
-        """Calls of the only match test while saturating: the join work.
-        `_terms.join` looks `match` up as a module global, so every
-        candidate it tries is counted."""
-        calls = []
-        match = _terms.match
+    def _candidates_tried(monkeypatch, rs, base):
+        """Candidates the join tries while saturating, summed over the
+        `counts` of every join: the join work. `rules` looks `join` up as a
+        module global, so every join it runs is counted."""
+        tried = []
+        join = rules.join
 
-        def counting(pattern, fact, bindings):
-            calls.append(1)
-            return match(pattern, fact, bindings)
+        def counting(steps):
+            bindings, counts = join(steps)
+            tried.extend(candidates for candidates, _ in counts)
+            return bindings, counts
 
-        monkeypatch.setattr(_terms, "match", counting)
+        monkeypatch.setattr(rules, "join", counting)
         rules.evaluate(rs, base)
         monkeypatch.undo()
-        assert calls, "the seam counts no join work"
-        return len(calls)
+        assert sum(tried), "the seam counts no join work"
+        return sum(tried)
 
     def test_join_work_grows_linearly_on_reversed_chains(self, monkeypatch):
         base = FactBase([atom("P0", ind(f"i{k}")) for k in range(3)])
-        work = {links: self._match_calls(monkeypatch, _reversed_chain(links), base)
+        work = {links: self._candidates_tried(monkeypatch, _reversed_chain(links), base)
                 for links in (100, 200)}
         # the naive loop re-joins every rule each round: about 4x here
         assert work[200] <= 2.2 * work[100]
@@ -564,7 +568,7 @@ class TestSemiNaive:
             nodes = [ind(f"n{k}") for k in range(n + 1)]
             base = FactBase([atom("P", nodes[0])]
                             + [atom("next", a, b) for a, b in zip(nodes, nodes[1:])])
-            work[n] = self._match_calls(monkeypatch, rs, base)
+            work[n] = self._candidates_tried(monkeypatch, rs, base)
         # one new P fact per run, joined with the one next fact that the
         # index files under it: about 2x; joined with every next fact it
         # would be about 4x, re-joining all P facts each run about 8x
@@ -578,7 +582,7 @@ class TestSemiNaive:
                         + [atom("next", a, b) for a, b in zip(nodes, nodes[1:])])
         # two matches per link: the new P fact and its one next fact; the
         # unindexed join matches every next fact, n * n in all
-        assert self._match_calls(monkeypatch, rs, base) <= 2 * n + 5
+        assert self._candidates_tried(monkeypatch, rs, base) <= 2 * n + 5
 
     def test_a_new_fact_wakes_only_the_rules_whose_body_uses_it(self, monkeypatch):
         links = 1000
