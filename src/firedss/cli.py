@@ -77,7 +77,7 @@ def _load_bands(args, config):
 
 def cmd_convert(args, config):
     dataset = ingest.parse_dataset(_read(args.input))
-    graph = semweb.csv_to_graph(dataset, args.namespace, args.row_prefix)
+    graph = semweb.csv_to_graph(dataset, args.namespace)
     _write(args.output, semweb.serialize(graph, args.format))
     print(f"{len(graph)} triples -> {args.output}")
     return 0
@@ -251,7 +251,6 @@ def build_parser():
     p.add_argument("output")
     p.add_argument("--format", choices=("ntriples", "rdfxml"), default="ntriples")
     p.add_argument("--namespace", default="http://example.org/forestfires#")
-    p.add_argument("--row-prefix", default="row")
     p.set_defaults(fn=cmd_convert)
 
     p = sub.add_parser("preprocess", help="apply dataset transforms in order")

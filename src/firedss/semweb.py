@@ -168,15 +168,15 @@ class Graph:
         return {term for t in self.triples for term in t}
 
 
-def csv_to_graph(dataset, base, row_prefix="row") -> Graph:
-    """One triple per (row, column): subject <base><row_prefix><i>,
+def csv_to_graph(dataset, base) -> Graph:
+    """One triple per (row, column): subject <base>row<i>,
     predicate <base><column>, object typed from the cell value
     (int -> integer, float -> decimal, token -> string)."""
     base = base.value if isinstance(base, Iri) else base
     predicates = [Iri(base + col.name) for col in dataset.schema]
     triples = []
     for i, row in enumerate(dataset.rows):
-        subject = Iri(f"{base}{row_prefix}{i}")
+        subject = Iri(f"{base}row{i}")
         triples.extend(Triple(subject, p, literal_for(v)) for p, v in zip(predicates, row))
     return Graph(triples, {"ds": base})
 

@@ -1,13 +1,15 @@
 """Micro-batch streaming: sources, count-based batching, per-batch
 classification + rule evaluation, alert emission, and checkpointed resume.
 
-Batches are cut by record count (default 20), which keeps file replay
-deterministic. One pass over each record computes its codes, classifies
-all six through ClassBands.band_index and encodes the record as facts:
-individual ``rec_<offset>`` with one unary atom per classification label
-and one binary atom per code. The first code outside [0, inf) fails the
-batch with a BatchEvaluationError naming its record, whatever the band
-trigger. Then:
+A source is one generator that holds what it opened (a socket's listener
+and connection, or the file) until it ends or is closed; run_pipeline
+closes it on every exit. Batches are cut by record count (default 20),
+which keeps file replay deterministic. One pass over each record computes
+its codes, classifies all six through ClassBands.band_index and encodes
+the record as facts: individual ``rec_<offset>`` with one unary atom per
+classification label and one binary atom per code. The first code outside
+[0, inf) fails the batch with a BatchEvaluationError naming its record,
+whatever the band trigger. Then:
 
 * the six code columns are aggregated (max by default) and classified,
   emitting one alert per quantity; a mean past the float range fails the
@@ -41,6 +43,7 @@ with CorruptCheckpoint.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import itertools
@@ -230,24 +233,15 @@ def parse_source(spec):
     return SourceSpec(f"file:{path}", "file", path, rate)
 
 
-def _file_records(path, start_offset, rate):
-    with open(path, "r", encoding="utf-8") as fh:
-        records = ingest.iter_records(fh, header=True)
-        for record in itertools.islice(records, start_offset, None):
-            if rate is not None:
-                time.sleep(1.0 / rate)
-            yield record
-
-
 def open_source(spec, start_offset=0):
     """Open the record source named by a spec (see parse_source) as a
     generator of (offset, WeatherRecord) pairs, offsets counting up from
     start_offset.
 
     Files must start with a header, stdin may, and socket lines are
-    headerless records. File replay honors start_offset for checkpoint
+    headerless records. File replay skips to start_offset for checkpoint
     resume. A socket is bound and a file found here, so a bad source fails
-    at once; closing the generator closes a socket's listener.
+    at once; closing the generator closes what it has opened.
     """
     source = _numbered_records(parse_source(spec), start_offset)
     next(source)
@@ -255,8 +249,9 @@ def open_source(spec, start_offset=0):
 
 
 def _numbered_records(spec, start_offset):
-    """open_source's generator: its first step opens the source and yields
-    None, the rest yields the numbered records."""
+    """open_source's generator: its first step binds a socket, takes stdin
+    or checks that a file exists, and yields None; the rest yields the
+    numbered records, holding what it opened until it ends or is closed."""
     if spec.kind == "socket":
         try:
             host, port = spec.target.split(":", 1)
@@ -271,15 +266,19 @@ def _numbered_records(spec, start_offset):
             conn, _addr = listener.accept()
             with conn, conn.makefile("r", encoding="utf-8", newline="") as lines:
                 yield from enumerate(ingest.iter_records(lines, header=False), start_offset)
-        return
-    if spec.kind == "stdin":
-        records = ingest.iter_records(sys.stdin, header=None)
+    elif spec.kind == "stdin":
+        yield
+        yield from enumerate(ingest.iter_records(sys.stdin, header=None), start_offset)
     elif not Path(spec.target).is_file():
         raise IoError(f"no such file: {spec.target}")
     else:
-        records = _file_records(spec.target, start_offset, spec.rate)
-    yield
-    yield from enumerate(records, start_offset)
+        yield
+        with open(spec.target, "r", encoding="utf-8") as fh:
+            records = itertools.islice(ingest.iter_records(fh, header=True), start_offset, None)
+            for pair in enumerate(records, start_offset):
+                if spec.rate is not None:
+                    time.sleep(1.0 / spec.rate)
+                yield pair
 
 
 def _check_batch_size(size):
@@ -293,19 +292,16 @@ def _check_aggregate(aggregate):
 
 
 def cut_batches(source, size=20, first_seq=0):
-    """Contiguous non-overlapping batches in arrival order; the final short
-    batch (if any) carries the flush flag."""
+    """Contiguous non-overlapping batches of `size` records in arrival
+    order, each taken from the source as it arrives; a final short batch
+    (if any) carries the flush flag."""
     _check_batch_size(size)
-    seq = first_seq
-    pending = []
-    for offset, record in source:
-        pending.append((offset, record))
-        if len(pending) == size:
-            yield Batch(seq, tuple(pending))
-            pending = []
-            seq += 1
-    if pending:
-        yield Batch(seq, tuple(pending), is_final=True)
+    source = iter(source)
+    for seq in itertools.count(first_seq):
+        records = tuple(itertools.islice(source, size))
+        if not records:
+            return
+        yield Batch(seq, records, is_final=len(records) < size)
 
 
 # --- per-batch evaluation ------------------------------------------------------
@@ -589,38 +585,37 @@ def run_pipeline(source_spec, sink_path, checkpoint_path=None, batch_size=20,
                 f"checkpoint belongs to {cp.source_id!r}, not {source_id!r}")
         start_offset, first_seq = cp.offset, cp.batch_seq + 1
 
-    source = open_source(source_spec, start_offset)
     stats = PipelineStats()
-    started = time.perf_counter()
-    try:
-        # only a file source replays a batch that a kill cut short record for record
-        tail = _cut_sink(sink_path, first_seq if checkpoint_path is not None
-                         and spec.kind == "file" else None)
-        sink = open(sink_path, "a", encoding="utf-8")
-    except OSError as exc:
-        source.close()
-        raise IoError(f"cannot open sink {sink_path}: {exc}") from None
-    with sink:
-        for batch in cut_batches(source, batch_size, first_seq):
-            events = batch_evaluate(batch, bands, rules, aggregate)
-            cut = len(tail) % len(events)   # the lines past whole copies of the batch
-            if cut:
-                sink.truncate(sink.tell() - sum(tail[-cut:]))
-            tail = ()
-            sink.write(sink_text(events))
-            sink.flush()
-            if crash_hook is not None:
-                crash_hook("after_sink", batch.seq)
-            if checkpoint_path is not None:
-                written = Checkpoint(source_id, batch.seq, batch.last_offset + 1,
-                                     fingerprint)
-                checkpoint_save(checkpoint_path, written, cp)
-                cp = written
-            if crash_hook is not None:
-                crash_hook("after_checkpoint", batch.seq)
-            stats.records_in += len(batch)
-            stats.batches_out += 1
-            stats.alerts_by_kind.update(event.kind for event in events)
+    with contextlib.closing(open_source(source_spec, start_offset)) as source:
+        started = time.perf_counter()
+        try:
+            # only a file source replays a batch that a kill cut short record for record
+            tail = _cut_sink(sink_path, first_seq if checkpoint_path is not None
+                             and spec.kind == "file" else None)
+            sink = open(sink_path, "a", encoding="utf-8")
+        except OSError as exc:
+            raise IoError(f"cannot open sink {sink_path}: {exc}") from None
+        with sink:
+            for batch in cut_batches(source, batch_size, first_seq):
+                events = batch_evaluate(batch, bands, rules, aggregate)
+                cut = len(tail) % len(events)   # the lines past whole copies of the batch
+                if cut:
+                    sink.truncate(sink.tell() - sum(tail[-cut:]))
+                tail = ()
+                sink.write(sink_text(events))
+                sink.flush()
+                if crash_hook is not None:
+                    crash_hook("after_sink", batch.seq)
+                if checkpoint_path is not None:
+                    written = Checkpoint(source_id, batch.seq, batch.last_offset + 1,
+                                         fingerprint)
+                    checkpoint_save(checkpoint_path, written, cp)
+                    cp = written
+                if crash_hook is not None:
+                    crash_hook("after_checkpoint", batch.seq)
+                stats.records_in += len(batch)
+                stats.batches_out += 1
+                stats.alerts_by_kind.update(event.kind for event in events)
     stats.duration_ms = (time.perf_counter() - started) * 1000.0
     return stats
 

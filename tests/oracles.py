@@ -189,8 +189,9 @@ def naive_saturate(ruleset, facts):
     its whole body against every fact known when it starts (facts derived
     earlier in the round included), until a round derives nothing. Returns
     (facts, {derived fact: Derivation}); the first rule to derive a fact is
-    credited with it."""
-    known = set(facts)
+    credited with it, under the first binding met when the facts are
+    joined in input order."""
+    known = dict.fromkeys(facts)
     derivations = {}
     by_key = {}
     for f in known:
@@ -231,12 +232,12 @@ def naive_saturate(ruleset, facts):
                     fact = R.Atom(h.predicate, tuple(ground(t, binding) for t in h.args))
                     if fact in known:
                         continue
-                    known.add(fact)
+                    known[fact] = None
                     by_key.setdefault((fact.predicate, len(fact.args)), []).append(fact)
                     derivations[fact] = R.Derivation(
                         rule.name, tuple(sorted(binding.items())), premises)
                     changed = True
-    return known, derivations
+    return set(known), derivations
 
 
 # --- query answering: enumerate all substitutions over graph terms --------------

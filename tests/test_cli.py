@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import firedss
@@ -41,6 +42,12 @@ class TestConvert:
         code, stdout, _ = run(capsys, "convert", dataset_csv, str(out))
         assert code == 0
         assert len(out.read_text().splitlines()) == 6721
+
+    def test_output_in_a_missing_directory_exits_1(self, capsys, tmp_path, small_csv):
+        out = tmp_path / "no-such-dir" / "out.nt"
+        code, stdout, err = run(capsys, "convert", small_csv, str(out))
+        assert (code, stdout) == (1, "")
+        assert err.startswith(f"firedss: error: cannot write {out}: ")
 
     def test_rdfxml_output(self, capsys, tmp_path, small_csv):
         out = tmp_path / "out.rdf"
@@ -124,6 +131,44 @@ class TestPreprocess:
             assert code == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_ordinal_maps_month_and_day_to_calendar_ordinals(self, capsys, tmp_path,
+                                                             dataset_csv):
+        out = tmp_path / "out.csv"
+        code, _, _ = run(capsys, "preprocess", dataset_csv, str(out), "--op", "ordinal")
+        assert code == 0
+        header, first, *rest = out.read_text().splitlines()
+        assert header == HEADER
+        assert first.split(",")[:4] == ["3", "7", "8", "3"]     # 3,7,aug,wed
+        assert {int(line.split(",")[2]) for line in rest} <= set(range(1, 13))
+        assert {int(line.split(",")[3]) for line in rest} <= set(range(1, 8))
+
+    def test_iqr_filter_drops_the_rows_outside_the_fences(self, capsys, tmp_path,
+                                                          dataset_csv):
+        out, prov = tmp_path / "out.csv", tmp_path / "prov.json"
+        code, stdout, _ = run(capsys, "preprocess", dataset_csv, str(out),
+                              "--op", "filter=area:iqr:1.5", "--provenance", str(prov))
+        assert (code, stdout) == (0, f"454 rows, 13 columns -> {out}\n")
+        assert json.loads(prov.read_text())["steps"][-1] == {
+            "column": "area", "method": "iqr", "name": "filter_outliers", "removed": 63}
+        areas = sorted(float(line.rsplit(",", 1)[1])
+                       for line in Path(dataset_csv).read_text().splitlines()[1:])
+        q1, q3 = np.percentile(areas, [25.0, 75.0])
+        low, high = q1 - 1.5 * (q3 - q1), q3 + 1.5 * (q3 - q1)
+        kept = [float(line.rsplit(",", 1)[1]) for line in out.read_text().splitlines()[1:]]
+        assert kept and all(low <= a <= high for a in kept)
+        assert len(kept) == sum(low <= a <= high for a in areas)
+
+    @pytest.mark.parametrize("op, usage", [
+        ("filter=", "filter needs filter=<column>[:<method>[:<threshold>]]"),
+        ("resample=", "resample needs resample=<column>[:<strategy>]"),
+    ])
+    def test_op_without_a_column_exits_1_with_its_usage(self, capsys, tmp_path,
+                                                        dataset_csv, op, usage):
+        out = tmp_path / "o.csv"
+        code, _, err = run(capsys, "preprocess", dataset_csv, str(out), "--op", op)
+        assert (code, err) == (1, f"firedss: error: {usage}\n")
+        assert not out.exists()
 
     def test_unknown_op(self, capsys, tmp_path, dataset_csv):
         code, _, err = run(capsys, "preprocess", dataset_csv,
@@ -409,6 +454,18 @@ class TestMetrics:
         assert report["metrics"]["score_om"] == pytest.approx(40.4)
         assert "note" in report
 
+    def test_graph_without_schema_vocabulary(self, capsys):
+        code, stdout, _ = run(capsys, "metrics", "--graph",
+                              str(data_path("regions_fixture.nt")))
+        assert code == 0
+        report = json.loads(stdout)
+        assert report["counts"]["axiom_count"] == 16
+        values = {k: v for k, v in report["metrics"].items() if k != "undefined"}
+        assert len(values) == 8 and set(values.values()) == {None}
+        assert set(report["metrics"]["undefined"]) == set(values)
+        assert all(reason.startswith(f"{name}: ")
+                   for name, reason in report["metrics"]["undefined"].items())
+
     def test_requires_exactly_one_input(self, capsys):
         code, _, err = run(capsys, "metrics")
         assert code == 1
@@ -482,6 +539,11 @@ class TestRetrieve:
         assert len(lines) == 2
         score = float(lines[0].split("\t")[0])
         assert 0.0 <= score <= 1.0
+
+    def test_without_a_corpus_exits_1(self, capsys):
+        code, stdout, err = run(capsys, "retrieve", "drought code mop up")
+        assert (code, stdout) == (1, "")
+        assert err == "firedss: error: retrieve needs a corpus (flag or config)\n"
 
     def test_k_flag(self, capsys):
         code, stdout, _ = run(capsys, "retrieve", "helicopter terrain",
@@ -571,6 +633,11 @@ class TestBands:
         code, stdout, _ = run(capsys, "bands", "check", "--bands",
                               str(data_path("default.bands")))
         assert code == 0 and "OK" in stdout
+
+    def test_check_without_bands_exits_1(self, capsys):
+        code, stdout, err = run(capsys, "bands", "check")
+        assert (code, stdout) == (1, "")
+        assert err == "firedss: error: bands check needs --bands or a config entry\n"
 
     def test_check_bad_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.bands"

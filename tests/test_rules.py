@@ -427,6 +427,16 @@ class TestSemiNaive:
         for _ in range(60):
             _assert_matches_naive(*_random_program(rng, n_individuals=6))
 
+    def test_random_programs_match_the_naive_derivations(self):
+        # a fact that one rule derives under several bindings in one round is
+        # credited on both sides with the first binding in input order
+        rng = random.Random(24)
+        for case in range(1000):
+            rs, base = _random_program(rng, n_individuals=rng.randint(2, 6))
+            out = rules.evaluate(rs, base)
+            facts, derivations = naive_saturate(rs, base.facts)
+            assert out.facts == facts and out.derivations == derivations, f"case {case}"
+
     @pytest.mark.parametrize("extra", [
         "", "rule d: when edge(?x, ?y), Done(?y) then assert Done(?x)\n"])
     def test_every_rule_order_of_recursive_program(self, extra):

@@ -137,6 +137,37 @@ class TestSources:
             run_pipeline("socket:127.0.0.1:0", sink)
         gc.collect()        # a listener left open warns by here, which fails the test
 
+    def test_a_failed_socket_run_frees_its_port_while_the_error_is_held(self, tmp_path):
+        listener_probe = socket.socket()
+        listener_probe.bind(("127.0.0.1", 0))
+        port = listener_probe.getsockname()[1]
+        listener_probe.close()
+        inf_fwi_row = TRIGGER_ROW.replace(",8.5,", ",1e308,")
+
+        def feed():     # run_pipeline binds the port after this thread starts
+            deadline = time.monotonic() + 10
+            while True:
+                try:
+                    client = socket.create_connection(("127.0.0.1", port))
+                    break
+                except ConnectionRefusedError:
+                    if time.monotonic() > deadline:
+                        raise
+                    time.sleep(0.01)
+            with client:
+                client.sendall((inf_fwi_row + "\n").encode())
+
+        t = threading.Thread(target=feed)
+        t.start()
+        with pytest.raises(stream.BatchEvaluationError, match="fwi_class value inf") as caught:
+            run_pipeline(f"socket:127.0.0.1:{port}", tmp_path / "alerts.jsonl", batch_size=1)
+        t.join(timeout=10)
+        assert not t.is_alive()
+        # the traceback holds run_pipeline's frame; a listener still open there
+        # makes this bind fail with EADDRINUSE
+        socket.create_server(("127.0.0.1", port)).close()
+        assert (caught.value.batch_seq, caught.value.offset) == (0, 0)
+
 
 class TestSourceSpec:
     @pytest.mark.parametrize("spec", ["x.csv", "file:x.csv", "file:x.csv?rate=5",
@@ -201,6 +232,14 @@ class TestCutBatches:
         path = write_dataset(tmp_path / "x.csv", [CALM_ROW] * 20)
         batches = list(cut_batches(open_source(path), 20))
         assert len(batches) == 1 and not batches[0].is_final
+
+    def test_a_plain_list_of_45_pairs_at_size_20(self):
+        pairs = list(enumerate(records_of(*[CALM_ROW, TRIGGER_ROW] * 22, CALM_ROW)))
+        batches = list(cut_batches(pairs, 20))
+        assert [len(b) for b in batches] == [20, 20, 5]
+        assert [b.is_final for b in batches] == [False, False, True]
+        assert [b.seq for b in batches] == [0, 1, 2]
+        assert [pair for b in batches for pair in b.records] == pairs
 
     def test_size_one_preserves_order(self, tmp_path):
         path = write_dataset(tmp_path / "x.csv", [CALM_ROW, TRIGGER_ROW, CALM_ROW])
@@ -371,6 +410,21 @@ class TestCheckpoints:
             checkpoint_save(path, Checkpoint("s", 6, 140, "f"), Checkpoint("s", 7, 160, "f"))
         checkpoint_save(path, Checkpoint("s", 6, 140, "f"), Checkpoint("s", 5, 120, "f"))
         assert checkpoint_load(path) == Checkpoint("s", 6, 140, "f")
+
+    def test_save_without_previous_overwrites_a_corrupt_file(self, tmp_path):
+        path = tmp_path / "cp"
+        path.write_bytes(b"not a checkpoint\n" * 8)
+        with pytest.raises(CorruptCheckpoint):
+            checkpoint_load(path)
+        cp = Checkpoint("s", 0, 20, "f")
+        checkpoint_save(path, cp)
+        assert checkpoint_load(path) == cp
+        assert path.read_bytes().count(b"\n") == 2
+
+    def test_load_of_a_directory_is_an_io_error(self, tmp_path):
+        with pytest.raises(IoError) as caught:
+            checkpoint_load(tmp_path)
+        assert str(caught.value).startswith(f"cannot read checkpoint {tmp_path}: ")
 
     def test_truncated_file_is_corrupt(self, tmp_path):
         path = tmp_path / "cp"
