@@ -18,17 +18,15 @@ print(json.dumps(metrics.report(counts), indent=2, sort_keys=True))
 
 # From a graph annotated with the schema vocabulary.
 EX = "http://example.org/demo#"
-g = Graph()
 rdf_type = Iri(semweb.RDF_TYPE)
-for name in ("Sensor", "TemperatureSensor", "Zone"):
-    g.add(Triple(Iri(EX + name), rdf_type, metrics.OWL_CLASS))
-g.add(Triple(Iri(EX + "TemperatureSensor"), metrics.RDFS_SUBCLASS_OF,
-             Iri(EX + "Sensor")))
-g.add(Triple(Iri(EX + "locatedIn"), rdf_type, metrics.OWL_OBJECT_PROPERTY))
-g.add(Triple(Iri(EX + "hasReading"), rdf_type, metrics.OWL_DATATYPE_PROPERTY))
-for k in range(4):
-    g.add(Triple(Iri(EX + f"t{k}"), rdf_type, Iri(EX + "TemperatureSensor")))
-g.add(Triple(Iri(EX + "z1"), rdf_type, Iri(EX + "Zone")))
+g = Graph(
+    [Triple(Iri(EX + name), rdf_type, metrics.OWL_CLASS)
+     for name in ("Sensor", "TemperatureSensor", "Zone")]
+    + [Triple(Iri(EX + "TemperatureSensor"), metrics.RDFS_SUBCLASS_OF, Iri(EX + "Sensor")),
+       Triple(Iri(EX + "locatedIn"), rdf_type, metrics.OWL_OBJECT_PROPERTY),
+       Triple(Iri(EX + "hasReading"), rdf_type, metrics.OWL_DATATYPE_PROPERTY)]
+    + [Triple(Iri(EX + f"t{k}"), rdf_type, Iri(EX + "TemperatureSensor")) for k in range(4)]
+    + [Triple(Iri(EX + "z1"), rdf_type, Iri(EX + "Zone"))])
 
 summary = metrics.summarize(g)
 print("\nsummarized from a micro-graph:")

@@ -16,7 +16,6 @@ operator table `COMPARISONS`, each engine deciding which kinds it compares.
 """
 
 import sys
-import threading
 from bisect import bisect_left
 from collections import namedtuple
 from operator import eq, ge, gt, itemgetter, le, lt, ne
@@ -137,29 +136,33 @@ def compile_patterns(patterns):
 
 
 class PositionIndex:
-    """Ascending positions in one append-only list of term tuples by the
-    tuple of their terms at the positions `bound`. It catches up with the
-    list at each lookup, under a lock, so threads can share it."""
+    """Ascending positions in one append-only sequence of term tuples by the
+    tuple of their terms at the positions `bound`: filed when it is made and
+    caught up at a lookup after the sequence grows. Threads may share it once
+    the sequence has stopped growing."""
 
-    __slots__ = ("facts", "key_of", "positions", "done", "lock")
+    __slots__ = ("facts", "key_of", "positions", "done")
 
     def __init__(self, facts, bound):
         self.facts = facts
         self.key_of = _picker(bound)
         self.positions = {}
         self.done = 0
-        self.lock = threading.Lock()
+        self._catch_up()
+
+    def _catch_up(self):
+        positions, key_of, facts = self.positions, self.key_of, self.facts
+        n = len(facts)
+        for p in range(self.done, n):
+            positions.setdefault(key_of(facts[p]), []).append(p)
+        self.done = n
 
     def between(self, key, lo, hi):
         """The tuples at positions p with lo <= p < hi whose key is `key`,
         in position order."""
         facts = self.facts
         if self.done < len(facts):
-            with self.lock:
-                positions, key_of, n = self.positions, self.key_of, len(facts)
-                for p in range(self.done, n):
-                    positions.setdefault(key_of(facts[p]), []).append(p)
-                self.done = n
+            self._catch_up()
         found = self.positions.get(key)
         if found is None:
             return []

@@ -57,8 +57,11 @@ def _setting(args, config, key, default=None):
 def _read(path):
     try:
         return Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        line = exc.object[:exc.start].count(b"\n") + 1
+        raise CliError(f"cannot read {path}: line {line}: {exc}") from None
 
 
 def _write(path, text):

@@ -63,17 +63,17 @@ class UnknownColumn(DatasetError):
 
 
 class BadCell(DatasetError):
-    def __init__(self, row, column, text):
-        super().__init__(f"row {row}, column {column}: cannot parse {text!r}")
-        self.row = row
+    def __init__(self, line, column, text):
+        super().__init__(f"line {line}, column {column}: cannot parse {text!r}")
+        self.line = line
         self.column = column
         self.text = text
 
 
 class RangeViolation(DatasetError):
-    def __init__(self, row, column, value):
-        super().__init__(f"row {row}, column {column}: value {value!r} out of range")
-        self.row = row
+    def __init__(self, line, column, value):
+        super().__init__(f"line {line}, column {column}: value {value!r} out of range")
+        self.line = line
         self.column = column
         self.value = value
 
@@ -175,22 +175,22 @@ def _canonical_schema():
         for name in CANONICAL_COLUMNS)
 
 
-def _parse_cell(rownum, name, text):
+def _parse_cell(line, name, text):
     text = text.strip()
     if name in VOCABULARIES:
         token = text.lower()
         if token not in VOCABULARIES[name]:
-            raise RangeViolation(rownum, name, token)
+            raise RangeViolation(line, name, token)
         return token
     kind, lo, hi = _NUMBERS[name]
     try:
         value = kind(text)
     except ValueError:
-        raise BadCell(rownum, name, text) from None
+        raise BadCell(line, name, text) from None
     if kind is float and not math.isfinite(value):
-        raise BadCell(rownum, name, text)
+        raise BadCell(line, name, text)
     if (lo is not None and value < lo) or (hi is not None and value > hi):
-        raise RangeViolation(rownum, name, value)
+        raise RangeViolation(line, name, value)
     return value
 
 
@@ -212,20 +212,22 @@ def _header_order(fields):
     return tuple(positions[name] for name in CANONICAL_COLUMNS)
 
 
-def _parse_row(rownum, fields, order):
+def _parse_row(line, fields, order):
     if len(fields) != len(CANONICAL_COLUMNS):
-        raise BadCell(rownum, "<row>", ",".join(fields))
-    return tuple(_parse_cell(rownum, name, fields[i])
+        raise BadCell(line, "<row>", ",".join(fields))
+    return tuple(_parse_cell(line, name, fields[i])
                  for name, i in zip(CANONICAL_COLUMNS, order))
 
 
 def _rows(lines, header):
     """Value tuples in canonical column order from CSV lines, skipping one
-    leading byte order mark and blank rows; see iter_records for ``header``."""
+    leading byte order mark and blank rows; see iter_records for ``header``.
+    A bad row or a CSV error names the 1-based line that the csv reader
+    had reached, a row that spans lines by its last."""
     lines = iter(lines)
     lines = itertools.chain([next(lines, "").removeprefix("\ufeff")], lines)
-    rows = (f for f in csv.reader(lines) if len(f) > 1 or (f and f[0].strip()))
-    first, rownum = None, 0
+    reader = csv.reader(lines)
+    rows = (f for f in reader if len(f) > 1 or (f and f[0].strip()))
     try:
         first = next(rows, None)
         if first is None:
@@ -239,11 +241,9 @@ def _rows(lines, header):
         else:
             rows = itertools.chain([first], rows)
         for fields in rows:
-            yield _parse_row(rownum, fields, order)
-            rownum += 1
+            yield _parse_row(reader.line_num, fields, order)
     except csv.Error as exc:
-        where = "header" if header and first is None else f"row {rownum}"
-        raise DatasetError(f"{where}: {exc}") from None
+        raise DatasetError(f"line {reader.line_num}: {exc}") from None
 
 
 def parse_dataset(csv_text):

@@ -155,22 +155,29 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
 
 
 class VectorIndex:
-    """Exact cosine top-k: a flat inner-product scan over one cached matrix.
+    """Exact cosine top-k: a flat inner-product scan over one matrix, made
+    with the index from all its documents.
 
-    ``_vectors`` holds one unit-norm row per document, in insertion order,
+    ``_vectors`` holds one unit-norm row per document, in the given order,
     so a search is one matrix-vector product and an exact ranking of its
     scores (FAISS calls this an ``IndexFlatIP``). Rows are embedded from
     grams of 3 characters. Ties are broken by ascending id through an
-    id-rank array that each ``add`` rebuilds. Searches may run
-    concurrently; an ``add`` may not run alongside them.
+    id-rank array. Nothing changes after construction, so searches may run
+    concurrently. A repeated document id raises DuplicateDocId.
     """
 
-    def __init__(self, config: EmbedderConfig = EmbedderConfig()):
+    def __init__(self, docs=(), config: EmbedderConfig = EmbedderConfig()):
         self.config = config
-        self.docs = []
-        self._vectors = np.zeros((0, config.dimension))
-        self._ids = set()
-        self._rank = np.zeros(0, dtype=np.intp)
+        self.docs = list(docs)
+        ids = set()
+        for doc in self.docs:
+            if doc.id in ids:
+                raise DuplicateDocId(f"duplicate document id {doc.id!r}")
+            ids.add(doc.id)
+        self._vectors = _embed_rows([doc.text for doc in self.docs], config)
+        order = sorted(range(len(self.docs)), key=lambda i: self.docs[i].id)
+        self._rank = np.empty(len(order), dtype=np.intp)
+        self._rank[order] = np.arange(len(order))
 
     def __len__(self):
         return len(self.docs)
@@ -178,23 +185,6 @@ class VectorIndex:
     @property
     def fingerprint(self):
         return self.config.fingerprint
-
-    def add(self, docs):
-        """Append docs in order. All or nothing: a duplicate id raises
-        DuplicateDocId before anything is indexed."""
-        docs = list(docs)
-        new_ids = set()
-        for doc in docs:
-            if doc.id in self._ids or doc.id in new_ids:
-                raise DuplicateDocId(f"duplicate document id {doc.id!r}")
-            new_ids.add(doc.id)
-        block = _embed_rows([doc.text for doc in docs], self.config)
-        self._vectors = np.concatenate((self._vectors, block)) if self.docs else block
-        self.docs.extend(docs)
-        self._ids |= new_ids
-        order = sorted(range(len(self.docs)), key=lambda i: self.docs[i].id)
-        self._rank = np.empty(len(order), dtype=np.intp)
-        self._rank[order] = np.arange(len(order))
 
     def search(self, query_text, k=2, query_fingerprint=None):
         """Top-k (DocRecord, score) by descending cosine, ties broken by
@@ -242,9 +232,7 @@ def load_corpus(text: str, config: EmbedderConfig = EmbedderConfig()) -> VectorI
                                  f"{doc.id!r} (first on line {line_of[doc.id]})")
         line_of[doc.id] = lineno
         docs.append(doc)
-    index = VectorIndex(config)
-    index.add(docs)
-    return index
+    return VectorIndex(docs, config)
 
 
 def dump_corpus(docs) -> str:

@@ -125,13 +125,13 @@ class Triple(namedtuple("Triple", "subject predicate object")):
 
 
 class Graph:
-    """Set of triples plus a prefix map. `triples` is a read-only set-like
-    view; queries share position indexes of a list of the triples in the
-    order they were added, which catch up as `add` extends it."""
+    """Set of triples plus a prefix map, both given when it is made and
+    fixed after. `triples` is a read-only set-like view; queries share
+    position indexes of the tuple of the triples in first-seen order."""
 
     def __init__(self, triples=(), prefixes=None):
         self._triples = dict.fromkeys(triples)
-        self._listed = list(self._triples)
+        self._listed = tuple(self._triples)
         self.prefixes = dict(prefixes or {})
         self._indexes = {}
 
@@ -139,21 +139,14 @@ class Graph:
     def triples(self):
         return self._triples.keys()
 
-    def add(self, triple: Triple):
-        if triple not in self._triples:
-            self._triples[triple] = None
-            self._listed.append(triple)
-
     def _index(self, positions):
-        """The position index of the triple list on `positions`, made on
-        first use; threads that race to make it all get the stored one."""
+        """The position index of the triple tuple on `positions`, filed
+        whole on first use before it is stored; threads that race to make
+        it all get the stored one and only read it."""
         index = self._indexes.get(positions)
         if index is None:
             index = self._indexes.setdefault(positions, PositionIndex(self._listed, positions))
         return index
-
-    def bind(self, prefix, iri):
-        self.prefixes[prefix] = iri if isinstance(iri, str) else iri.value
 
     def __len__(self):
         return len(self._triples)

@@ -66,8 +66,8 @@ class TestConvert:
         bad.write_bytes(b"X,Y\xff")
         code, _, err = run(capsys, "convert", str(bad), str(tmp_path / "o.nt"))
         assert code == 1
-        assert err == (f"firedss: error: cannot read {bad}: 'utf-8' codec can't decode "
-                       "byte 0xff in position 3: invalid start byte\n")
+        assert err == (f"firedss: error: cannot read {bad}: line 1: 'utf-8' codec can't "
+                       "decode byte 0xff in position 3: invalid start byte\n")
 
     @pytest.mark.parametrize("char", '<>"{}|^`\\')
     def test_namespace_outside_iriref_exits_1(self, capsys, tmp_path, small_csv, char):
@@ -105,7 +105,7 @@ class TestConvert:
             capture_output=True, text=True, env=env, timeout=60)
         assert done.returncode == 1
         assert "Traceback" not in done.stderr
-        assert "row 1: field larger than field limit" in done.stderr
+        assert "line 3: field larger than field limit" in done.stderr
 
 
 class TestPreprocess:
@@ -746,8 +746,8 @@ class TestConfigFile:
         config.write_bytes(b"batch_size = 20\n# \xff\n")
         code, _, err = run(capsys, "--config", str(config), "bands", "print")
         assert code == 1
-        assert err == (f"firedss: error: cannot read {config}: 'utf-8' codec can't decode "
-                       "byte 0xff in position 18: invalid start byte\n")
+        assert err == (f"firedss: error: cannot read {config}: line 2: 'utf-8' codec can't "
+                       "decode byte 0xff in position 18: invalid start byte\n")
 
     def test_missing_config_is_named(self, capsys, tmp_path):
         config = tmp_path / "nope.conf"
@@ -760,3 +760,82 @@ class TestConfigFile:
         config.write_text("# comment\n\nbatch_size = 20\n", encoding="utf-8")
         code, _, _ = run(capsys, "--config", str(config), "bands", "print")
         assert code == 0
+
+
+class TestReadErrors:
+    # the config reader's case is TestConfigFile.test_non_utf8_config_is_named
+    @pytest.mark.parametrize("argv", [
+        ["rules-check", "{path}"],
+        ["bands", "check", "--bands", "{path}"],
+        ["query", "{path}", str(data_path("hot_dry_regions.rq"))],
+        ["retrieve", "fire", "--corpus", "{path}"],
+    ], ids=["rules", "bands", "ntriples", "corpus"])
+    def test_non_utf8_file_names_the_line(self, capsys, tmp_path, argv):
+        path = tmp_path / "input"
+        path.write_bytes(b"# one\n# two\n# \xff\n")
+        code, stdout, err = run(capsys, *[a.format(path=path) for a in argv])
+        assert (code, stdout) == (1, "")
+        assert err == (f"firedss: error: cannot read {path}: line 3: 'utf-8' codec can't "
+                       "decode byte 0xff in position 14: invalid start byte\n")
+
+
+_BANDS = data_path("default.bands").read_text(encoding="utf-8")
+_TRIGGER = "dmc_class=difficult and extensive & dc_class=difficult and extensive"
+_TABLE = str(data_path("forestfires_synthetic.csv"))
+
+
+class TestErrorPaths:
+    """One case per error path of an input edge: exit 1 with its message and
+    no file written; and one query form that is no error."""
+
+    @pytest.mark.parametrize("files, argv, code, expected", [
+        ({"b.bands": _BANDS.replace(_TRIGGER, "dmc_class")},
+         ["bands", "check", "--bands", "b.bands"], 1, "line 9: bad trigger clause ' dmc_class'"),
+        ({"b.bands": _BANDS.replace(_TRIGGER, "foo=bar")},
+         ["bands", "check", "--bands", "b.bands"], 1,
+         "line 9: trigger references unknown quantity foo"),
+        ({"b.bands": _BANDS.replace("bui_class = ", "bui_class = 4:, ")},
+         ["bands", "check", "--bands", "b.bands"], 1, "line 3: bui_class: empty label"),
+        ({"g.nt": '<http://x/s> <http://x/p> "1"^^<http://x/dt> .\n'},
+         ["query", "g.nt", str(data_path("hot_dry_regions.rq"))], 1,
+         "line 1: unsupported datatype IRI 'http://x/dt'"),
+        ({"g.nt": '<http://x/s> <http://x/p> "yes"^^<http://www.w3.org/2001/XMLSchema#boolean> .\n'},
+         ["query", "g.nt", str(data_path("hot_dry_regions.rq"))], 1,
+         "line 1: bad boolean lexical form: 'yes'"),
+        ({}, ["convert", _TABLE, "t.rdf", "--format", "rdfxml", "--namespace", "urn:x:"], 1,
+         "cannot write predicate 'urn:x:DC' as XML name"),
+        ({}, ["retrieve", "fire", "--corpus", str(data_path("corpus.jsonl")), "-k", "0"], 1,
+         "k must be >= 1, got 0"),
+        ({"c.jsonl": '{"id": "a", "text": ""}\n'}, ["retrieve", "fire", "--corpus", "c.jsonl"],
+         1, "corpus line 1: document 'a' has empty text"),
+        ({}, ["preprocess", _TABLE, "o.csv", "--op", "zscore=area", "--op", "log1p_area"], 1,
+         "row 1: area -0.4623816308743384 < 0"),
+        ({}, ["preprocess", _TABLE, "o.csv", "--op", "zscore=month"], 1,
+         "unknown column: month"),
+        ({}, ["preprocess", _TABLE, "o.csv", "--op", "ordinal=FFMC"], 1,
+         "unknown column: FFMC"),
+        ({}, ["preprocess", _TABLE, "o.csv", "--op", "filter=month"], 1,
+         "unknown column: month"),
+        ({}, ["preprocess", _TABLE, "o.csv", "--op", "filter=FFMC:median"], 1,
+         "unknown outlier method: median"),
+        ({}, ["preprocess", _TABLE, "o.csv", "--op", "resample=month:bogus"], 1,
+         "unknown resample strategy: bogus"),
+        ({"q.rq": 'PREFIX ex: <http://example.org/forest#>\n'
+                  'SELECT ?r WHERE { ?a ex:hasName ?r . FILTER (?r = "Oak Ridge") . }\n'},
+         ["query", str(data_path("regions_fixture.nt")), "q.rq"], 0, "r\nOak Ridge\n"),
+    ], ids=["trigger-without-label", "trigger-unknown-quantity", "empty-label",
+            "unknown-datatype", "bad-boolean", "rdfxml-predicate", "k-zero", "empty-text",
+            "log-of-negative-area", "zscore-categorical", "ordinal-numeric",
+            "filter-categorical", "filter-method", "resample-strategy",
+            "dot-after-filter"])
+    def test_exit_code_and_message(self, capsys, tmp_path, monkeypatch, files, argv, code,
+                                   expected):
+        monkeypatch.chdir(tmp_path)
+        for name, text in files.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        got, stdout, err = run(capsys, *argv)
+        if code:
+            assert (got, stdout, err) == (1, "", f"firedss: error: {expected}\n")
+            assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+        else:
+            assert (got, stdout, err) == (0, expected, "")

@@ -78,14 +78,14 @@ class TestParse:
     def test_bad_cell(self):
         with pytest.raises(BadCell) as err:
             ingest.parse_dataset(make_csv(ROW1.replace("92.3", "oops")))
-        assert err.value.column == "FFMC" and err.value.row == 0
+        assert err.value.column == "FFMC" and err.value.line == 2
 
     @pytest.mark.parametrize("old, new, column", [("92.3", "nan", "FFMC"),
                                                   ("24.1", "inf", "temp")])
     def test_non_finite_cell_is_bad(self, old, new, column):
         with pytest.raises(BadCell) as err:
             ingest.parse_dataset(make_csv(ROW1.replace(old, new)))
-        assert str(err.value) == f"row 0, column {column}: cannot parse {new!r}"
+        assert str(err.value) == f"line 2, column {column}: cannot parse {new!r}"
 
     def test_range_violation(self):
         with pytest.raises(RangeViolation):
@@ -98,6 +98,23 @@ class TestParse:
         with pytest.raises(RangeViolation) as err:
             ingest.parse_dataset(make_csv(ROW1.replace("8,6,", f"{x},{y},", 1)))
         assert err.value.column == column and err.value.value == int(max(x, y, key=len))
+
+    @pytest.mark.parametrize("before, line", [
+        ([ROW1, ""], 4),
+        ([ROW1.replace(",mon,", ',"mon\n",')], 4),
+        ([], 2),
+    ], ids=["past-a-blank-line", "past-a-two-line-row", "first-row"])
+    def test_errors_name_the_file_line(self, before, line):
+        # blank lines and a quoted cell's line break count; the header is line 1
+        bad = ROW1.rsplit(",", 1)[0] + ",x"
+        message = f"line {line}, column area: cannot parse 'x'"
+        with pytest.raises(BadCell, match=message) as err:
+            ingest.parse_dataset(make_csv(*before, bad))
+        assert err.value.line == line
+        with pytest.raises(RangeViolation, match=f"^line {line - 1}, column month"):
+            list(ingest.iter_records(
+                io.StringIO(make_csv(*before, ROW1.replace("aug", "xyz"))[len(HEADER) + 1:]),
+                header=False))
 
     def test_unknown_month_token(self):
         with pytest.raises(RangeViolation):
@@ -175,7 +192,7 @@ class TestUnifiedReader:
             list(ingest.iter_records([HEADER + "\n"], header=False))
 
     @pytest.mark.parametrize("good_rows, where",
-                             [(1, "row 1"), (0, "row 0"), (None, "header")])
+                             [(1, "line 3"), (0, "line 2"), (None, "line 1")])
     def test_oversized_cell_is_a_dataset_error(self, good_rows, where):
         huge = ROW1.replace(",aug,", ',"' + "a" * 200_000 + '",')
         text = huge + "\n" if good_rows is None else make_csv(*[ROW1] * good_rows, huge)

@@ -36,15 +36,13 @@ class TestSummarize:
         assert s == OntologySummary()
 
     def test_micro_ontology(self):
-        g = Graph()
         rdf_type = Iri(semweb.RDF_TYPE)
-        for name in ("A", "B"):
-            g.add(Triple(Iri(EX + name), rdf_type, metrics.OWL_CLASS))
-        g.add(Triple(Iri(EX + "B"), metrics.RDFS_SUBCLASS_OF, Iri(EX + "A")))
-        for k in range(3):
-            g.add(Triple(Iri(EX + f"ind{k}"), rdf_type, Iri(EX + "A")))
-        g.add(Triple(Iri(EX + "rel"), rdf_type, metrics.OWL_OBJECT_PROPERTY))
-        g.add(Triple(Iri(EX + "attr"), rdf_type, metrics.OWL_DATATYPE_PROPERTY))
+        g = Graph(
+            [Triple(Iri(EX + name), rdf_type, metrics.OWL_CLASS) for name in ("A", "B")]
+            + [Triple(Iri(EX + "B"), metrics.RDFS_SUBCLASS_OF, Iri(EX + "A"))]
+            + [Triple(Iri(EX + f"ind{k}"), rdf_type, Iri(EX + "A")) for k in range(3)]
+            + [Triple(Iri(EX + "rel"), rdf_type, metrics.OWL_OBJECT_PROPERTY),
+               Triple(Iri(EX + "attr"), rdf_type, metrics.OWL_DATATYPE_PROPERTY)])
         s = metrics.summarize(g)
         assert s.class_count == 2
         assert s.subclass_axiom_count == 1
@@ -62,9 +60,8 @@ class TestSummarize:
         assert s.class_count == 0 and s.individual_count == 0
 
     def test_untyped_subjects_are_not_individuals(self):
-        g = Graph()
-        g.add(Triple(Iri(EX + "A"), Iri(semweb.RDF_TYPE), metrics.OWL_CLASS))
-        g.add(Triple(Iri(EX + "x"), Iri(EX + "p"), Literal("1", "integer")))
+        g = Graph([Triple(Iri(EX + "A"), Iri(semweb.RDF_TYPE), metrics.OWL_CLASS),
+                   Triple(Iri(EX + "x"), Iri(EX + "p"), Literal("1", "integer"))])
         s = metrics.summarize(g)
         assert s.individual_count == 0
 
@@ -190,17 +187,15 @@ class TestReport:
         assert "relationship_richness" in rep["metrics"]["undefined"]
 
     def test_summarize_then_metrics_end_to_end(self):
-        g = Graph()
         rdf_type = Iri(semweb.RDF_TYPE)
-        for name in ("A", "B", "C", "D"):
-            g.add(Triple(Iri(EX + name), rdf_type, metrics.OWL_CLASS))
-        g.add(Triple(Iri(EX + "B"), metrics.RDFS_SUBCLASS_OF, Iri(EX + "A")))
-        g.add(Triple(Iri(EX + "C"), metrics.RDFS_SUBCLASS_OF, Iri(EX + "A")))
-        for prop in ("p1", "p2"):
-            g.add(Triple(Iri(EX + prop), rdf_type, metrics.OWL_OBJECT_PROPERTY))
-        g.add(Triple(Iri(EX + "d1"), rdf_type, metrics.OWL_DATATYPE_PROPERTY))
-        for k in range(6):
-            g.add(Triple(Iri(EX + f"i{k}"), rdf_type, Iri(EX + ("A" if k < 4 else "B"))))
+        g = Graph(
+            [Triple(Iri(EX + name), rdf_type, metrics.OWL_CLASS) for name in "ABCD"]
+            + [Triple(Iri(EX + sub), metrics.RDFS_SUBCLASS_OF, Iri(EX + "A")) for sub in "BC"]
+            + [Triple(Iri(EX + prop), rdf_type, metrics.OWL_OBJECT_PROPERTY)
+               for prop in ("p1", "p2")]
+            + [Triple(Iri(EX + "d1"), rdf_type, metrics.OWL_DATATYPE_PROPERTY)]
+            + [Triple(Iri(EX + f"i{k}"), rdf_type, Iri(EX + ("A" if k < 4 else "B")))
+               for k in range(6)])
         s = metrics.summarize(g)
         # hand-computed: prop=3, subclass=2, classes=4, cwi=2, ind=6, axioms=15
         assert metrics.relationship_richness(s) == pytest.approx(3 / 5)

@@ -25,9 +25,8 @@ def random_text(rng, lo=3, hi=60):
 
 
 def random_index(rng, size, dim=64):
-    idx = VectorIndex(EmbedderConfig(dimension=dim))
-    idx.add([DocRecord(f"doc{k:04d}", random_text(rng)) for k in range(size)])
-    return idx
+    docs = [DocRecord(f"doc{k:04d}", random_text(rng)) for k in range(size)]
+    return VectorIndex(docs, EmbedderConfig(dimension=dim))
 
 
 class TestEmbed:
@@ -118,15 +117,13 @@ class TestCosine:
 
 class TestSearch:
     def test_single_document(self):
-        idx = VectorIndex()
-        idx.add([DocRecord("only", "clear undergrowth near the village")])
+        idx = VectorIndex([DocRecord("only", "clear undergrowth near the village")])
         (hit,) = idx.search("anything at all", k=2)
         assert hit[0].id == "only"
 
     def test_exact_text_ranks_first_with_score_one(self):
-        idx = VectorIndex()
-        idx.add([DocRecord("a", "deploy several water tankers in rotation"),
-                 DocRecord("b", "use helicopters on steep ground")])
+        idx = VectorIndex([DocRecord("a", "deploy several water tankers in rotation"),
+                           DocRecord("b", "use helicopters on steep ground")])
         top = idx.search("deploy several water tankers in rotation", k=2)
         assert top[0][0].id == "a"
         assert top[0][1] == pytest.approx(1.0, abs=1e-9)
@@ -146,14 +143,12 @@ class TestSearch:
             VectorIndex().search("q")
 
     def test_duplicate_id_rejected(self):
-        idx = VectorIndex()
-        idx.add([DocRecord("d", "text one")])
-        with pytest.raises(DuplicateDocId):
-            idx.add([DocRecord("d", "text two")])
+        with pytest.raises(DuplicateDocId, match="'d'"):
+            VectorIndex([DocRecord("d", "text one"), DocRecord("e", "text"),
+                         DocRecord("d", "text two")])
 
     def test_fingerprint_mismatch(self):
-        idx = VectorIndex(EmbedderConfig(dimension=64))
-        idx.add([DocRecord("d", "some text")])
+        idx = VectorIndex([DocRecord("d", "some text")], EmbedderConfig(dimension=64))
         other = EmbedderConfig(dimension=128)
         with pytest.raises(EmbedderMismatch):
             idx.search("q", query_fingerprint=other.fingerprint)
@@ -195,9 +190,8 @@ class TestSearch:
             previous = current
 
     def test_tie_break_by_ascending_id(self):
-        idx = VectorIndex()
-        idx.add([DocRecord("zeta", "identical text"),
-                 DocRecord("alpha", "identical text")])
+        idx = VectorIndex([DocRecord("zeta", "identical text"),
+                           DocRecord("alpha", "identical text")])
         top = idx.search("identical text", k=2)
         assert [d.id for d, _ in top] == ["alpha", "zeta"]
 
@@ -339,12 +333,10 @@ def _ranked_by_oracle(idx, query, k):
 
 
 class TestIndexStorage:
-    def test_search_after_second_add_sees_both_batches(self):
-        idx = VectorIndex(EmbedderConfig(dimension=64))
-        idx.add([DocRecord("m", "shared text"), DocRecord("b1", "water tanker")])
-        assert [d.id for d, _ in idx.search("shared text", k=1)] == ["m"]
-        idx.add([DocRecord("c", "shared text"), DocRecord("z", "shared text"),
-                 DocRecord("a2", "helicopter ridge")])
+    def test_search_ranks_every_document_and_breaks_ties_by_id(self):
+        idx = VectorIndex([DocRecord("m", "shared text"), DocRecord("b1", "water tanker"),
+                           DocRecord("c", "shared text"), DocRecord("z", "shared text"),
+                           DocRecord("a2", "helicopter ridge")], EmbedderConfig(dimension=64))
         assert idx._vectors.shape == (5, 64)
         for query in ("shared text", "helicopter ridge", "water tanker"):
             for k in (1, 2, 3, 5):
@@ -359,8 +351,7 @@ class TestIndexStorage:
         docs = [DocRecord(doc_id, "burn ban in effect") for doc_id in ids]
         docs += [DocRecord(f"o{n:02d}", random_text(rng)) for n in range(30)]
         rng.shuffle(docs)
-        idx = VectorIndex()
-        idx.add(docs)
+        idx = VectorIndex(docs)
         for k in (1, 5, 39, 40, 41, 55, 70):
             got = idx.search("burn ban in effect", k=k)
             assert [d.id for d, _ in got] == _ranked_by_oracle(idx, "burn ban in effect", k)
@@ -400,27 +391,6 @@ class TestIndexStorage:
             grams.update(text[i:i + 3] for i in range(len(text) - 2))
         assert len(hashed) == len(set(hashed))
         assert set(hashed) == {g.encode("utf-8") for g in grams}
-
-
-class TestAddIsAllOrNothing:
-    def _state(self, idx):
-        return list(idx.docs), idx._vectors.copy(), set(idx._ids), idx._rank
-
-    @pytest.mark.parametrize("batch", [
-        [DocRecord("new1", "new text"), DocRecord("b", "clash with the index"),
-         DocRecord("new2", "more text")],
-        [DocRecord("new1", "new text"), DocRecord("new1", "clash within the batch")],
-    ])
-    def test_duplicate_leaves_the_index_unchanged(self, batch):
-        idx = VectorIndex()
-        idx.add([DocRecord("a", "first text"), DocRecord("b", "second text")])
-        idx.search("text")                  # an index already searched
-        docs, vectors, ids, rank = self._state(idx)
-        with pytest.raises(DuplicateDocId):
-            idx.add(batch)
-        assert idx.docs == docs and idx._ids == ids and idx._rank is rank
-        assert np.array_equal(idx._vectors, vectors)
-        assert [d.id for d, _ in idx.search("new text", k=5)] == ["a", "b"]
 
 
 class TestInputEdges:
@@ -471,8 +441,7 @@ class TestInputEdges:
     def test_embed_and_search_reject_invalid_unicode(self, text):
         with pytest.raises(retrieval.RetrievalError, match="not valid Unicode"):
             embed(text)
-        idx = VectorIndex()
-        idx.add([DocRecord("a", "some text")])
+        idx = VectorIndex([DocRecord("a", "some text")])
         with pytest.raises(retrieval.RetrievalError, match="not valid Unicode"):
             idx.search(text)
 

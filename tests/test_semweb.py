@@ -45,8 +45,7 @@ DECIMAL_POOL = ("0.5", "3.25", "7.0", "11.75", "19.5", "33.125")
 def random_graph(rng, n_triples, n_subjects=8, n_predicates=5, n_objects=8):
     # literal pools are small on purpose: a dense term vocabulary both keeps
     # the enumeration oracle tractable and produces non-trivial joins
-    g = Graph()
-    g.bind("ex", EX)
+    triples = []
     for _ in range(n_triples):
         s = iri(f"s{rng.randrange(n_subjects)}")
         p = iri(f"p{rng.randrange(n_predicates)}")
@@ -60,8 +59,8 @@ def random_graph(rng, n_triples, n_subjects=8, n_predicates=5, n_objects=8):
         else:
             o = Literal(rng.choice(["alpha", "beta", "gamma", "del\"ta", "e\\f"]),
                         "string")
-        g.add(Triple(s, p, o))
-    return g
+        triples.append(Triple(s, p, o))
+    return Graph(triples, {"ex": EX})
 
 
 class TestTerms:
@@ -460,18 +459,17 @@ class TestParseQuery:
 
 
 def region_fixture_graph():
-    g = Graph()
-    g.bind("ex", "http://example.org/forest#")
     ns = "http://example.org/forest#"
     rows = [("PineValley", "Pine Valley", 35, 25), ("OakRidge", "Oak Ridge", 34, 20),
             ("MapleHill", "Maple Hill", 32, 29), ("SouthForest", "South Forest", 28, 32)]
+    triples = []
     for local, name, t, h in rows:
         s = Iri(ns + local)
-        g.add(Triple(s, Iri(semweb.RDF_TYPE), Iri(ns + "ForestArea")))
-        g.add(Triple(s, Iri(ns + "hasName"), Literal(name, "string")))
-        g.add(Triple(s, Iri(ns + "hasTemperature"), Literal(str(t), "integer")))
-        g.add(Triple(s, Iri(ns + "hasHumidity"), Literal(str(h), "integer")))
-    return g
+        triples += [Triple(s, Iri(semweb.RDF_TYPE), Iri(ns + "ForestArea")),
+                    Triple(s, Iri(ns + "hasName"), Literal(name, "string")),
+                    Triple(s, Iri(ns + "hasTemperature"), Literal(str(t), "integer")),
+                    Triple(s, Iri(ns + "hasHumidity"), Literal(str(h), "integer"))]
+    return Graph(triples, {"ex": ns})
 
 
 class TestExecute:
@@ -511,17 +509,6 @@ class TestExecute:
         g = Graph([Triple(iri("s"), iri("p"), Literal("2.5", "decimal"))])
         q = parse_query(f"SELECT ?v WHERE {{ ?s <{EX}p> ?v . FILTER (?v > 2) }}")
         assert len(execute(q, g)) == 1
-
-    def test_graph_add_after_query_is_seen(self):
-        g = region_fixture_graph()
-        q = parse_query(REGION_QUERY)
-        assert len(execute(q, g)) == 3
-        ns = "http://example.org/forest#"
-        s = Iri(ns + "SouthForest")
-        g.add(Triple(s, Iri(ns + "hasHumidity"), Literal("12", "integer")))
-        g.add(Triple(s, Iri(ns + "hasTemperature"), Literal("31", "integer")))
-        names = {semweb.format_cell(r[0]) for r in execute(q, g).rows}
-        assert names == {"Pine Valley", "Oak Ridge", "Maple Hill", "South Forest"}
 
     def test_repeated_variable_pattern(self):
         g = Graph([Triple(iri("a"), iri("p"), iri("a")),
@@ -703,9 +690,8 @@ class TestOracleEquivalence:
     def test_decimals_compare_exactly(self, close, exact):
         # both values of a pair read as the same float, so an oracle that
         # compares floats would return both rows
-        g = Graph()
-        g.add(Triple(iri("a"), iri("v"), Literal(close, "decimal")))
-        g.add(Triple(iri("b"), iri("v"), Literal(exact, "decimal")))
+        g = Graph([Triple(iri("a"), iri("v"), Literal(close, "decimal")),
+                   Triple(iri("b"), iri("v"), Literal(exact, "decimal"))])
         q = parse_query(f"PREFIX ex: <{EX}>\n"
                         f"SELECT ?s WHERE {{ ?s ex:v ?v . FILTER (?v = {exact}) }}")
         assert list(execute(q, g).rows) == [(iri("b"),)]
@@ -748,42 +734,38 @@ class TestConcurrentReads:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_threads_race_on_the_index_catch_up_after_add(self):
-        # the indexes of a queried graph catch up with triples added since;
-        # a position filed twice would double the plan's candidate counts
+    def test_threads_race_on_first_query_of_a_larger_graph(self):
+        # indexes of 1,316 triples take long enough to file that racing
+        # threads would file a shared one twice if it were stored before it
+        # was filed: the plan's candidate counts would double
         import sys
         import threading
         from concurrent.futures import ThreadPoolExecutor
 
         q = parse_query(REGION_QUERY)
         ns = "http://example.org/forest#"
-        late = [Triple(Iri(ns + f"Late{k}"), Iri(ns + name), value) for k in range(40)
-                for name, value in (("hasName", Literal(f"Late {k}")),
+        more = [Triple(Iri(ns + f"Area{k}"), Iri(ns + name), value) for k in range(300)
+                for name, value in (("hasName", Literal(f"Area {k}")),
                                     ("hasTemperature", Literal("31", "integer")),
                                     ("hasHumidity", Literal("12", "integer")))]
-        late += [Triple(t.subject, Iri(semweb.RDF_TYPE), Iri(ns + "ForestArea"))
-                 for t in late[::3]]
-        whole = region_fixture_graph()
-        for t in late:
-            whole.add(t)
-        reference = execute(q, whole)
+        more += [Triple(t.subject, Iri(semweb.RDF_TYPE), Iri(ns + "ForestArea"))
+                 for t in more[::3]]
+        triples = list(region_fixture_graph().triples) + more
+        reference = execute(q, Graph(triples))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for _ in range(20):
-                g = region_fixture_graph()
-                execute(q, g)
-                for t in late:
-                    g.add(t)
+            for _ in range(5):
+                g = Graph(triples)
                 start = threading.Barrier(8, timeout=10)
 
-                def query_after_add(_):
+                def first_query(_):
                     start.wait()
                     return execute(q, g)
 
                 with ThreadPoolExecutor(max_workers=8) as pool:
-                    futures = [pool.submit(query_after_add, n) for n in range(8)]
-                    results = [f.result(timeout=30) for f in futures]
+                    futures = [pool.submit(first_query, n) for n in range(8)]
+                    results = [f.result(timeout=60) for f in futures]
                 assert all((r.rows, r.plan) == (reference.rows, reference.plan)
                            for r in results)
         finally:
