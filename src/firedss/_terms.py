@@ -127,7 +127,7 @@ def compile_patterns(patterns):
         same = None
         if repeated:
             same = (_picker([p for p, _ in repeated]), _picker([q for _, q in repeated]))
-        if positions or repeated or fresh != list(range(len(pattern))):
+        if positions or repeated:
             take = _picker(fresh) if fresh else ()
         else:
             take = None

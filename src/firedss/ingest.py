@@ -62,6 +62,12 @@ class UnknownColumn(DatasetError):
         self.name = name
 
 
+class WrongColumnKind(DatasetError):
+    def __init__(self, name, kind, op, wanted):
+        super().__init__(f"column {name} is {kind}; {op} needs {wanted}")
+        self.name = name
+
+
 class BadCell(DatasetError):
     def __init__(self, line, column, text):
         super().__init__(f"line {line}, column {column}: cannot parse {text!r}")
@@ -311,7 +317,7 @@ def zscore_normalize(d: Dataset, columns):
     for name in columns:
         i = d.column_index(name)
         if d.schema[i].kind != "numeric":
-            raise UnknownColumn(name)
+            raise WrongColumnKind(name, d.schema[i].kind, "zscore", "a numeric column")
         values = np.array([r[i] for r in d.rows], dtype=float)
         mean = float(values.mean())
         std = float(values.std())  # population
@@ -344,7 +350,8 @@ def one_hot_encode(d: Dataset, columns) -> Dataset:
     for name in columns:
         i = d.column_index(name)
         if d.schema[i].kind != "categorical" or name not in VOCABULARIES:
-            raise UnknownColumn(name)
+            raise WrongColumnKind(name, d.schema[i].kind, "onehot",
+                                  "a categorical month or day column")
 
     encode = set(columns)
     schema = []
@@ -380,7 +387,7 @@ def ordinal_encode(d: Dataset, columns=("month", "day")) -> Dataset:
     for name in columns:
         i = d.column_index(name)
         if name not in VOCABULARIES:
-            raise UnknownColumn(name)
+            raise WrongColumnKind(name, d.schema[i].kind, "ordinal", "the month or day column")
     schema = [Column(c.name, "numeric") if c.name in set(columns) else c
               for c in d.schema]
     rows = []
@@ -438,7 +445,7 @@ def filter_outliers(d: Dataset, column, method="zscore", threshold=None) -> Data
     """
     i = d.column_index(column)
     if d.schema[i].kind != "numeric":
-        raise UnknownColumn(column)
+        raise WrongColumnKind(column, d.schema[i].kind, "filter", "a numeric column")
     values = np.array([float(r[i]) for r in d.rows])
 
     if method == "zscore":

@@ -7,7 +7,10 @@ It shares the rule language's term model (`firedss._terms`): `Iri` and
 a triple or triple pattern is the tuple (subject, predicate, object), and
 queries run the rules' join (`firedss._terms.join`) through the same
 position index, their patterns compiled to slot form per call in the
-order the join runs them. Queries cover the fragment `SELECT ... WHERE {
+order the join runs them. A pattern with a constant predicate runs on that
+predicate's partition of the graph (vertical partitioning), one with a
+variable predicate on the whole graph. `parse_ntriples` makes one `Iri`
+per distinct IRI text. Queries cover the fragment `SELECT ... WHERE {
 patterns . FILTER (...) }` with comparison filters joined by && and ||.
 Result rows are returned in a canonical order so query output is stable
 across runs.
@@ -124,28 +127,66 @@ class Triple(namedtuple("Triple", "subject predicate object")):
     __slots__ = ()
 
 
+# builds a Triple from a tuple of its terms without the namedtuple's own
+# Python-level __new__
+_new = tuple.__new__
+
+
+class _Memo(dict):
+    """key -> make(key), made on the first lookup of the key and kept."""
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 class Graph:
     """Set of triples plus a prefix map, both given when it is made and
-    fixed after. `triples` is a read-only set-like view; queries share
-    position indexes of the tuple of the triples in first-seen order."""
+    fixed after. `triples` is a read-only set-like view over a dict, which
+    also answers `in`; `_listed` is the tuple of the triples in first-seen
+    order, which steps with a variable predicate scan or probe. Steps with
+    a constant predicate run on that predicate's partition instead: the
+    tuple of its triples in the same order. Queries share the partitions
+    and the position indexes of these tuples."""
 
     def __init__(self, triples=(), prefixes=None):
         self._triples = dict.fromkeys(triples)
         self._listed = tuple(self._triples)
         self.prefixes = dict(prefixes or {})
+        self._partitions = None
         self._indexes = {}
 
     @property
     def triples(self):
         return self._triples.keys()
 
-    def _index(self, positions):
-        """The position index of the triple tuple on `positions`, filed
-        whole on first use before it is stored; threads that race to make
-        it all get the stored one and only read it."""
-        index = self._indexes.get(positions)
+    def _partition(self, predicate):
+        """The tuple of the triples with `predicate`, in first-seen order.
+        The map of all partitions is made whole on first use before it is
+        stored, so threads that race to make it only read a whole one."""
+        partitions = self._partitions
+        if partitions is None:
+            lists = {}
+            for t in self._listed:
+                lists.setdefault(t[1], []).append(t)
+            partitions = self._partitions = {p: tuple(ts) for p, ts in lists.items()}
+        return partitions.get(predicate, ())
+
+    def _index(self, positions, predicate=None):
+        """The position index on `positions` of the whole triple tuple, or
+        of `predicate`'s partition, filed whole on first use before it is
+        stored; threads that race to make it all get the stored one and
+        only read it."""
+        index = self._indexes.get((predicate, positions))
         if index is None:
-            index = self._indexes.setdefault(positions, PositionIndex(self._listed, positions))
+            facts = self._listed if predicate is None else self._partition(predicate)
+            index = self._indexes.setdefault((predicate, positions),
+                                             PositionIndex(facts, positions))
         return index
 
     def __len__(self):
@@ -170,7 +211,7 @@ def csv_to_graph(dataset, base) -> Graph:
     triples = []
     for i, row in enumerate(dataset.rows):
         subject = Iri(f"{base}row{i}")
-        triples.extend(Triple(subject, p, literal_for(v)) for p, v in zip(predicates, row))
+        triples += [_new(Triple, (subject, p, literal_for(v))) for p, v in zip(predicates, row)]
     return Graph(triples, {"ds": base})
 
 
@@ -191,9 +232,8 @@ def _term_nt(term):
 def serialize(g: Graph, format="ntriples") -> str:
     """Serialize a graph: canonical N-Triples (sorted lines) or RDF-XML."""
     if format == "ntriples":
-        lines = sorted(
-            f"{_term_nt(t.subject)} {_term_nt(t.predicate)} {_term_nt(t.object)} ."
-            for t in g.triples)
+        nt = _Memo(_term_nt)        # subjects and predicates repeat
+        lines = sorted([f"{nt[s]} {nt[p]} {_term_nt(o)} ." for s, p, o in g.triples])
         return "\n".join(lines) + ("\n" if lines else "")
     if format == "rdfxml":
         return _serialize_rdfxml(g)
@@ -277,7 +317,9 @@ def _unescape(text):
 
 
 def parse_ntriples(text: str) -> Graph:
-    """Parse N-Triples as produced by serialize(); duplicate lines collapse."""
+    """Parse N-Triples as produced by serialize(); duplicate lines collapse.
+    Each distinct IRI text is checked and made into an `Iri` once."""
+    iris = _Memo(Iri)
     triples = []
     for lineno, raw in enumerate(text.split("\n"), 1):
         line = raw.strip()
@@ -287,14 +329,15 @@ def parse_ntriples(text: str) -> Graph:
         if m is None:
             reason = "missing terminal '.'" if not line.endswith(".") else "malformed triple"
             raise NTriplesSyntaxError(lineno, reason)
+        s, p, o_iri, lex, dt_iri = m.groups()
         try:
-            subject = Iri(m.group("s"))
-            predicate = Iri(m.group("p"))
-            if m.group("o_iri") is not None:
-                obj = Iri(m.group("o_iri"))
+            subject = iris[s]
+            predicate = iris[p]
+            if o_iri is not None:
+                obj = iris[o_iri]
             else:
-                lex = _unescape(m.group("o_lex"))
-                dt_iri = m.group("o_dt")
+                if "\\" in lex:
+                    lex = _unescape(lex)
                 if dt_iri is None:
                     datatype = "string"
                 else:
@@ -304,7 +347,7 @@ def parse_ntriples(text: str) -> Graph:
                 obj = Literal(lex, datatype)
         except GraphError as exc:
             raise NTriplesSyntaxError(lineno, str(exc)) from None
-        triples.append(Triple(subject, predicate, obj))
+        triples.append(_new(Triple, (subject, predicate, obj)))
     return Graph(triples)
 
 
@@ -602,10 +645,11 @@ def execute(q: Query, g: Graph) -> ResultTable:
     Patterns run most-bound first: each step takes the remaining pattern
     with the most positions fixed by a constant or an already-bound
     variable (ties in query order), and looks its candidates up in the
-    graph index on exactly those positions; the patterns are compiled to
-    slot form in that order and `_terms.join` runs them, as it runs rule
-    bodies. The multiset of full bindings
-    does not depend on that order.
+    graph index on exactly those positions; a step with a constant
+    predicate looks them up in that predicate's partition, the same
+    triples in the same order. The patterns are compiled to slot form in
+    that order and `_terms.join` runs them, as it runs rule bodies. The
+    multiset of full bindings does not depend on that order.
 
     A filter comparison over incompatible kinds (IRI vs number, string vs
     decimal) evaluates as false instead of aborting the query; each such
@@ -620,10 +664,19 @@ def execute(q: Query, g: Graph) -> ResultTable:
         order.append(step[0])
         bound |= variables(step[1])
     slots, matches = compile_patterns([q.patterns[i] for i in order])
-    n = len(g._listed)
-    bindings, counts = join([(match, g._listed, 0, n,
-                              g._index(match.positions) if match.positions else None)
-                             for match in matches])
+    steps = []
+    for i, match in zip(order, matches):
+        predicate = q.patterns[i][1]
+        if predicate[0] is Var:
+            facts = g._listed
+            index = g._index(match.positions) if match.positions else None
+        else:
+            # every triple of the partition has the predicate, so only a
+            # further bound position needs an index
+            facts = g._partition(predicate)
+            index = g._index(match.positions, predicate) if match.positions != (1,) else None
+        steps.append((match, facts, 0, len(facts), index))
+    bindings, counts = join(steps)
     plan = tuple([(i, *count) for i, count in zip(order, counts)])
 
     clashes = [0]

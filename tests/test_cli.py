@@ -811,11 +811,15 @@ class TestErrorPaths:
         ({}, ["preprocess", _TABLE, "o.csv", "--op", "zscore=area", "--op", "log1p_area"], 1,
          "row 1: area -0.4623816308743384 < 0"),
         ({}, ["preprocess", _TABLE, "o.csv", "--op", "zscore=month"], 1,
-         "unknown column: month"),
+         "column month is categorical; zscore needs a numeric column"),
         ({}, ["preprocess", _TABLE, "o.csv", "--op", "ordinal=FFMC"], 1,
-         "unknown column: FFMC"),
+         "column FFMC is numeric; ordinal needs the month or day column"),
         ({}, ["preprocess", _TABLE, "o.csv", "--op", "filter=month"], 1,
-         "unknown column: month"),
+         "column month is categorical; filter needs a numeric column"),
+        ({}, ["preprocess", _TABLE, "o.csv", "--op", "onehot=temp"], 1,
+         "column temp is numeric; onehot needs a categorical month or day column"),
+        ({}, ["preprocess", _TABLE, "o.csv", "--op", "zscore=bogus"], 1,
+         "unknown column: bogus"),
         ({}, ["preprocess", _TABLE, "o.csv", "--op", "filter=FFMC:median"], 1,
          "unknown outlier method: median"),
         ({}, ["preprocess", _TABLE, "o.csv", "--op", "resample=month:bogus"], 1,
@@ -826,8 +830,8 @@ class TestErrorPaths:
     ], ids=["trigger-without-label", "trigger-unknown-quantity", "empty-label",
             "unknown-datatype", "bad-boolean", "rdfxml-predicate", "k-zero", "empty-text",
             "log-of-negative-area", "zscore-categorical", "ordinal-numeric",
-            "filter-categorical", "filter-method", "resample-strategy",
-            "dot-after-filter"])
+            "filter-categorical", "onehot-numeric", "zscore-unknown", "filter-method",
+            "resample-strategy", "dot-after-filter"])
     def test_exit_code_and_message(self, capsys, tmp_path, monkeypatch, files, argv, code,
                                    expected):
         monkeypatch.chdir(tmp_path)

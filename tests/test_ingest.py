@@ -324,7 +324,7 @@ class TestOneHot:
 
     def test_non_categorical_rejected(self):
         d = ingest.parse_dataset(make_csv(ROW1))
-        with pytest.raises(UnknownColumn):
+        with pytest.raises(ingest.WrongColumnKind, match="^column temp is numeric; onehot"):
             ingest.one_hot_encode(d, ["temp"])
 
     def test_unknown_token(self):

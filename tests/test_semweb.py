@@ -236,6 +236,37 @@ class TestNTriples:
         assert t.object == Literal("plain", "string")
 
 
+    @pytest.mark.parametrize("place", ["subject", "predicate", "object"])
+    def test_invalid_iri_on_several_lines_fails_on_its_first(self, place):
+        # each IRI text is checked once, on the line where it first occurs;
+        # the valid IRIs around it are met again and again
+        bad = "<not-an-iri>"
+        terms = {"subject": f"<{EX}s>", "predicate": f"<{EX}p>", "object": f"<{EX}o>"}
+        good = " ".join(terms.values()) + " ."
+        terms[place] = bad
+        line = " ".join(terms.values()) + " ."
+        text = "\n".join([good, good, "", line, good, line, line]) + "\n"
+        with pytest.raises(NTriplesSyntaxError) as err:
+            parse_ntriples(text)
+        assert (err.value.line, err.value.reason) == (4, "not an absolute IRI: 'not-an-iri'")
+
+    def test_equal_iri_texts_share_one_term(self):
+        first, second = parse_ntriples(f"<{EX}s> <{EX}p> <{EX}s> .\n"
+                                       f"<{EX}s> <{EX}q> <{EX}o> .\n").triples
+        assert first.subject is first.object is second.subject
+
+    @pytest.mark.parametrize("written, lexical", [
+        (r"a\nb", "a\nb"), (r"say \"hi\"", 'say "hi"'), (r"back\\slash", "back\\slash")],
+        ids=["newline", "quote", "backslash"])
+    def test_escaped_literal_after_many_plain_ones(self, written, lexical):
+        lines = [f'<{EX}s{k}> <{EX}p> "plain {k}"^^<{semweb.XSD}string> .' for k in range(500)]
+        lines.append(f'<{EX}t> <{EX}p> "{written}"^^<{semweb.XSD}string> .')
+        text = "\n".join(sorted(lines)) + "\n"
+        g = parse_ntriples(text)
+        assert Triple(iri("t"), iri("p"), Literal(lexical)) in g
+        assert len(g) == 501 and serialize(g) == text
+
+
 class TestXsdLexicalSpaces:
     """Numeric literals take only the XSD 1.1 lexical spaces, and
     `literal_for` writes floats without an exponent."""
@@ -671,6 +702,37 @@ def _random_query(rng, always_select_all=False):
     return Query({"ex": EX}, select, tuple(patterns), filter_expr)
 
 
+def _random_cross_query(rng):
+    """A small random graph and a query whose second pattern shares no
+    variable with its first, so the join pairs every binding of the first
+    with the second's matches: half the time the second is three new
+    variables, whose triples are taken as they are, else it has a constant
+    predicate. A third pattern, if any, may share a variable with either.
+    Graphs stay tiny: the oracle enumerates every assignment of graph terms
+    to up to four variables."""
+    objects = [iri("o0"), iri("o1"), Literal("1", "integer"), Literal("2.5", "decimal"),
+               Literal("x")]
+    triples = [Triple(iri(f"s{rng.randrange(3)}"), iri(f"p{rng.randrange(2)}"),
+                      rng.choice(objects)) for _ in range(rng.randint(1, 8))]
+    if rng.random() < 0.5:
+        first = TriplePattern(Var("a"), iri(f"p{rng.randrange(2)}"), rng.choice(objects))
+        second = TriplePattern(Var("b"), Var("c"), Var("d"))
+    else:
+        first = TriplePattern(Var("a"), iri(f"p{rng.randrange(2)}"), Var("b"))
+        second = TriplePattern(Var("c"), iri(f"p{rng.randrange(2)}"), Var("d"))
+    patterns = [first, second]
+    used = sorted({t.name for p in patterns for t in p if isinstance(t, Var)})
+    if rng.random() < 0.3:
+        patterns.append(TriplePattern(Var(rng.choice(used)), iri(f"p{rng.randrange(2)}"),
+                                      Var(rng.choice(used))))
+    filter_expr = None
+    if rng.random() < 0.5:
+        filter_expr = Comparison(rng.choice(["<", ">=", "=", "!="]), Var(rng.choice(used)),
+                                 Literal(str(rng.randrange(0, 4)), "integer"))
+    select = tuple(sorted(rng.sample(used, rng.randint(1, len(used)))))
+    return Graph(triples), Query({"ex": EX}, select, tuple(patterns), filter_expr)
+
+
 class TestOracleEquivalence:
     def test_matches_brute_force(self):
         rng = random.Random(20240815)
@@ -682,6 +744,37 @@ class TestOracleEquivalence:
             assert got.columns == want_cols
             assert list(got.rows) == want_rows, f"case {case}"
             assert got.type_clashes == brute_force_clashes(q, g), f"case {case}"
+
+    def test_pattern_of_new_variables_only_crosses_the_bindings(self):
+        g = Graph([Triple(iri("s0"), iri("p"), iri("o0")),
+                   Triple(iri("s1"), iri("p"), Literal("1", "integer")),
+                   Triple(iri("s0"), iri("q"), iri("o1")),
+                   Triple(iri("s1"), iri("q"), Literal("x")),
+                   Triple(iri("o0"), iri("r"), iri("s1"))])
+        for text, plan in (
+                # a variable predicate: each binding meets every triple
+                ("SELECT ?a ?b ?c ?d ?e WHERE { ?a ex:p ?b . ?c ?d ?e }",
+                 ((0, 2, 2), (1, 10, 10))),
+                # two partitions: each p binding meets every q triple
+                ("SELECT ?a ?b ?c ?d WHERE { ?a ex:p ?b . ?c ex:q ?d }",
+                 ((0, 2, 2), (1, 4, 4)))):
+            q = parse_query(f"PREFIX ex: <{EX}>\n" + text)
+            got = execute(q, g)
+            assert (got.columns, list(got.rows)) == brute_force_query(q, g)
+            assert got.plan == plan
+
+    def test_random_cross_products_match_brute_force(self):
+        rng = random.Random(2611)
+        answered = 0
+        for case in range(300):
+            g, q = _random_cross_query(rng)
+            got = execute(q, g)
+            want_cols, want_rows = brute_force_query(q, g)
+            assert got.columns == want_cols
+            assert list(got.rows) == want_rows, f"case {case}"
+            assert got.type_clashes == brute_force_clashes(q, g), f"case {case}"
+            answered += bool(got.rows)
+        assert answered > 50
 
     @pytest.mark.parametrize("close, exact", [
         ("0.1000000000000000055511151231257827", "0.1"),
@@ -768,6 +861,45 @@ class TestConcurrentReads:
                     results = [f.result(timeout=60) for f in futures]
                 assert all((r.rows, r.plan) == (reference.rows, reference.plan)
                            for r in results)
+        finally:
+            sys.setswitchinterval(interval)
+
+
+    def test_threads_race_on_the_first_partition_steps_of_a_fresh_graph(self, dataset_text):
+        # each thread's first queries make the partition map and the
+        # partition indexes: a scan, probes on (s, p) and on (p, o), and a
+        # variable-predicate step; every thread must get the rows and plans
+        # of a single-threaded run
+        import sys
+        import threading
+        from concurrent.futures import ThreadPoolExecutor
+
+        queries = [parse_query(f"PREFIX ds: <{EX}>\n" + text) for text in (
+            "SELECT ?r ?t WHERE { ?r ds:temp ?t . FILTER (?t > 25) }",
+            "SELECT ?r ?t ?h WHERE { ?r ds:temp ?t . ?r ds:RH ?h . FILTER (?h < 30) }",
+            'SELECT ?r ?w WHERE { ?r ds:month "aug" . ?r ds:day "sun" . ?r ds:wind ?w }',
+            "SELECT ?p ?v WHERE { ?r ds:month \"jan\" . ?r ?p ?v }")]
+        triples = list(csv_to_graph(ingest.parse_dataset(dataset_text), EX).triples)
+        reference = [(r.rows, r.plan) for r in (execute(q, Graph(triples)) for q in queries)]
+        assert all(rows for rows, _ in reference)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                g = Graph(triples)
+                start = threading.Barrier(8, timeout=10)
+
+                def first_queries(n):
+                    start.wait()
+                    # each thread starts at another query
+                    order = queries[n % 4:] + queries[:n % 4]
+                    results = {id(q): execute(q, g) for q in order}
+                    return [(results[id(q)].rows, results[id(q)].plan) for q in queries]
+
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    futures = [pool.submit(first_queries, n) for n in range(8)]
+                    results = [f.result(timeout=60) for f in futures]
+                assert all(r == reference for r in results)
         finally:
             sys.setswitchinterval(interval)
 
