@@ -330,17 +330,6 @@ def zscore_normalize(d: Dataset, columns):
     return d.replaced(d.schema, [tuple(r) for r in rows], step), NormParams(params)
 
 
-def denormalize(d: Dataset, norm: NormParams) -> Dataset:
-    """Invert zscore_normalize using the recorded parameters."""
-    rows = [list(r) for r in d.rows]
-    for name, (mean, std) in norm.params.items():
-        i = d.column_index(name)
-        for r in rows:
-            r[i] = r[i] * std + mean
-    step = {"name": "denormalize", "columns": sorted(norm.params)}
-    return d.replaced(d.schema, [tuple(r) for r in rows], step)
-
-
 def one_hot_encode(d: Dataset, columns) -> Dataset:
     """Replace each categorical column, in place, by one 0/1 column per token.
 

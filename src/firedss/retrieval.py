@@ -27,10 +27,6 @@ class BadConfig(RetrievalError):
     pass
 
 
-class DimensionMismatch(RetrievalError):
-    pass
-
-
 class EmptyIndex(RetrievalError):
     pass
 
@@ -142,18 +138,6 @@ def embed(text: str, config: EmbedderConfig = EmbedderConfig()) -> np.ndarray:
     return _embed_rows([text], config)[0]
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """dot(a, b) / (|a| |b|); zero when either vector is zero."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"{a.shape} vs {b.shape}")
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
-
-
 class VectorIndex:
     """Exact cosine top-k: a flat inner-product scan over one matrix, made
     with the index from all its documents.
@@ -235,13 +219,6 @@ def load_corpus(text: str, config: EmbedderConfig = EmbedderConfig()) -> VectorI
     return VectorIndex(docs, config)
 
 
-def dump_corpus(docs) -> str:
-    lines = [json.dumps({"id": d.id, "text": d.text, "metadata": d.metadata},
-                        sort_keys=True)
-             for d in docs]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 _KIND_WORDS = {
     "FFMC_IGNITION": "ffmc ignition potential",
     "DMC": "duff moisture dmc",
@@ -257,30 +234,6 @@ def advisor_query(kind: str, severity: str) -> str:
     documents."""
     kind_words = _KIND_WORDS.get(kind, kind.replace("_", " ").lower())
     return f"{kind_words} {severity} precaution action"
-
-
-def eval_report(index: VectorIndex, items, k=2):
-    """Retrieval evaluation report.
-
-    items are {"query": ..., "reference": ...} dicts; each entry of the
-    report carries the top hit's cosine, the retrieved ids, and the
-    P/R/F of the top hit's text against the reference.
-    """
-    report = []
-    for item in items:
-        hits = index.search(item["query"], k=k)
-        top_doc, top_score = hits[0]
-        scores = prf_scores(top_doc.text, item["reference"])
-        report.append({
-            "query": item["query"],
-            "top_id": top_doc.id,
-            "cosine": top_score,
-            "retrieved": [d.id for d, _ in hits],
-            "precision": scores.precision,
-            "recall": scores.recall,
-            "f": scores.f_measure,
-        })
-    return report
 
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")

@@ -27,12 +27,11 @@ from __future__ import annotations
 
 import functools
 import math
-import re
 from collections import namedtuple
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from ._syntax import Cursor, tokenize
+from ._syntax import Cursor, escape, token_pattern
 from ._terms import (COMPARISONS, PositionIndex, Variable, compile_patterns, ground, grounder,
                      join, term_class, variables)
 
@@ -244,7 +243,7 @@ def format_term(term):
     if isinstance(term, Individual):
         return term.name
     if isinstance(term, Str):
-        return '"' + term.value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        return f'"{escape(term.value)}"'
     if isinstance(term, Num):
         v = term.value
         return format(int(v), "d") if v == int(v) else repr(v)
@@ -264,35 +263,18 @@ def format_bindings(bindings):
 
 # --- parser ------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"""
-    (?P<ws>[ \t\r\n]+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<string>"(?:[^"\\\n]|\\.)*")
-  | (?P<number>-?[0-9]+(?:\.[0-9]+)?)
+_TOKEN_RE = token_pattern(r"""
   | (?P<arrow>->)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*(?::[A-Za-z_][A-Za-z0-9_]*)?)
-  | (?P<var>\?[A-Za-z][A-Za-z0-9_]*)
   | (?P<punct>[():,^])
-""", re.VERBOSE)
+""")
 
 _KEYWORDS = {"rule", "when", "then", "assert"}
 
 
 class _Parser(Cursor):
-    def __init__(self, text, first_line=1):
-        self.text = text
-        self.first_line = first_line
-        super().__init__(tokenize(_TOKEN_RE, text, self.fail))
-
-    def line_column(self, pos):
-        """Line (counted from `first_line`) and 1-based column of offset
-        `pos`; only `\\n` ends a line."""
-        text = self.text
-        return (text.count("\n", 0, pos) + self.first_line,
-                pos - text.rfind("\n", 0, pos))
-
-    def fail(self, pos, message):
-        return RuleSyntaxError(*self.line_column(pos), message)
+    pattern = _TOKEN_RE
+    syntax_error = RuleSyntaxError
 
     def expect(self, kind, text=None):
         if not self.at(kind, text):
@@ -376,8 +358,7 @@ class _Parser(Cursor):
             self.next()
             return Num(value)
         if kind == "string":
-            self.next()
-            return Str(text[1:-1].replace('\\"', '"').replace("\\\\", "\\"))
+            return Str(self.string())
         if kind == "ident":
             if text == "true":
                 self.next()

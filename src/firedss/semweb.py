@@ -25,7 +25,7 @@ import re
 from collections import namedtuple
 from dataclasses import dataclass
 
-from ._syntax import Cursor, tokenize
+from ._syntax import Cursor, escape, token_pattern, unescape
 from ._terms import (COMPARISONS, PositionIndex, Term, Variable, bound_positions,
                      compile_patterns, grounder, join, variables)
 
@@ -54,9 +54,10 @@ class NTriplesSyntaxError(GraphError):
 
 
 class QuerySyntaxError(GraphError):
-    def __init__(self, position, message):
-        super().__init__(f"at {position}: {message}")
-        self.position = position
+    def __init__(self, line, column, message):
+        super().__init__(f"line {line}, column {column}: {message}")
+        self.line = line
+        self.column = column
 
 
 class UnboundVariable(GraphError):
@@ -217,16 +218,10 @@ def csv_to_graph(dataset, base) -> Graph:
 
 # --- serialization -----------------------------------------------------------
 
-_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r",
-                          "\t": "\\t"})
-_UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
-_ESCAPE_SEQUENCE = re.compile(r"\\(.?)", re.DOTALL)
-
-
 def _term_nt(term):
     if term[0] is Iri:
         return f"<{term[1]}>"
-    return f'"{term[1].translate(_ESCAPES)}"^^<{DATATYPE_IRIS[term[2]]}>'
+    return f'"{escape(term[1])}"^^<{DATATYPE_IRIS[term[2]]}>'
 
 
 def serialize(g: Graph, format="ntriples") -> str:
@@ -307,13 +302,8 @@ _NT_LINE = re.compile(
     r'(?:\^\^<(?P<o_dt>[^>]+)>)?)\s*\.\s*$')
 
 
-def _unescape(text):
-    def unescaped(m):
-        c = _UNESCAPES.get(m.group(1))
-        if c is None:
-            raise GraphError(f"bad escape in literal: {text!r}")
-        return c
-    return _ESCAPE_SEQUENCE.sub(unescaped, text)
+def _literal_error(_, message):
+    return GraphError(message)
 
 
 def parse_ntriples(text: str) -> Graph:
@@ -337,7 +327,7 @@ def parse_ntriples(text: str) -> Graph:
                 obj = iris[o_iri]
             else:
                 if "\\" in lex:
-                    lex = _unescape(lex)
+                    lex = unescape(lex, _literal_error)
                 if dt_iri is None:
                     datatype = "string"
                 else:
@@ -386,19 +376,14 @@ class Query:
         return set().union(*map(variables, self.patterns))
 
 
-_Q_TOKEN = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
+_Q_TOKEN = token_pattern(r"""
   | (?P<iri><[^<>\s]*>)
-  | (?P<string>"(?:[^"\\\n]|\\.)*")
-  | (?P<number>-?[0-9]+(?:\.[0-9]+)?)
-  | (?P<var>\?[A-Za-z][A-Za-z0-9_]*)
   | (?P<op>&&|\|\||!=|<=|>=|=|<|>)
   | (?P<pname>[A-Za-z_][A-Za-z0-9_-]*:[A-Za-z_][A-Za-z0-9_.-]*)
   | (?P<pname_ns>[A-Za-z_][A-Za-z0-9_-]*:)
   | (?P<keyword>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<punct>[{}().*,])
-""", re.VERBOSE)
+""")
 
 
 # Bounds that keep the recursive parser and the recursive filter
@@ -408,10 +393,11 @@ MAX_FILTER_OPERATORS = 256
 
 
 class _QueryParser(Cursor):
-    fail = staticmethod(QuerySyntaxError)
+    pattern = _Q_TOKEN
+    syntax_error = QuerySyntaxError
 
     def __init__(self, text):
-        super().__init__(tokenize(_Q_TOKEN, text, self.fail))
+        super().__init__(text)
         self.prefixes = {}
         self.depth = 0              # open FILTER parentheses
         self.operators = 0          # BoolExpr nodes built so far
@@ -435,11 +421,11 @@ class _QueryParser(Cursor):
             self.next()
             kind, text, pos = self.next()
             if kind != "pname_ns":
-                raise QuerySyntaxError(pos, "expected a prefix name ending in ':'")
+                raise self.fail(pos, "expected a prefix name ending in ':'")
             prefix = text[:-1]
             kind, iri_text, pos = self.next()
             if kind != "iri":
-                raise QuerySyntaxError(pos, "expected <iri> after prefix name")
+                raise self.fail(pos, "expected <iri> after prefix name")
             self.prefixes[prefix] = iri_text[1:-1]
 
         self.expect_keyword("SELECT")
@@ -521,7 +507,7 @@ class _QueryParser(Cursor):
     def bool_expr(self, op, left, right, pos):
         self.operators += 1
         if self.operators > MAX_FILTER_OPERATORS:
-            raise QuerySyntaxError(
+            raise self.fail(
                 pos, f"more than {MAX_FILTER_OPERATORS} '&&'/'||' operators in FILTER")
         return BoolExpr(op, left, right)
 
@@ -543,7 +529,7 @@ class _QueryParser(Cursor):
         kind, text, pos = self.peek()
         if kind == "punct" and text == "(":
             if self.depth == MAX_FILTER_DEPTH:
-                raise QuerySyntaxError(
+                raise self.fail(
                     pos, f"FILTER parentheses nested deeper than {MAX_FILTER_DEPTH}")
             self.next()
             self.depth += 1
@@ -572,10 +558,10 @@ class _QueryParser(Cursor):
     def parse_literal(self):
         """The number, string or boolean literal at the cursor, else None."""
         kind, text, _ = self.peek()
+        if kind == "string":
+            return Literal(self.string(), "string")
         if kind == "number":
             literal = Literal(text, "decimal" if "." in text else "integer")
-        elif kind == "string":
-            literal = Literal(_unescape(text[1:-1]), "string")
         elif kind == "keyword" and text in ("true", "false"):
             literal = Literal(text, "boolean")
         else:

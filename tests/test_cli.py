@@ -429,7 +429,7 @@ class TestQuery:
         code, stdout, err = run(capsys, "query", str(data_path("regions_fixture.nt")),
                                 str(q))
         assert code == 1 and stdout == ""
-        assert err.startswith("firedss: error: at ") and "nested deeper" in err
+        assert err.startswith("firedss: error: line 1, column ") and "nested deeper" in err
 
     def test_bad_query_file(self, capsys, tmp_path):
         q = tmp_path / "bad.rq"

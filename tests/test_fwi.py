@@ -203,6 +203,73 @@ class TestOracleEquivalence:
             assert f <= 101.0
 
 
+def _around(x):
+    """x and the floats one ulp below and above it."""
+    return math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)
+
+
+def _day(temp=20.0, rain=0.0):
+    """A July day at 40 % relative humidity and a 10 km/h wind."""
+    return FwiInputs(temp=temp, rh=40.0, wind=10.0, rain=rain, month=7)
+
+
+# (branch, constant, engine(x), oracle(x)): x sits on a branch constant of
+# the daily equations (Van Wagner 1987; Wang, Anderson & Suddaby, NOR-X-424,
+# 2015), where the criterion-4 samples never land.
+BRANCHES = [
+    ("ffmc rain > 0.5", 0.5,
+     lambda r: fwi.update_ffmc(85.0, _day(rain=r)),
+     lambda r: oracles.ref_ffmc(85.0, 20.0, 40.0, 10.0, r)),
+    ("dmc rain > 1.5", 1.5,
+     lambda r: fwi.update_dmc(40.0, _day(rain=r)),
+     lambda r: oracles.ref_dmc(40.0, 20.0, 40.0, r, 7)),
+    ("dmc prev <= 33", 33.0,
+     lambda p: fwi.update_dmc(p, _day(rain=20.0)),
+     lambda p: oracles.ref_dmc(p, 20.0, 40.0, 20.0, 7)),
+    ("dmc prev <= 65", 65.0,
+     lambda p: fwi.update_dmc(p, _day(rain=20.0)),
+     lambda p: oracles.ref_dmc(p, 20.0, 40.0, 20.0, 7)),
+    ("dmc temp -1.1", -1.1,
+     lambda t: fwi.update_dmc(40.0, _day(temp=t)),
+     lambda t: oracles.ref_dmc(40.0, t, 40.0, 0.0, 7)),
+    ("dc rain > 2.8", 2.8,
+     lambda r: fwi.update_dc(200.0, _day(rain=r)),
+     lambda r: oracles.ref_dc(200.0, 20.0, r, 7)),
+    ("dc temp -2.8", -2.8,
+     lambda t: fwi.update_dc(200.0, _day(temp=t)),
+     lambda t: oracles.ref_dc(200.0, t, 0.0, 7)),
+    ("bui dmc <= 0.4 dc", 4.0, lambda d: fwi.bui(d, 10.0), lambda d: oracles.ref_bui(d, 10.0)),
+    ("fwi bui <= 80", 80.0, lambda b: fwi.fwi(20.0, b), lambda b: oracles.ref_fwi(20.0, b)),
+]
+
+# (code, engine(x), oracle(x)): a code whose previous value may be 0
+# but not less
+FROM_ZERO = [
+    ("dmc", lambda p: fwi.update_dmc(p, _day(rain=20.0)),
+     lambda p: oracles.ref_dmc(p, 20.0, 40.0, 20.0, 7)),
+    ("dc", lambda p: fwi.update_dc(p, _day(rain=20.0)),
+     lambda p: oracles.ref_dc(p, 20.0, 20.0, 7)),
+    ("dc dry", lambda p: fwi.update_dc(p, _day()),
+     lambda p: oracles.ref_dc(p, 20.0, 0.0, 7)),
+]
+
+
+class TestBranchBoundaries:
+    @pytest.mark.parametrize("branch, constant, engine, oracle", BRANCHES,
+                             ids=[b[0] for b in BRANCHES])
+    def test_on_the_constant_and_one_ulp_either_side(self, branch, constant, engine, oracle):
+        for x in _around(constant):
+            assert engine(x) == pytest.approx(oracle(x), abs=1e-4), (branch, x)
+
+    @pytest.mark.parametrize("code, engine, oracle", FROM_ZERO, ids=[c[0] for c in FROM_ZERO])
+    def test_previous_code_of_zero_is_accepted_and_less_refused(self, code, engine, oracle):
+        below, zero, above = _around(0.0)
+        for x in (zero, above):
+            assert engine(x) == pytest.approx(oracle(x), abs=1e-4), (code, x)
+        with pytest.raises(OutOfRange):
+            engine(below)
+
+
 REFERENCE_ROWS = [
     # (ffmc, dmc, dc, isi, ignition, dmc_class, dc_class, spread)
     (92.3, 88.9, 495.6, 8.5, "extremely easy", "difficult and extensive",

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from firedss import retrieval
 from firedss.retrieval import (
-    BadConfig, DimensionMismatch, DocRecord, DuplicateDocId, EmbedderConfig,
-    EmbedderMismatch, EmptyIndex, VectorIndex, cosine, embed, prf_scores,
+    BadConfig, DocRecord, DuplicateDocId, EmbedderConfig, EmbedderMismatch, EmptyIndex,
+    VectorIndex, embed, prf_scores,
 )
 
 from oracles import brute_force_topk
@@ -68,7 +68,7 @@ class TestEmbed:
         buckets_a = {retrieval._fnv1a64(g.encode()) % 4096 for g in grams(a_text)}
         buckets_b = {retrieval._fnv1a64(g.encode()) % 4096 for g in grams(b_text)}
         assert not (buckets_a & buckets_b), "bucket collision; pick other texts"
-        assert cosine(embed(a_text, config), embed(b_text, config)) == 0.0
+        assert embed(a_text, config) @ embed(b_text, config) == 0.0
 
     def test_bad_config(self):
         with pytest.raises(BadConfig):
@@ -76,27 +76,21 @@ class TestEmbed:
 
 
 class TestCosine:
+    """Rows are unit-norm or zero, so the cosine of two texts is the inner
+    product of their rows, as `VectorIndex.search` computes it."""
+
     def test_self_similarity(self):
         v = embed("ignition risk low")
-        assert cosine(v, v) == pytest.approx(1.0, abs=1e-9)
+        assert v @ v == pytest.approx(1.0, abs=1e-9)
 
     def test_orthogonal_unit_vectors(self):
-        a = np.zeros(16)
-        b = np.zeros(16)
-        a[0] = 1.0
-        b[1] = 1.0
-        assert cosine(a, b) == 0.0
-
-    def test_scale_invariance(self):
-        v = np.array([1.0, 2.0, 3.0])
-        assert cosine(v, 2 * v) == pytest.approx(1.0, abs=1e-12)
+        # a text under 3 characters is one gram, so one bucket
+        a, b = embed("ab"), embed("cd")
+        assert set(np.flatnonzero(a)).isdisjoint(np.flatnonzero(b)), "bucket collision"
+        assert a @ b == 0.0
 
     def test_zero_vector_gives_zero(self):
-        assert cosine(np.zeros(8), np.ones(8)) == 0.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            cosine(np.ones(8), np.ones(16))
+        assert embed("   ") @ embed("ignition risk low") == 0.0
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=100, deadline=None)
@@ -104,15 +98,15 @@ class TestCosine:
         rng = random.Random(seed)
         a = embed(random_text(rng))
         b = embed(random_text(rng))
-        value = cosine(a, b)
+        value = a @ b
         assert -1e-12 <= value <= 1.0 + 1e-12
 
-    @given(st.lists(st.floats(-10, 10), min_size=4, max_size=4),
-           st.lists(st.floats(-10, 10), min_size=4, max_size=4))
+    @given(st.text(), st.text())
     @settings(max_examples=200, deadline=None)
-    def test_arbitrary_vectors_bounded(self, xs, ys):
-        value = cosine(np.array(xs), np.array(ys))
-        assert -1.0 - 1e-9 <= value <= 1.0 + 1e-9
+    def test_arbitrary_vectors_bounded(self, a_text, b_text):
+        """The rows of any two texts, Unicode and whitespace included."""
+        value = embed(a_text) @ embed(b_text)
+        assert -1e-12 <= value <= 1.0 + 1e-12
 
 
 class TestSearch:
@@ -127,6 +121,13 @@ class TestSearch:
         top = idx.search("deploy several water tankers in rotation", k=2)
         assert top[0][0].id == "a"
         assert top[0][1] == pytest.approx(1.0, abs=1e-9)
+
+    def test_own_text_ranks_its_document_first(self, corpus_text):
+        idx = retrieval.load_corpus(corpus_text)
+        for doc in idx.docs:
+            (top, score), _ = idx.search(doc.text)
+            assert top.id == doc.id
+            assert score == pytest.approx(1.0, abs=1e-9)
 
     def test_default_k_is_two(self):
         rng = random.Random(0)
@@ -210,42 +211,14 @@ class TestCorpus:
     def test_dump_load_roundtrip(self):
         docs = [DocRecord("a", "first text", {"k": "v"}),
                 DocRecord("b", "second text")]
-        idx = retrieval.load_corpus(retrieval.dump_corpus(docs))
-        assert [d.id for d in idx.docs] == ["a", "b"]
-        assert idx.docs[0].metadata == {"k": "v"}
+        text = "".join(json.dumps({"id": d.id, "text": d.text, "metadata": d.metadata}) + "\n"
+                       for d in docs)
+        idx = retrieval.load_corpus(text)
+        assert idx.docs == docs
 
     def test_bad_corpus_line(self):
         with pytest.raises(retrieval.RetrievalError, match="line 1"):
             retrieval.load_corpus("not json\n")
-
-
-class TestEvalReport:
-    def test_report_shape(self, corpus_text):
-        idx = retrieval.load_corpus(corpus_text)
-        items = [
-            {"query": retrieval.advisor_query("DC_MOPUP", "difficult and extensive"),
-             "reference": "plan extended mop up and probe for hot spots"},
-            {"query": retrieval.advisor_query("ISI_SPREAD", "fast"),
-             "reference": "expect running fire and brief crews on escape routes"},
-        ]
-        report = retrieval.eval_report(idx, items)
-        assert len(report) == 2
-        for entry in report:
-            assert set(entry) == {"query", "top_id", "cosine", "retrieved",
-                                  "precision", "recall", "f"}
-            assert len(entry["retrieved"]) == 2
-            assert -1.0 <= entry["cosine"] <= 1.0
-            for key in ("precision", "recall", "f"):
-                assert 0.0 <= entry[key] <= 1.0
-
-    def test_self_query_scores_perfectly(self, corpus_text):
-        idx = retrieval.load_corpus(corpus_text)
-        doc = idx.docs[3]
-        (entry,) = retrieval.eval_report(
-            idx, [{"query": doc.text, "reference": doc.text}])
-        assert entry["top_id"] == doc.id
-        assert entry["cosine"] == pytest.approx(1.0, abs=1e-9)
-        assert entry["f"] == 1.0
 
 
 class TestPrfScores:
@@ -322,7 +295,7 @@ class TestNormInvariantUnderGrowth:
             doc += " " + random_text(rng, 3, 10)
             v = embed(doc)
             assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-9)
-            assert cosine(v, query) <= 1.0 + 1e-12
+            assert v @ query <= 1.0 + 1e-12
 
 
 def _ranked_by_oracle(idx, query, k):

@@ -194,6 +194,14 @@ class TestSourceSpec:
             run_pipeline(f"file:{path}?rate={rate}", sink)
         assert not sink.exists()
 
+    def test_rate_at_the_minimum_accepted_and_the_next_float_below_refused(self):
+        # parse only: a replay at this rate waits threading.TIMEOUT_MAX per record
+        least = stream._MIN_RATE
+        assert parse_source(f"x.csv?rate={least!r}").rate == least
+        below = math.nextafter(least, 0.0)
+        with pytest.raises(StreamError, match="at least"):
+            parse_source(f"x.csv?rate={below!r}")
+
     def test_infinite_rate_means_no_delay(self, tmp_path):
         path = write_dataset(tmp_path / "r.csv", [CALM_ROW] * 3)
         assert parse_source(f"{path}?rate=inf").rate == math.inf
@@ -401,6 +409,14 @@ class TestCheckpoints:
         with pytest.raises(StaleCheckpoint):
             checkpoint_save(path, Checkpoint("s", 3, 80, "f"))
 
+    def test_resave_of_the_same_batch_accepted(self, tmp_path):
+        path = tmp_path / "cp"
+        checkpoint_save(path, Checkpoint("s", 5, 120, "f"))
+        checkpoint_save(path, Checkpoint("s", 5, 121, "f"))
+        assert checkpoint_load(path) == Checkpoint("s", 5, 121, "f")
+        checkpoint_save(path, Checkpoint("s", 5, 122, "f"), Checkpoint("s", 5, 121, "f"))
+        assert checkpoint_load(path) == Checkpoint("s", 5, 122, "f")
+
     def test_save_checks_the_previous_checkpoint_without_reading(self, tmp_path,
                                                                  monkeypatch):
         path = tmp_path / "cp"
@@ -532,6 +548,13 @@ class TestRunPipeline:
         assert {e["batch"] for e in events} == set(range(26))
         for kind in ("FFMC_IGNITION", "DMC", "DC_MOPUP", "ISI_SPREAD", "BUI", "FWI"):
             assert stats.alerts_by_kind[kind] == 26
+
+    def test_duration_lies_inside_the_callers_own_interval(self, tmp_path):
+        path = write_dataset(tmp_path / "d.csv", [CALM_ROW, TRIGGER_ROW] * 10)
+        started = time.perf_counter()
+        stats = run_pipeline(path, tmp_path / "alerts.jsonl", batch_size=5)
+        elapsed_ms = (time.perf_counter() - started) * 1000.0
+        assert 0.0 <= stats.duration_ms <= elapsed_ms
 
     def test_sink_field_names(self, tmp_path):
         path = write_dataset(tmp_path / "two.csv", [CALM_ROW, TRIGGER_ROW])

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from firedss._syntax import key_values
 from firedss.rules import (
-    RuleError, RuleSyntaxError, UnknownBuiltin, parse_facts, parse_rules,
+    Atom, Individual, RuleError, RuleSyntaxError, Str, UnknownBuiltin, format_atom, parse_facts,
+    parse_rules,
 )
 from firedss.semweb import (
     GraphError, QuerySyntaxError, UnboundVariable, UnknownPrefix, parse_query,
@@ -18,8 +19,8 @@ DEEP = FILTER_HEAD + "(" * 65 + "?v > 1" + ")" * 65 + ") }"
 CHAIN = FILTER_HEAD + " && ".join(["?v > 1"] * 258) + ") }"
 
 # (parser, text, exception type, str(exception), where): `where` is
-# (line, column) for RuleSyntaxError, the offset for QuerySyntaxError and
-# None for the rest. One case per error path of each parser.
+# (line, column) for RuleSyntaxError and QuerySyntaxError and None for the
+# rest. One case per error path of each parser.
 MALFORMED = [
     (parse_rules, "rule r: when A(?x) $ then assert B(?x)",
      RuleSyntaxError, "line 1, column 20: unexpected character '$'", (1, 20)),
@@ -86,35 +87,36 @@ MALFORMED = [
     (parse_facts, "A(a)\nhasV(a, -0." + "0" * 400 + "1)",
      RuleSyntaxError, "line 2, column 9: number out of range", (2, 9)),
     (parse_query, "SELECT ?x WHERE { ?x ?p ?o . } $",
-     QuerySyntaxError, "at 31: unexpected character '$'", 31),
+     QuerySyntaxError, "line 1, column 32: unexpected character '$'", (1, 32)),
     (parse_query, "PREFIX ex <http://example.org/t#> SELECT ?x WHERE { ?x ?p ?o }",
-     QuerySyntaxError, "at 7: expected a prefix name ending in ':'", 7),
+     QuerySyntaxError, "line 1, column 8: expected a prefix name ending in ':'", (1, 8)),
     (parse_query, "PREFIX ex: ex:a SELECT ?x WHERE { ?x ?p ?o }",
-     QuerySyntaxError, 'at 11: expected <iri> after prefix name', 11),
+     QuerySyntaxError, 'line 1, column 12: expected <iri> after prefix name', (1, 12)),
     (parse_query, "ASK { ?x ?p ?o }",
-     QuerySyntaxError, "at 0: expected SELECT, found 'ASK'", 0),
+     QuerySyntaxError, "line 1, column 1: expected SELECT, found 'ASK'", (1, 1)),
     (parse_query, "SELECT WHERE { ?x ?p ?o }",
-     QuerySyntaxError, "at 7: expected variable list or *, found 'WHERE'", 7),
+     QuerySyntaxError, "line 1, column 8: expected variable list or *, found 'WHERE'", (1, 8)),
     (parse_query, "SELECT ?x { ?x ?p ?o }",
-     QuerySyntaxError, "at 10: expected WHERE, found '{'", 10),
+     QuerySyntaxError, "line 1, column 11: expected WHERE, found '{'", (1, 11)),
     (parse_query, "SELECT ?x WHERE ?x ?p ?o",
-     QuerySyntaxError, "at 16: expected '{', found '?x'", 16),
+     QuerySyntaxError, "line 1, column 17: expected '{', found '?x'", (1, 17)),
     (parse_query, "SELECT ?x WHERE { a ?p ?o }",
-     QuerySyntaxError, "at 18: expected subject term, found 'a'", 18),
+     QuerySyntaxError, "line 1, column 19: expected subject term, found 'a'", (1, 19)),
     (parse_query, "SELECT ?x WHERE { ?x ?p",
-     QuerySyntaxError, "at 23: expected object term, found 'end of input'", 23),
+     QuerySyntaxError, "line 1, column 24: expected object term, found 'end of input'", (1, 24)),
     (parse_query, "SELECT ?x WHERE { ?x ?p ?o } }",
-     QuerySyntaxError, "at 29: expected end of query, found '}'", 29),
+     QuerySyntaxError, "line 1, column 30: expected end of query, found '}'", (1, 30)),
     (parse_query, "SELECT ?x WHERE { ?x ?p ?o FILTER ?o > 1 }",
-     QuerySyntaxError, "at 34: expected '(', found '?o'", 34),
+     QuerySyntaxError, "line 1, column 35: expected '(', found '?o'", (1, 35)),
     (parse_query, "SELECT ?x WHERE { ?x ?p ?o FILTER (?o > 1 }",
-     QuerySyntaxError, "at 42: expected ')', found '}'", 42),
+     QuerySyntaxError, "line 1, column 43: expected ')', found '}'", (1, 43)),
     (parse_query, "SELECT ?x WHERE { ?x ?p ?o FILTER (?o) }",
-     QuerySyntaxError, "at 37: expected comparison operator, found ')'", 37),
+     QuerySyntaxError, "line 1, column 38: expected comparison operator, found ')'", (1, 38)),
     (parse_query, "SELECT ?x WHERE { ?x ?p ?o FILTER (?o > <http://example.org/t#o>) }",
-     QuerySyntaxError, "at 40: expected filter operand, found '<http://example.org/t#o>'", 40),
+     QuerySyntaxError,
+     "line 1, column 41: expected filter operand, found '<http://example.org/t#o>'", (1, 41)),
     (parse_query, "SELECT ?x WHERE { ?x ?p ?o FILTER (?o > \u0663) }",
-     QuerySyntaxError, "at 40: unexpected character '\u0663'", 40),
+     QuerySyntaxError, "line 1, column 41: unexpected character '\u0663'", (1, 41)),
     (parse_query, "SELECT ?x WHERE {\r\n  ?x nope:p ?o }",
      UnknownPrefix, 'nope', None),
     (parse_query, "SELECT ?q WHERE { ?x ?p ?o }",
@@ -124,17 +126,21 @@ MALFORMED = [
     (parse_query, "SELECT ?x WHERE { ?x <p> ?o }",
      GraphError, "not an absolute IRI: 'p'", None),
     (parse_query, DEEP,
-     QuerySyntaxError, 'at 123: FILTER parentheses nested deeper than 64', 123),
+     QuerySyntaxError, 'line 1, column 124: FILTER parentheses nested deeper than 64', (1, 124)),
     (parse_query, CHAIN,
-     QuerySyntaxError, "at 2626: more than 256 '&&'/'||' operators in FILTER", 2626),
+     QuerySyntaxError, "line 1, column 2627: more than 256 '&&'/'||' operators in FILTER", (1, 2627)),
+    (parse_rules, 'rule r: when A(?x)\n  then assert hasName(?x, "a\\nb\\qc")',
+     RuleSyntaxError, "line 2, column 32: bad escape '\\\\q'", (2, 32)),
+    (parse_query, "SELECT ?x WHERE {\r\n  ?x <http://example.org/t#p> ?o } $",
+     QuerySyntaxError, "line 2, column 36: unexpected character '$'", (2, 36)),
+    (parse_query, 'SELECT ?x WHERE {\n  ?x ?p "\\t\\u0041" }',
+     QuerySyntaxError, "line 2, column 12: bad escape '\\\\u'", (2, 12)),
 ]
 
 
 def _where(exc):
-    if isinstance(exc, RuleSyntaxError):
+    if isinstance(exc, (RuleSyntaxError, QuerySyntaxError)):
         return exc.line, exc.column
-    if isinstance(exc, QuerySyntaxError):
-        return exc.position
     return None
 
 
@@ -188,8 +194,19 @@ def test_arbitrary_text_fails_only_with_the_front_end_errors(rule_text, fact_tex
                 pass
         try:
             parse_query(text)
+        except QuerySyntaxError as exc:
+            assert _inside(exc, text.split("\n")), (exc.line, exc.column)
         except GraphError:
             pass
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.text(), st.text())
+def test_a_formatted_string_fact_parses_back_to_itself(name, value):
+    """format_atom writes a Str with the shared escapes, which parse_facts
+    decodes: a newline, a quote or a backslash in any text comes back."""
+    fact = Atom("hasName", (Individual("a"), Str(name + "\\n\n" + value)))
+    assert list(parse_facts(format_atom(fact)).facts) == [fact]
 
 
 def test_key_values_skips_comments_and_rejects_repeats():
