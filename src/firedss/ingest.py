@@ -181,23 +181,45 @@ def _canonical_schema():
         for name in CANONICAL_COLUMNS)
 
 
-def _parse_cell(line, name, text):
-    text = text.strip()
-    if name in VOCABULARIES:
-        token = text.lower()
-        if token not in VOCABULARIES[name]:
+def _token_parser(name):
+    """The parser of a month or day cell: its token, lower-cased, which
+    must be in the column's vocabulary."""
+    vocabulary = frozenset(VOCABULARIES[name])
+
+    def parse(line, text):
+        token = text.strip().lower()
+        if token not in vocabulary:
             raise RangeViolation(line, name, token)
         return token
-    kind, lo, hi = _NUMBERS[name]
-    try:
-        value = kind(text)
-    except ValueError:
-        raise BadCell(line, name, text) from None
-    if kind is float and not math.isfinite(value):
-        raise BadCell(line, name, text)
-    if (lo is not None and value < lo) or (hi is not None and value > hi):
-        raise RangeViolation(line, name, value)
-    return value
+    return parse
+
+
+def _number_parser(name, kind, lo, hi):
+    """The parser of a numeric cell: `kind` of its text, a float finite,
+    then in [lo, hi] (None: unbounded on that side). The bounds compare
+    with the value as it is, so a huge integer cell cannot overflow."""
+    lo = -math.inf if lo is None else lo
+    hi = math.inf if hi is None else hi
+    isfinite = math.isfinite if kind is float else None
+
+    def parse(line, text):
+        text = text.strip()
+        try:
+            value = kind(text)
+        except ValueError:
+            raise BadCell(line, name, text) from None
+        if isfinite is not None and not isfinite(value):
+            raise BadCell(line, name, text)
+        if not lo <= value <= hi:
+            raise RangeViolation(line, name, value)
+        return value
+    return parse
+
+
+# per canonical column, parse(line, cell text) -> its value, raising
+# BadCell or RangeViolation with the 1-based line
+_PARSERS = tuple(_token_parser(name) if name in VOCABULARIES else
+                 _number_parser(name, *_NUMBERS[name]) for name in CANONICAL_COLUMNS)
 
 
 _LOWER_TO_CANONICAL = {name.lower(): name for name in CANONICAL_COLUMNS}
@@ -218,11 +240,12 @@ def _header_order(fields):
     return tuple(positions[name] for name in CANONICAL_COLUMNS)
 
 
-def _parse_row(line, fields, order):
+def _parse_row(line, fields, columns):
+    """The values of one row in canonical column order; `columns` pairs
+    each canonical column's parser with its index in the header."""
     if len(fields) != len(CANONICAL_COLUMNS):
         raise BadCell(line, "<row>", ",".join(fields))
-    return tuple(_parse_cell(line, name, fields[i])
-                 for name, i in zip(CANONICAL_COLUMNS, order))
+    return tuple([parse(line, fields[i]) for parse, i in columns])
 
 
 def _rows(lines, header):
@@ -246,8 +269,9 @@ def _rows(lines, header):
             order = _header_order(first)
         else:
             rows = itertools.chain([first], rows)
+        columns = tuple(zip(_PARSERS, order))
         for fields in rows:
-            yield _parse_row(reader.line_num, fields, order)
+            yield _parse_row(reader.line_num, fields, columns)
     except csv.Error as exc:
         raise DatasetError(f"line {reader.line_num}: {exc}") from None
 

@@ -152,6 +152,14 @@ class RuleSet:
         return {"rules": self.rules}
 
     @functools.cached_property
+    def predicates(self):
+        """The predicates that a rule body or head names. A fact of any
+        other predicate joins no body and is asserted by no head, so it
+        cannot change what `evaluate` derives."""
+        return frozenset([atom[0] for rule in self.rules
+                          for atom in rule.positive_atoms() + rule.head])
+
+    @functools.cached_property
     def _compiled(self):
         """Per rule its name, positive atoms and variable names by slot
         (`firedss._terms.compile_patterns`), each body atom's (predicate,

@@ -64,8 +64,10 @@ class UnboundVariable(GraphError):
     pass
 
 
-class UnknownPrefix(GraphError):
-    pass
+class UnknownPrefix(QuerySyntaxError):
+    def __init__(self, line, column, prefix):
+        super().__init__(line, column, f"unknown prefix {prefix!r}")
+        self.prefix = prefix
 
 
 # an absolute IRI whose characters may all stand raw in an N-Triples IRIREF
@@ -296,10 +298,11 @@ def _serialize_rdfxml(g: Graph) -> str:
             f"<rdf:RDF{attrs}>\n" + "\n".join(body) + "\n</rdf:RDF>\n")
 
 
+# terms are separated by spaces and tabs, the N-Triples whitespace
 _NT_LINE = re.compile(
-    r'^<(?P<s>[^>]+)>\s+<(?P<p>[^>]+)>\s+'
+    r'<(?P<s>[^>]+)>[ \t]+<(?P<p>[^>]+)>[ \t]+'
     r'(?:<(?P<o_iri>[^>]+)>|"(?P<o_lex>(?:[^"\\]|\\.)*)"'
-    r'(?:\^\^<(?P<o_dt>[^>]+)>)?)\s*\.\s*$')
+    r'(?:\^\^<(?P<o_dt>[^>]+)>)?)[ \t]*\.')
 
 
 def _literal_error(_, message):
@@ -308,14 +311,16 @@ def _literal_error(_, message):
 
 def parse_ntriples(text: str) -> Graph:
     """Parse N-Triples as produced by serialize(); duplicate lines collapse.
-    Each distinct IRI text is checked and made into an `Iri` once."""
+    Spaces and tabs may stand around a line and between its terms, and a
+    CR may end it (CRLF); no other whitespace is taken. Each distinct IRI
+    text is checked and made into an `Iri` once."""
     iris = _Memo(Iri)
     triples = []
     for lineno, raw in enumerate(text.split("\n"), 1):
-        line = raw.strip()
+        line = raw.removesuffix("\r").strip(" \t")
         if not line or line.startswith("#"):
             continue
-        m = _NT_LINE.match(line)
+        m = _NT_LINE.fullmatch(line)
         if m is None:
             reason = "missing terminal '.'" if not line.endswith(".") else "malformed triple"
             raise NTriplesSyntaxError(lineno, reason)
@@ -489,13 +494,13 @@ class _QueryParser(Cursor):
             return Var(text[1:])
         if kind == "iri":
             self.next()
-            return Iri(text[1:-1])
+            return self.iri(text[1:-1], pos)
         if kind == "pname":
             self.next()
             prefix, local = text.split(":", 1)
             if prefix not in self.prefixes:
-                raise UnknownPrefix(prefix)
-            return Iri(self.prefixes[prefix] + local)
+                raise UnknownPrefix(*self.line_column(pos), prefix)
+            return self.iri(self.prefixes[prefix] + local, pos)
         if kind == "keyword" and text == "a" and position == "predicate":
             self.next()
             return Iri(RDF_TYPE)
@@ -503,6 +508,14 @@ class _QueryParser(Cursor):
         if literal is None:
             self.error(f"{position} term")
         return literal
+
+    def iri(self, value, pos):
+        """The Iri of `value`, written at offset `pos`; a relative IRI is a
+        syntax error there."""
+        try:
+            return Iri(value)
+        except GraphError as exc:
+            raise self.fail(pos, str(exc)) from None
 
     def bool_expr(self, op, left, right, pos):
         self.operators += 1
@@ -583,28 +596,47 @@ def parse_query(text: str) -> Query:
 
 # --- execution ---------------------------------------------------------------
 
-def _compare(op, a, b):
-    """Compare two literals, numbers by their exact values; None if their
-    kinds cannot be compared."""
-    if a[0] is Iri or b[0] is Iri:
+def _key(term):
+    """What a FILTER compares `term` by: ("number", its exact Decimal) for
+    an integer or decimal, (datatype, lexical form) for another literal,
+    None for an IRI."""
+    if term[0] is Iri:
         return None
-    if a[2] in _NUMERIC_LEXICAL and b[2] in _NUMERIC_LEXICAL:
-        x, y = decimal.Decimal(a[1]), decimal.Decimal(b[1])
-    elif a[2] == b[2] and (a[2] == "string" or op in ("=", "!=")):
-        x, y = a[1], b[1]       # strings, or booleans for (in)equality
-    else:
-        return None
-    return COMPARISONS[op](x, y)
+    if term[2] in _NUMERIC_LEXICAL:
+        return "number", decimal.Decimal(term[1])
+    return term[2], term[1]
 
 
-def _eval_filter(expr, binding, slots, clashes):
+def _compare(op, x, y):
+    """Compare two `_key`s: numbers by their exact values, strings, and
+    booleans only for (in)equality; None if their kinds cannot be
+    compared."""
+    if x is None or y is None or x[0] != y[0] or (x[0] == "boolean" and op not in ("=", "!=")):
+        return None
+    return COMPARISONS[op](x[1], y[1])
+
+
+def _filter_plan(expr, slots):
+    """`expr` as nested (op, left, right) tuples: two plans for && and ||;
+    for a comparison, per operand the slot (an int) of a variable or the
+    `_key` of a constant, so each constant is read once per query."""
     if isinstance(expr, BoolExpr):
-        left = _eval_filter(expr.left, binding, slots, clashes)
-        right = _eval_filter(expr.right, binding, slots, clashes)
-        return (left and right) if expr.op == "&&" else (left or right)
-    left = binding[slots[expr.left.name]] if isinstance(expr.left, Var) else expr.left
-    right = binding[slots[expr.right.name]] if isinstance(expr.right, Var) else expr.right
-    result = _compare(expr.op, left, right)
+        return expr.op, _filter_plan(expr.left, slots), _filter_plan(expr.right, slots)
+    return expr.op, *[slots[t.name] if isinstance(t, Var) else _key(t)
+                      for t in (expr.left, expr.right)]
+
+
+def _eval_filter(plan, binding, clashes):
+    """Whether `binding` passes a `_filter_plan`. Both sides of && and ||
+    run, so each comparison whose kinds cannot be compared counts one
+    clash, and is false."""
+    op, left, right = plan
+    if op == "&&" or op == "||":
+        a = _eval_filter(left, binding, clashes)
+        b = _eval_filter(right, binding, clashes)
+        return (a and b) if op == "&&" else (a or b)
+    result = _compare(op, _key(binding[left]) if type(left) is int else left,
+                      _key(binding[right]) if type(right) is int else right)
     if result is None:
         clashes[0] += 1
         return False
@@ -667,7 +699,8 @@ def execute(q: Query, g: Graph) -> ResultTable:
 
     clashes = [0]
     if q.filter is not None:
-        bindings = [b for b in bindings if _eval_filter(q.filter, b, slots, clashes)]
+        test = _filter_plan(q.filter, slots)
+        bindings = [b for b in bindings if _eval_filter(test, b, clashes)]
 
     if q.select is None:
         columns = tuple(dict.fromkeys(t[1] for p in q.patterns for t in p if t[0] is Var))

@@ -6,10 +6,13 @@ and connection, or the file) until it ends or is closed; run_pipeline
 closes it on every exit. Batches are cut by record count (default 20),
 which keeps file replay deterministic. One pass over each record computes
 its codes, classifies all six through ClassBands.band_index and encodes
-the record as facts: individual ``rec_<offset>`` with one unary atom per
-classification label and one binary atom per code. The first code outside
-[0, inf) fails the batch with a BatchEvaluationError naming its record,
-whatever the band trigger. Then:
+the record as facts (record_facts: individual ``rec_<offset>`` with one
+unary atom per classification label and one binary atom per code). Only
+the atoms whose predicate a rule body or head names are built: no other
+fact can join a body or be asserted by a head, so none can change a
+derivation. Which those are is tabled once per (ClassBands, RuleSet). The
+first code outside [0, inf) fails the batch with a BatchEvaluationError
+naming its record, whatever the band trigger. Then:
 
 * the six code columns are aggregated (max by default) and classified,
   emitting one alert per quantity; a mean past the float range fails the
@@ -314,31 +317,25 @@ def _label_predicate(prefix, label):
 
 _quantities = tuple(quantity for _, quantity, _, _ in _ALERT_QUANTITIES)
 _codes_of = operator.attrgetter(*(fwi.QUANTITIES[q] for q in _quantities))
-_code_predicates = tuple(predicate for _, _, predicate, _ in _ALERT_QUANTITIES)
-_Num = functools.partial(tuple.__new__, rules_mod.Num)      # _Num((Num, v)) is Num(v)
-
-
-def _append_facts(facts, individual, labels, codes):
-    """The fact encoding of one record, appended to `facts`: per quantity in
-    alert order, its label atom (predicate <Quantity>_<label>, None where
-    the quantity has no label) and then its code atom."""
-    make_atom, num = rules_mod.make_atom, rules_mod.Num
-    subject = (individual,)
-    for predicate, label, value in zip(_code_predicates, labels, codes):
-        if label is not None:
-            facts.append(make_atom((label, subject)))
-        facts.append(make_atom((predicate, (individual, _Num((num, float(value)))))))
+# _Num((Num, v)) is Num(v) and _Individual((Individual, n)) is Individual(n)
+_Num = functools.partial(tuple.__new__, rules_mod.Num)
+_Individual = functools.partial(tuple.__new__, rules_mod.Individual)
 
 
 def record_facts(offset, codes, classification):
-    """Fact encoding for one record: individual rec_<offset>, one unary atom
-    per classification label (predicate <Quantity>_<label>), one binary atom
-    per code value."""
-    labels = [None if prefix is None else
-              _label_predicate(prefix, getattr(classification, quantity))
-              for _, quantity, _, prefix in _ALERT_QUANTITIES]
+    """Fact encoding for one record: individual rec_<offset> and, per
+    quantity in alert order, its label atom (unary predicate
+    <Quantity>_<label>, where the quantity has a label) and then its code
+    atom (binary)."""
+    make_atom, num = rules_mod.make_atom, rules_mod.Num
+    individual = rules_mod.Individual(f"rec_{offset}")
+    subject = (individual,)
     facts = []
-    _append_facts(facts, rules_mod.Individual(f"rec_{offset}"), labels, _codes_of(codes))
+    for (_, quantity, predicate, prefix), value in zip(_ALERT_QUANTITIES, _codes_of(codes)):
+        if prefix is not None:
+            label = _label_predicate(prefix, getattr(classification, quantity))
+            facts.append(make_atom((label, subject)))
+        facts.append(make_atom((predicate, (individual, _Num((num, float(value)))))))
     return facts
 
 
@@ -357,6 +354,34 @@ def _label_table(bands):
             prefix and tuple(_label_predicate(prefix, l) for l in bands.labels(quantity))
             for _, quantity, _, prefix in _ALERT_QUANTITIES)
     return table
+
+
+_ENCODINGS = weakref.WeakKeyDictionary()   # RuleSet -> {ClassBands: its _encoding}
+
+
+def _encoding(bands, rules):
+    """The part of record_facts' encoding that `rules` can read: per
+    quantity in alert order whose label or code predicate a rule names,
+    (its position, its label predicates by band index with None for each
+    that no rule names, or None for none, its code predicate or None)."""
+    by_bands = _ENCODINGS.get(rules)
+    if by_bands is None:
+        by_bands = _ENCODINGS.setdefault(rules, weakref.WeakKeyDictionary())
+    encoding = by_bands.get(bands)
+    if encoding is None:
+        named = rules.predicates
+        encoding = []
+        for k, (labels, (_, _, code, _)) in enumerate(zip(_label_table(bands),
+                                                            _ALERT_QUANTITIES)):
+            if labels is not None and not named.isdisjoint(labels):
+                labels = tuple(p if p in named else None for p in labels)
+            else:
+                labels = None
+            code = code if code in named else None
+            if labels or code:
+                encoding.append((k, labels, code))
+        encoding = by_bands[bands] = tuple(encoding)
+    return encoding
 
 
 _first = operator.itemgetter(0)
@@ -405,11 +430,14 @@ def batch_evaluate(batch, bands=fwi.DEFAULT_BANDS, rules=None, aggregate="max"):
     RULE alert per fact the rule set derives from the record facts.
 
     One pass per record classifies its six codes in alert order and, with
-    rules, encodes the facts that record_facts gives for the record and its
-    classification. The first code out of range, or an aggregate mean past
+    rules, encodes those of the facts that record_facts gives for the
+    record and its classification whose predicate a rule body or head
+    names, in record_facts order. The others are not built: they can join
+    no body and a head cannot assert them again, so they cannot change a
+    derivation. The first code out of range, or an aggregate mean past
     the float range, raises BatchEvaluationError naming the batch and the
     record (the batch's first for a mean)."""
-    table = _label_table(bands)
+    _label_table(bands)         # all six quantities
     if not batch.records:
         raise StreamError(f"batch {batch.seq} is empty")
     _check_aggregate(aggregate)
@@ -417,6 +445,8 @@ def batch_evaluate(batch, bands=fwi.DEFAULT_BANDS, rules=None, aggregate="max"):
     now = int(time.time() * 1000)
     use_rules = rules is not None and len(rules) > 0
     band_index = bands.band_index
+    encoding = _encoding(bands, rules) if use_rules else ()
+    make_atom, individual_kind, num = rules_mod.make_atom, rules_mod.Individual, rules_mod.Num
     rows, facts, terms = [], [], {}
     for offset, record in batch.records:
         try:
@@ -427,10 +457,16 @@ def batch_evaluate(batch, bands=fwi.DEFAULT_BANDS, rules=None, aggregate="max"):
         rows.append(values)
         if use_rules:
             name = f"rec_{offset}"
-            individual = rules_mod.Individual(name)
+            individual = _Individual((individual_kind, name))
             terms[individual] = (name, (offset,))
-            labels = [predicates and predicates[i] for predicates, i in zip(table, indexes)]
-            _append_facts(facts, individual, labels, values)
+            subject = (individual,)
+            for k, labels, code in encoding:
+                if labels is not None:
+                    label = labels[indexes[k]]
+                    if label is not None:
+                        facts.append(make_atom((label, subject)))
+                if code is not None:
+                    facts.append(make_atom((code, (individual, _Num((num, float(values[k])))))))
 
     offsets = [offset for offset, _ in batch.records]
     events = []

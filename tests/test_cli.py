@@ -431,6 +431,15 @@ class TestQuery:
         assert code == 1 and stdout == ""
         assert err.startswith("firedss: error: line 1, column ") and "nested deeper" in err
 
+    @pytest.mark.parametrize("term, message", [
+        ("nope:p", "line 2, column 6: unknown prefix 'nope'"),
+        ("<p>", "line 2, column 6: not an absolute IRI: 'p'")], ids=["prefix", "relative"])
+    def test_query_term_error_names_its_line_and_column(self, capsys, tmp_path, term, message):
+        q = tmp_path / "q.rq"
+        q.write_text(f"SELECT ?s WHERE {{\n  ?s {term} ?o }}\n", encoding="utf-8")
+        code, stdout, err = run(capsys, "query", str(data_path("regions_fixture.nt")), str(q))
+        assert (code, stdout, err) == (1, "", f"firedss: error: {message}\n")
+
     def test_bad_query_file(self, capsys, tmp_path):
         q = tmp_path / "bad.rq"
         q.write_text("SELECT WHERE {", encoding="utf-8")

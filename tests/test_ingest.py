@@ -63,6 +63,22 @@ class TestParse:
         d = ingest.parse_dataset(text)
         assert d.records()[0].x == 8 and d.records()[0].area == 0.0
 
+    @pytest.mark.parametrize("row, error, message", [
+        ("0.0,8,6,aug,mon,92.3,88.9,495.6,8.5,24.1,140,3.1,0.0", RangeViolation,
+         "line 2, column RH: value 140.0 out of range"),
+        ("0.0,8,6,AUG,mon,92.3,88.9,495.6,8.5,24.1,27,3.1,x", BadCell,
+         "line 2, column rain: cannot parse 'x'"),
+        ("0.0,8,6,Sept,mon,92.3,88.9,495.6,8.5,24.1,27,3.1,x", RangeViolation,
+         "line 2, column month: value 'sept' out of range"),
+    ], ids=["range", "bad-cell", "first-in-column-order"])
+    def test_reordered_header_errors_name_the_canonical_column(self, row, error, message):
+        # each column's parser reads the cell under its header, and the first
+        # bad cell in canonical column order is reported
+        text = "area,x,y,MONTH,day,ffmc,dmc,dc,isi,TEMP,rh,wind,rain\n" + row + "\n"
+        with pytest.raises(error) as err:
+            ingest.parse_dataset(text)
+        assert type(err.value) is error and str(err.value) == message
+
     def test_crlf(self):
         d = ingest.parse_dataset(HEADER + "\r\n" + ROW1 + "\r\n")
         assert len(d) == 1

@@ -230,6 +230,26 @@ class TestNTriples:
             with pytest.raises(GraphError, match="not an absolute IRI"):
                 Iri(value)
 
+    def test_unicode_whitespace_between_terms_is_a_syntax_error(self):
+        with pytest.raises(NTriplesSyntaxError) as err:
+            parse_ntriples('<http://a/s>　<http://a/p>\x0c<http://a/o> .\n')
+        assert err.value.line == 1
+
+    @pytest.mark.parametrize("char", "\x0b\x0c\x1c\x85\xa0 　")
+    def test_only_space_and_tab_stand_around_a_line_and_between_its_terms(self, char):
+        good = f"<{EX}s> <{EX}p> <{EX}o> ."
+        for line in (f"<{EX}s>{char}<{EX}p> <{EX}o> .", f"<{EX}s> <{EX}p> <{EX}o>{char}.",
+                     f"{char}{good}", f"{good}{char}", char):
+            with pytest.raises(NTriplesSyntaxError) as err:
+                parse_ntriples(f"{good}\n{line}\n")
+            assert err.value.line == 2
+
+    def test_spaces_tabs_and_crlf_are_taken(self):
+        text = (f" \t<{EX}s>\t<{EX}p>  <{EX}o> \t. \r\n\t\r\n"
+                f"<{EX}s> <{EX}p> <{EX}o2> .\r\n")
+        assert parse_ntriples(text) == Graph([Triple(iri("s"), iri("p"), iri("o")),
+                                              Triple(iri("s"), iri("p"), iri("o2"))])
+
     def test_untyped_literal_reads_as_string(self):
         g = parse_ntriples(f'<{EX}s> <{EX}p> "plain" .\n')
         (t,) = g.triples
@@ -322,8 +342,9 @@ class TestXsdLexicalSpaces:
     ], ids=["past-the-float-range", "past-17-digits", "integer-and-decimal"])
     def test_decimals_compare_by_their_exact_values(self, small, large):
         a, b = Literal(small, "decimal"), Literal(large, "decimal")
-        assert not semweb._compare("=", a, b) and semweb._compare("!=", a, b)
-        assert semweb._compare("<", a, b) and semweb._compare(">", b, a)
+        x, y = semweb._key(a), semweb._key(b)
+        assert not semweb._compare("=", x, y) and semweb._compare("!=", x, y)
+        assert semweb._compare("<", x, y) and semweb._compare(">", y, x)
         g = Graph([Triple(iri("s"), iri("p"), b)])
         q = parse_query(f"SELECT ?v WHERE {{ ?s <{EX}p> ?v . FILTER (?v = {small}) }}")
         assert execute(q, g).rows == ()

@@ -1178,7 +1178,9 @@ class TestBatchPathParity:
             outcomes["alerts"] += 1
         assert set(outcomes) == {"alerts", "BatchEvaluationError"}
 
-    def test_saturated_facts_are_the_record_facts(self, monkeypatch, alert_rules):
+    def test_saturated_facts_are_the_named_record_facts(self, monkeypatch, alert_rules):
+        # the batch hands the rules the record facts whose predicate a rule
+        # body or head names, in record_facts order, and no others
         bands = fwi.ClassBands(dict(
             fwi.DEFAULT_BANDS.bands,
             dc_class=[(100, "calm"), (300, "a-b"), (math.inf, "très-grim / 2")],
@@ -1193,8 +1195,88 @@ class TestBatchPathParity:
 
         monkeypatch.setattr(rules, "evaluate", recording)
         batch_evaluate(batch, bands, alert_rules)
+        named = {atom.predicate for rule in alert_rules
+                 for atom in rule.positive_atoms() + rule.head}
         expected = []
         for offset, record in batch.records:
             codes = fwi.compute_codes(record)
-            expected.extend(stream.record_facts(offset, codes, fwi.classify(codes, bands)))
+            expected.extend(f for f in stream.record_facts(offset, codes, fwi.classify(codes, bands))
+                            if f.predicate in named)
         assert handed == [expected]
+        # these bands have no DcClass_difficult_and_extensive or SpreadRate_fast
+        assert {f.predicate for f in expected} == {
+            "DmcClass_difficult_and_extensive", "IgnitionPotential_extremely_easy", "hasDc"}
+
+    def test_head_that_asserts_an_input_label_alerts_only_where_it_is_new(self):
+        # no body reads DmcClass_*: the records that carry the label already
+        # must not see it derived
+        label = "DmcClass_" + fwi.DEFAULT_BANDS.labels("dmc_class")[-1].replace(" ", "_")
+        rs = rules.parse_rules(f"rule echo: when hasDc(?r, ?dc) then assert {label}(?r)\n")
+        batch = batch_of([CALM_ROW, TRIGGER_ROW, HIGH_DC_ROW, CALM_ROW], start_offset=9)
+        events = [e for e in batch_evaluate(batch, rules=rs) if e.kind == "RULE"]
+        carrying = {o for o, record in batch.records
+                    if label in {f.predicate for f in stream.record_facts(
+                        o, fwi.compute_codes(record),
+                        fwi.classify(fwi.compute_codes(record)))}}
+        assert carrying and len(carrying) < len(batch)
+        # RULE alerts come in the order of the facts' text: rec_12 before rec_9
+        assert [(e.severity, e.offsets, e.rule) for e in events] == [
+            (label, (o,), "echo") for o, _ in sorted(batch.records, key=lambda r: f"rec_{r[0]}")
+            if o not in carrying]
+
+    # the predicates that records carry, one no record has, and two that
+    # only heads make; every binary predicate holds (individual, number)
+    _UNARY = tuple(stream._label_predicate(prefix, label)
+                   for _, quantity, _, prefix in stream._ALERT_QUANTITIES if prefix
+                   for label in fwi.DEFAULT_BANDS.labels(quantity)) + ("Ghost", "Flag")
+    _BINARY = tuple(predicate for _, _, predicate, _ in stream._ALERT_QUANTITIES) + (
+        "hasGhost", "rel")
+
+    @classmethod
+    def _random_program(cls, rng):
+        """Rule text of 1-4 random safe rules: bodies of 1-3 atoms and at
+        most one comparison of a bound number, heads of 1-2 atoms over the
+        body's variables, often of a predicate that records carry."""
+        lines = []
+        for n in range(rng.randint(1, 4)):
+            body, individuals, numbers = [], [], []
+            for _ in range(rng.randint(1, 3)):
+                subject = rng.choice(["?r", "?r", "?s", "rec_1"])
+                if subject.startswith("?"):
+                    individuals.append(subject)
+                if rng.random() < 0.5:
+                    body.append(f"{rng.choice(cls._UNARY)}({subject})")
+                else:
+                    number = rng.choice(["?v", "?w"])
+                    numbers.append(number)
+                    body.append(f"{rng.choice(cls._BINARY)}({subject}, {number})")
+            if numbers and rng.random() < 0.5:
+                op = rng.choice(rules.BUILTIN_OPS)
+                body.append(f"{op}({rng.choice(numbers)}, {rng.choice([0, 5, 60, 90, 600])})")
+            heads = []
+            for _ in range(rng.randint(1, 2)):
+                subject = rng.choice(individuals or ["rec_3"] + ["rec_2"])
+                if numbers and rng.random() < 0.5:
+                    heads.append(f"{rng.choice(cls._BINARY)}({subject}, {rng.choice(numbers)})")
+                else:
+                    heads.append(f"{rng.choice(cls._UNARY)}({subject})")
+            lines.append(f"rule r{n}: when {', '.join(body)} then assert {', '.join(heads)}")
+        return "\n".join(lines) + "\n"
+
+    def test_random_programs_derive_as_over_all_record_facts(self, dataset_text):
+        rows = dataset_text.splitlines()[1:]
+        rng = random.Random(28)
+        derived = Counter()
+        for case in range(240):
+            rs = rules.parse_rules(self._random_program(rng))
+            batch = batch_of([rng.choice(rows) for _ in range(rng.randint(1, 6))],
+                             seq=case, start_offset=rng.randint(0, 4))
+            expected = [e for e in self._reference(batch, fwi.DEFAULT_BANDS, rs, "max")
+                        if e[0] == "RULE"]
+            got = [(e.kind, e.severity, e.value, e.offsets, e.rule)
+                   for e in batch_evaluate(batch, rules=rs) if e.kind == "RULE"]
+            assert got == expected, rs
+            derived["some" if got else "none"] += 1
+            derived["input head"] += any(a.predicate in self._UNARY[:-2] + self._BINARY[:-2]
+                                         for rule in rs for a in rule.head)
+        assert derived["some"] >= 80 and derived["none"] >= 20 and derived["input head"] >= 100

@@ -118,13 +118,15 @@ MALFORMED = [
     (parse_query, "SELECT ?x WHERE { ?x ?p ?o FILTER (?o > \u0663) }",
      QuerySyntaxError, "line 1, column 41: unexpected character '\u0663'", (1, 41)),
     (parse_query, "SELECT ?x WHERE {\r\n  ?x nope:p ?o }",
-     UnknownPrefix, 'nope', None),
+     UnknownPrefix, "line 2, column 6: unknown prefix 'nope'", (2, 6)),
     (parse_query, "SELECT ?q WHERE { ?x ?p ?o }",
      UnboundVariable, 'projected variable ?q not in any pattern', None),
     (parse_query, "SELECT ?x WHERE { ?x ?p ?o FILTER (?z > 1) }",
      UnboundVariable, 'filter variable ?z not in any pattern', None),
     (parse_query, "SELECT ?x WHERE { ?x <p> ?o }",
-     GraphError, "not an absolute IRI: 'p'", None),
+     QuerySyntaxError, "line 1, column 22: not an absolute IRI: 'p'", (1, 22)),
+    (parse_query, "PREFIX ex: <rel/>\nSELECT ?x WHERE { ?x ex:p ?o }",
+     QuerySyntaxError, "line 2, column 22: not an absolute IRI: 'rel/p'", (2, 22)),
     (parse_query, DEEP,
      QuerySyntaxError, 'line 1, column 124: FILTER parentheses nested deeper than 64', (1, 124)),
     (parse_query, CHAIN,
