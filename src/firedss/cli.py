@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -27,6 +28,8 @@ from ._syntax import key_values
 
 CONFIG_KEYS = ("dataset", "rules", "bands", "corpus", "checkpoint", "sink",
                "batch_size", "aggregate", "embed_dim", "seed")
+_INTEGER_KEYS = ("batch_size", "embed_dim", "seed")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 class CliError(Exception):
@@ -34,15 +37,29 @@ class CliError(Exception):
 
 
 def load_config(path):
-    """Flat key = value lines, # comments, each key at most once."""
+    """Flat key = value lines, # comments, each key at most once; the
+    batch_size, embed_dim and seed values are ints of ASCII digits."""
     def fail(lineno, message):
         return CliError(f"{path}:{lineno}: {message}")
     config = {}
     for lineno, key, value in key_values(_read(path), fail):
         if key not in CONFIG_KEYS:
             raise fail(lineno, f"unknown config key {key!r}")
-        config[key] = value.strip()
+        value = value.strip()
+        if key in _INTEGER_KEYS:
+            if not _INTEGER.fullmatch(value):
+                raise fail(lineno, f"{key} must be an integer, got {value!r}")
+            value = int(value)
+        config[key] = value
     return config
+
+
+def _integer(text):
+    """argparse type of an integer flag: ASCII digits with an optional sign
+    (int() also reads other Unicode digits and underscores)."""
+    if not _INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}")
+    return int(text)
 
 
 def _setting(args, config, key, default=None):
@@ -123,7 +140,7 @@ def _apply_op(dataset, op_text, seed):
 
 def cmd_preprocess(args, config):
     dataset = ingest.parse_dataset(_read(args.input))
-    seed = int(_setting(args, config, "seed", 0))
+    seed = _setting(args, config, "seed", 0)
     for op_text in args.op or []:
         dataset = _apply_op(dataset, op_text, seed)
     _write(args.output, ingest.serialize_csv(dataset))
@@ -145,7 +162,7 @@ def cmd_stream(args, config):
     stats = stream.run_pipeline(
         dataset, sink,
         checkpoint_path=_setting(args, config, "checkpoint"),
-        batch_size=int(_setting(args, config, "batch_size", 20)),
+        batch_size=_setting(args, config, "batch_size", 20),
         bands=bands, rules=ruleset, rules_text=rules_text,
         aggregate=_setting(args, config, "aggregate", "max"))
     print(stats.to_json())
@@ -212,7 +229,7 @@ def cmd_retrieve(args, config):
     corpus = _setting(args, config, "corpus")
     if not corpus:
         raise CliError("retrieve needs a corpus (flag or config)")
-    dim = int(_setting(args, config, "embed_dim", 256))
+    dim = _setting(args, config, "embed_dim", 256)
     index = retrieval.load_corpus(_read(corpus), retrieval.EmbedderConfig(dimension=dim))
     for doc, score in index.search(args.query, k=args.k):
         print(f"{score:.6f}\t{doc.id}\t{doc.text}")
@@ -264,7 +281,7 @@ def build_parser():
                         "ordinal[=cols] | filter=col[:method[:t]] | "
                         "resample=col[:strategy] (repeatable, applied in order)")
     p.add_argument("--provenance", help="write the provenance trail as JSON")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_integer)
     p.set_defaults(fn=cmd_preprocess)
 
     p = sub.add_parser("stream", help="run the micro-batch alert pipeline")
@@ -273,7 +290,7 @@ def build_parser():
     p.add_argument("--checkpoint")
     p.add_argument("--rules")
     p.add_argument("--bands")
-    p.add_argument("--batch-size", dest="batch_size", type=int)
+    p.add_argument("--batch-size", dest="batch_size", type=_integer)
     p.add_argument("--aggregate", choices=("max", "mean"))
     p.set_defaults(fn=cmd_stream)
 
@@ -298,8 +315,8 @@ def build_parser():
     p = sub.add_parser("retrieve", help="cosine top-k over a corpus")
     p.add_argument("query")
     p.add_argument("--corpus")
-    p.add_argument("-k", type=int, default=2)
-    p.add_argument("--embed-dim", dest="embed_dim", type=int)
+    p.add_argument("-k", type=_integer, default=2)
+    p.add_argument("--embed-dim", dest="embed_dim", type=_integer)
     p.set_defaults(fn=cmd_retrieve)
 
     p = sub.add_parser("eval", help="P/R/F of a response file vs a reference file")

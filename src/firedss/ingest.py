@@ -95,9 +95,12 @@ class TooFewRows(DatasetError):
 
 
 class UnknownToken(DatasetError):
-    def __init__(self, row, column, token):
-        super().__init__(f"row {row}, column {column}: unknown token {token!r}")
-        self.row = row
+    """A token outside its column's vocabulary; `record` counts the
+    Dataset's rows from 1 (a filtered or resampled row has no file line)."""
+
+    def __init__(self, record, column, token):
+        super().__init__(f"record {record}, column {column}: unknown token {token!r}")
+        self.record = record
         self.column = column
         self.token = token
 
@@ -311,9 +314,9 @@ def serialize_csv(d: Dataset) -> str:
 def log_transform_area(d: Dataset) -> Dataset:
     """Replace area with ln(1 + area); defined at the zero-burn rows that dominate."""
     i = d.column_index("area")
-    for n, row in enumerate(d.rows):
+    for n, row in enumerate(d.rows, 1):
         if row[i] < 0:
-            raise NegativeInput(f"row {n}: area {row[i]} < 0")
+            raise NegativeInput(f"record {n}: area {row[i]} < 0")
     rows = [row[:i] + (math.log1p(row[i]),) + row[i + 1:] for row in d.rows]
     return d.replaced(d.schema, rows, {"name": "log1p", "column": "area"})
 
@@ -376,7 +379,7 @@ def one_hot_encode(d: Dataset, columns) -> Dataset:
             schema.append(col)
 
     rows = []
-    for n, row in enumerate(d.rows):
+    for n, row in enumerate(d.rows, 1):
         out = []
         for col, value in zip(d.schema, row):
             if col.name in encode:
@@ -404,7 +407,7 @@ def ordinal_encode(d: Dataset, columns=("month", "day")) -> Dataset:
     schema = [Column(c.name, "numeric") if c.name in set(columns) else c
               for c in d.schema]
     rows = []
-    for n, row in enumerate(d.rows):
+    for n, row in enumerate(d.rows, 1):
         out = list(row)
         for name in columns:
             i = d.column_index(name)

@@ -2,8 +2,11 @@
 plus token-overlap precision/recall/F-measure scoring.
 
 The embedder lowercases, collapses whitespace, slides a window of 3
-characters over the text, hashes each gram with FNV-1a 64 into one of
-`dimension` buckets, and L2-normalizes the bucket counts.
+characters over the text, hashes each gram's UTF-8 bytes with FNV-1a 64
+into one of `dimension` buckets, and L2-normalizes the bucket counts. A
+batch of texts is embedded in blocks, each in one vectorised numpy pass
+whose rows are bit for bit those of hashing each gram on its own; corpus
+and query embed through that one path, and nothing is kept between calls.
 It is a stand-in with the same retrieval mechanics as a neural encoder:
 any embedder honoring the same interface (and fingerprint discipline) can
 be plugged in behind :class:`VectorIndex`.
@@ -78,16 +81,9 @@ class EmbedderConfig:
 
 
 _NGRAM = 3
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-
-
-def _fnv1a64(data: bytes) -> int:
-    h = _FNV_OFFSET
-    for byte in data:
-        h = ((h ^ byte) * _FNV_PRIME) & _MASK64
-    return h
+_FNV_OFFSET = np.uint64(0xCBF29CE484222325)
+_FNV_PRIME = np.uint64(0x100000001B3)
+_BLOCK = 64     # texts per kernel pass, which bounds its transient arrays
 
 
 def _utf8(text: str, what="text") -> bytes:
@@ -101,30 +97,82 @@ def _normalize_text(text: str) -> str:
     return " ".join(text.lower().split())
 
 
+def _embed_block(texts, out: np.ndarray) -> None:
+    """Write each text's unit-norm row of n-gram bucket counts into ``out``,
+    which is all zeros on entry (an empty text keeps its zero row).
+
+    The block's normalized texts are joined and encoded to UTF-8 once, and
+    FNV-1a 64 runs over every byte position of the joined bytes at once,
+    one byte per step, in uint64 arithmetic, which wraps modulo 2**64: step
+    k leaves the hash of the k + 1 bytes from each position. A gram
+    (`_NGRAM` characters, or the whole text if it is shorter) takes the
+    step of its byte length at its first byte; characters start at the
+    bytes that are not UTF-8 continuation bytes. One bincount counts the
+    block's buckets.
+    """
+    n, dim = _NGRAM, out.shape[1]
+    normalized = [_normalize_text(text) for text in texts]
+    # per text: the chars before it that start no gram, and its gram count;
+    # a text under n chars is one gram: its index -> its length
+    skipped, grams, short = [], [], {}
+    total = skip = 0
+    for text in normalized:
+        count = len(text) - n + 1 if len(text) >= n else min(len(text), 1)
+        if 0 < len(text) < n:
+            short[total] = len(text)
+        skipped.append(skip)
+        grams.append(count)
+        total += count
+        skip += len(text) - count
+    if not total:
+        return
+    joined = "".join(normalized)
+    encoded = _utf8(joined)
+    size = len(encoded)
+    # zero padding: steps read past the end, and byte `size` starts no char
+    data = np.frombuffer(encoded + bytes(4 * n), np.uint8)
+    first = np.arange(total)                # each gram's first char, later byte
+    if len(texts) > 1:                      # a lone text's offsets are all 0
+        offsets = np.repeat([skipped, range(0, len(texts) * dim, dim)], grams, axis=1)
+        first += offsets[0]
+    span = None                             # each gram's chars, later bytes; None: all n
+    longest = n if total > len(short) else max(short.values())     # chars, later bytes
+    if short:
+        span = np.full(total, n)
+        span[list(short)] = list(short.values())
+    if size != len(joined):                 # char offsets -> byte offsets
+        # continuation bytes 0x80-0xBF are the int8 values below -0x40
+        starts = np.flatnonzero(data[:size + 1].view(np.int8) >= -0x40)
+        span = starts[first + (n if span is None else span)] - starts[first]
+        first = starts[first]
+        longest = int(span.max())
+    h, hashes = _FNV_OFFSET, np.empty(total, np.uint64)
+    for k in range(longest):
+        h = (h ^ data[k:size + k]) * _FNV_PRIME
+        if span is not None:                # the grams of k + 1 bytes end here
+            ends = span == k + 1
+            hashes[ends] = h[first[ends]]
+    if span is None:
+        hashes = h[first]
+    buckets = (hashes % np.uint64(dim)).view(np.int64)   # < dim: the same bits
+    if len(texts) > 1:
+        buckets += offsets[1]
+    out.reshape(-1)[:] = np.bincount(buckets, minlength=out.size)
+    norms = np.sqrt(np.einsum("ij,ij->i", out, out))
+    norms[norms == 0.0] = 1.0               # an empty text stays the zero vector
+    out /= norms[:, None]
+
+
 def _embed_rows(texts, config: EmbedderConfig) -> np.ndarray:
     """One unit-norm row of n-gram bucket counts per text.
 
-    Each distinct gram is hashed once per call, so texts that share most of
-    their grams (a corpus of variants) share the hashing. Counts are whole
-    numbers, so each row's norm is exact and equals ``np.linalg.norm``.
+    Texts are embedded in blocks of `_BLOCK` by one vectorised pass each
+    (`_embed_block`), whose rows are bit for bit those of hashing each gram
+    on its own. Each row's norm is exact and equals ``np.linalg.norm``.
     """
-    n, dim = _NGRAM, config.dimension
-    rows = np.zeros((len(texts), dim))
-    bucket_of = {}
-    for row, text in zip(rows, texts):
-        normalized = _normalize_text(text)
-        if not normalized:
-            continue
-        if len(normalized) < n:
-            grams = [normalized]
-        else:
-            grams = [normalized[i:i + n] for i in range(len(normalized) - n + 1)]
-        for gram in set(grams).difference(bucket_of):
-            bucket_of[gram] = _fnv1a64(_utf8(gram)) % dim
-        row[:] = np.bincount([bucket_of[gram] for gram in grams], minlength=dim)
-    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
-    norms[norms == 0.0] = 1.0       # empty text stays the zero vector
-    rows /= norms[:, None]
+    rows = np.zeros((len(texts), config.dimension))
+    for start in range(0, len(texts), _BLOCK):
+        _embed_block(texts[start:start + _BLOCK], rows[start:start + _BLOCK])
     return rows
 
 

@@ -355,6 +355,32 @@ def brute_force_topk(query_vector, doc_vectors, doc_ids, k):
     return scored[:k]
 
 
+# --- hashed trigram embedding: one gram at a time, plain integers ----------------
+
+def fnv1a64(data):
+    """FNV-1a 64 of a byte string: xor each byte in, then multiply by the
+    prime, modulo 2**64."""
+    h = 0xCBF29CE484222325
+    for byte in data:
+        h = ((h ^ byte) * 0x100000001B3) % 2 ** 64
+    return h
+
+
+def ref_embedding(text, dimension, n=3):
+    """The unit-norm bucket counts of a text's character n-grams, as a list
+    of floats: lowercase, collapse whitespace runs to one space, take every
+    n-character window (the whole text if shorter), bucket each by FNV-1a 64
+    of its UTF-8 bytes modulo `dimension`. Empty text is the zero vector."""
+    text = " ".join(text.lower().split())
+    counts = [0] * dimension
+    if text:
+        grams = [text[i:i + n] for i in range(len(text) - n + 1)] or [text]
+        for gram in grams:
+            counts[fnv1a64(gram.encode("utf-8")) % dimension] += 1
+    norm = math.sqrt(sum(c * c for c in counts)) or 1.0
+    return [c / norm for c in counts]
+
+
 # --- ontology metric formulas re-coded directly ----------------------------------
 
 def ref_metrics(c, op, dp, sc, ind, cwi, ax):

@@ -750,6 +750,38 @@ class TestConfigFile:
         code, _, err = run(capsys, "--config", str(config), "bands", "print")
         assert code == 1 and err == f"firedss: error: {config}:{where}\n"
 
+    # int() would read '٢' (Arabic-Indic two) and '８' (fullwidth eight) as
+    # digits and '1_0' as 10: a `batch_size = ٢` line streamed 259 batches
+    @pytest.mark.parametrize("value", ["\u0662", "1_0", "x", "\uff18", "", "1.0"])
+    @pytest.mark.parametrize("key", ["batch_size", "embed_dim", "seed"])
+    def test_integer_setting_is_ascii_digits(self, capsys, tmp_path, key, value):
+        config = tmp_path / "c.conf"
+        config.write_text(f"# run settings\n{key} = {value}\n", encoding="utf-8")
+        sink = tmp_path / "alerts.jsonl"
+        code, stdout, err = run(capsys, "--config", str(config), "stream", "--dataset",
+                                str(data_path("forestfires_synthetic.csv")),
+                                "--sink", str(sink))
+        assert (code, stdout) == (1, "")
+        assert err == f"firedss: error: {config}:2: {key} must be an integer, got {value!r}\n"
+        assert not sink.exists()
+
+    @pytest.mark.parametrize("flag", ["--batch-size", "--seed", "--embed-dim", "-k"])
+    @pytest.mark.parametrize("value", ["\u0662", "1_0", "x", "\uff18"])
+    def test_integer_flag_is_ascii_digits(self, capsys, flag, value):
+        command = {"--batch-size": ["stream"], "--seed": ["preprocess", "in", "out"]}.get(
+            flag, ["retrieve", "query"])
+        with pytest.raises(SystemExit) as exc:
+            cli.main(command + [flag, value])
+        assert exc.value.code == 2
+        assert f"invalid integer: {value!r}" in capsys.readouterr().err
+
+    def test_signed_integer_setting_is_read(self, capsys, tmp_path, small_csv):
+        config = tmp_path / "c.conf"
+        config.write_text("batch_size = +1\n", encoding="utf-8")
+        code, stdout, _ = run(capsys, "--config", str(config), "stream",
+                              "--dataset", small_csv, "--sink", str(tmp_path / "s.jsonl"))
+        assert code == 0 and json.loads(stdout)["batches_out"] == 1
+
     def test_non_utf8_config_is_named(self, capsys, tmp_path):
         config = tmp_path / "bad.conf"
         config.write_bytes(b"batch_size = 20\n# \xff\n")
@@ -818,7 +850,7 @@ class TestErrorPaths:
         ({"c.jsonl": '{"id": "a", "text": ""}\n'}, ["retrieve", "fire", "--corpus", "c.jsonl"],
          1, "corpus line 1: document 'a' has empty text"),
         ({}, ["preprocess", _TABLE, "o.csv", "--op", "zscore=area", "--op", "log1p_area"], 1,
-         "row 1: area -0.4623816308743384 < 0"),
+         "record 2: area -0.4623816308743384 < 0"),
         ({}, ["preprocess", _TABLE, "o.csv", "--op", "zscore=month"], 1,
          "column month is categorical; zscore needs a numeric column"),
         ({}, ["preprocess", _TABLE, "o.csv", "--op", "ordinal=FFMC"], 1,

@@ -271,6 +271,14 @@ class TestLogTransform:
         out = ingest.log_transform_area(ingest.parse_dataset(make_csv(ROW1)))
         assert out.provenance[-1]["name"] == "log1p"
 
+    def test_negative_area_names_its_record_from_1(self):
+        d = ingest.parse_dataset(make_csv(ROW1, ROW1))
+        i = d.column_index("area")
+        hacked = Dataset(d.schema, [d.rows[0], d.rows[1][:i] + (-1.5,) + d.rows[1][i + 1:]],
+                         d.provenance)
+        with pytest.raises(ingest.NegativeInput, match="^record 2: area -1.5 < 0$"):
+            ingest.log_transform_area(hacked)
+
 
 class TestZscore:
     def base(self, values):
@@ -349,6 +357,16 @@ class TestOneHot:
                          d.provenance)
         with pytest.raises(UnknownToken):
             ingest.one_hot_encode(hacked, ["day"])
+
+    @pytest.mark.parametrize("encode", [ingest.one_hot_encode, ingest.ordinal_encode])
+    def test_unknown_token_names_its_record_from_1(self, encode):
+        # a Dataset row has no file line after filter or resample, so
+        # transform errors count the Dataset's records from 1
+        d = ingest.parse_dataset(make_csv(ROW1, ROW1))
+        hacked = Dataset(d.schema, [d.rows[0], tuple("xyz" if v == "mon" else v
+                                                     for v in d.rows[1])], d.provenance)
+        with pytest.raises(UnknownToken, match="^record 2, column day: unknown token 'xyz'$"):
+            encode(hacked, ["day"])
 
     @given(st.integers(min_value=0, max_value=10 ** 9))
     @settings(max_examples=60, deadline=None)

@@ -13,7 +13,7 @@ from firedss.retrieval import (
     VectorIndex, embed, prf_scores,
 )
 
-from oracles import brute_force_topk
+from oracles import brute_force_topk, fnv1a64, ref_embedding
 
 # where str.splitlines breaks a line besides "\n" and "\r"
 UNICODE_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
@@ -65,8 +65,8 @@ class TestEmbed:
             return {text[i:i + 3] for i in range(len(text) - 2)}
 
         assert not (grams(a_text) & grams(b_text))
-        buckets_a = {retrieval._fnv1a64(g.encode()) % 4096 for g in grams(a_text)}
-        buckets_b = {retrieval._fnv1a64(g.encode()) % 4096 for g in grams(b_text)}
+        buckets_a = {fnv1a64(g.encode()) % 4096 for g in grams(a_text)}
+        buckets_b = {fnv1a64(g.encode()) % 4096 for g in grams(b_text)}
         assert not (buckets_a & buckets_b), "bucket collision; pick other texts"
         assert embed(a_text, config) @ embed(b_text, config) == 0.0
 
@@ -348,22 +348,67 @@ class TestIndexStorage:
         for doc, row in zip(idx.docs, idx._vectors):
             assert np.array_equal(row, embed(doc.text))
 
-    def test_each_distinct_gram_hashed_once_per_add(self, corpus_text, monkeypatch):
-        hashed = []
-        fnv = retrieval._fnv1a64
+    @pytest.mark.parametrize("dim", [8, 256])
+    def test_corpus_rows_are_the_oracle_rows(self, corpus_text, dim):
+        idx = retrieval.load_corpus(corpus_text, EmbedderConfig(dimension=dim))
+        want = np.array([ref_embedding(doc.text, dim) for doc in idx.docs])
+        assert idx._vectors.tobytes() == want.tobytes()
 
-        def counting(data):
-            hashed.append(data)
-            return fnv(data)
 
-        monkeypatch.setattr(retrieval, "_fnv1a64", counting)
-        idx = retrieval.load_corpus(corpus_text)
-        grams = set()
-        for doc in idx.docs:
-            text = " ".join(doc.text.lower().split())
-            grams.update(text[i:i + 3] for i in range(len(text) - 2))
-        assert len(hashed) == len(set(hashed))
-        assert set(hashed) == {g.encode("utf-8") for g in grams}
+# characters whose UTF-8 takes 1-4 bytes, Unicode whitespace that `split`
+# collapses (NBSP, ideographic space, line separator), a combining accent,
+# fullwidth forms, a capital whose lowercase is two code points, astral ones
+_ASCII = string.ascii_letters + string.digits + " .,-" + " \t\n"
+_UNICODE = (_ASCII + "çéßΣ\u0130\u0301\u00a0\u3000\u2028ＡＢｆ１火災\u07ff\u0800\uffff"
+            "🔥🌲\U00010000\U0010ffff")
+
+
+def _kernel_batch(rng, size):
+    """Seeded texts of 0-40 characters, some whitespace only, drawn from
+    ASCII alone or from all of `_UNICODE` (one choice per batch, since a
+    block of ASCII bytes takes its own path)."""
+    alphabet = rng.choice((_ASCII, _UNICODE))
+    texts = []
+    for _ in range(size):
+        length = rng.choice((0, 1, 2, 3, 4, 7, 40))
+        if rng.random() < 0.1:
+            texts.append("".join(rng.choice(" \t\n\u00a0\u3000") for _ in range(length)))
+        else:
+            texts.append("".join(rng.choice(alphabet) for _ in range(length)))
+    return texts
+
+
+class TestKernelMatchesOracle:
+    """`_embed_rows` hashes a block of texts in one vectorised pass; its rows
+    are bit for bit those of hashing each gram on its own (`ref_embedding`)."""
+
+    @pytest.mark.parametrize("dim", [8, 64, 256, 1000])
+    @pytest.mark.parametrize("size", [1, 2, retrieval._BLOCK - 1, retrieval._BLOCK,
+                                      2 * retrieval._BLOCK + 1])
+    def test_rows_equal_the_oracle_bit_for_bit(self, dim, size):
+        rng = random.Random(dim * 1000 + size)
+        config = EmbedderConfig(dimension=dim)
+        for _ in range(6 if size < retrieval._BLOCK else 2):
+            texts = _kernel_batch(rng, size)
+            got = retrieval._embed_rows(texts, config)
+            want = np.array([ref_embedding(text, dim) for text in texts])
+            assert got.tobytes() == want.tobytes(), texts
+
+    def test_embed_and_index_rows_are_the_kernel_rows(self):
+        texts = _kernel_batch(random.Random(7), 3 * retrieval._BLOCK)
+        rows = retrieval._embed_rows(texts, EmbedderConfig())
+        for text, row in zip(texts, rows):
+            assert embed(text).tobytes() == row.tobytes()
+        docs = [DocRecord(f"d{n}", text) for n, text in enumerate(texts) if text]
+        idx = VectorIndex(docs)
+        assert idx._vectors.tobytes() == np.array(
+            [ref_embedding(d.text, 256) for d in docs]).tobytes()
+
+    @pytest.mark.parametrize("texts", [["\ud800"], ["ok", "  \udfff  "],
+                                       ["ok"] * (retrieval._BLOCK + 5) + ["fire \ud83d"]])
+    def test_lone_surrogate_raises(self, texts):
+        with pytest.raises(retrieval.RetrievalError, match="not valid Unicode"):
+            retrieval._embed_rows(texts, EmbedderConfig())
 
 
 class TestInputEdges:
