@@ -39,7 +39,6 @@ DATATYPE_IRIS = {
     "string": XSD + "string",
     "boolean": XSD + "boolean",
 }
-_IRI_TO_DATATYPE = {v: k for k, v in DATATYPE_IRIS.items()}
 
 
 class GraphError(ValueError):
@@ -91,6 +90,11 @@ class Iri(Term):
 _NUMERIC_LEXICAL = {"integer": re.compile(r"[+-]?[0-9]+"),
                     "decimal": re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)")}
 
+# datatype -> the test of its lexical space; None for string, whose
+# lexical space is any text
+_LEXICAL_SPACES = {**{dt: rx.fullmatch for dt, rx in _NUMERIC_LEXICAL.items()},
+                   "boolean": ("true", "false").__contains__, "string": None}
+
 
 class Literal(Term):
     __slots__ = ()
@@ -99,40 +103,52 @@ class Literal(Term):
     datatype = property(operator.itemgetter(2))
 
     def __new__(cls, lexical, datatype="string"):
-        if datatype not in DATATYPE_IRIS:
+        if datatype not in _LEXICAL_SPACES:
             raise GraphError(f"unsupported datatype: {datatype}")
-        if datatype in _NUMERIC_LEXICAL:
-            if not _NUMERIC_LEXICAL[datatype].fullmatch(lexical):
-                raise GraphError(f"bad {datatype} lexical form: {lexical!r}")
-        elif datatype == "boolean" and lexical not in ("true", "false"):
-            raise GraphError(f"bad boolean lexical form: {lexical!r}")
+        in_space = _LEXICAL_SPACES[datatype]
+        if in_space is not None and not in_space(lexical):
+            raise GraphError(f"bad {datatype} lexical form: {lexical!r}")
         return tuple.__new__(cls, (cls, lexical, datatype))
 
 
+# builds a term or a Triple from the tuple of its items without the class's
+# own Python-level __new__, and so without its checks
+_new = tuple.__new__
+
+# the exact types whose lexical form `literal_for` writes inside its
+# datatype's lexical space
+_BUILT_IN = (int, float, str)
+
+
 def literal_for(value) -> Literal:
-    """Map a Python value onto the closest typed literal."""
-    if isinstance(value, bool):
-        return Literal("true" if value else "false", "boolean")
-    if isinstance(value, int):
-        return Literal(str(value), "integer")
+    """Map a Python value onto the closest typed literal.
+
+    Each literal is checked once. For an exact `int`, `float` or `str` the
+    check is the construction: `str` of an int is an XSD integer, `repr` of
+    a finite float, written without its exponent, an XSD decimal, and any
+    text a string, so the `Literal` is built without the constructor's
+    checks. Any other value (a `bool`, a numpy scalar, a subclass, whose
+    `str` or `repr` may be anything) goes through the checked `Literal`."""
     if isinstance(value, float):
         if not math.isfinite(value):
             raise GraphError(f"no xsd:decimal for {value!r}")
-        text = repr(value)
-        if "e" in text:         # the same digits, written without an exponent
-            text = format(decimal.Decimal(text), "f")
-        return Literal(text, "decimal")
-    return Literal(str(value), "string")
+        lexical, datatype = repr(value), "decimal"
+        if "e" in lexical:      # the same digits, written without an exponent
+            lexical = format(decimal.Decimal(lexical), "f")
+    elif isinstance(value, bool):
+        return Literal("true" if value else "false", "boolean")
+    elif isinstance(value, int):
+        lexical, datatype = str(value), "integer"
+    else:
+        lexical, datatype = str(value), "string"
+    if type(value) in _BUILT_IN:
+        return _new(Literal, (Literal, lexical, datatype))
+    return Literal(lexical, datatype)
 
 
 class Triple(namedtuple("Triple", "subject predicate object")):
     """The tuple (subject, predicate, object) of terms."""
     __slots__ = ()
-
-
-# builds a Triple from a tuple of its terms without the namedtuple's own
-# Python-level __new__
-_new = tuple.__new__
 
 
 class _Memo(dict):
@@ -208,12 +224,19 @@ class Graph:
 def csv_to_graph(dataset, base) -> Graph:
     """One triple per (row, column): subject <base>row<i>,
     predicate <base><column>, object typed from the cell value
-    (int -> integer, float -> decimal, token -> string)."""
+    (int -> integer, float -> decimal, token -> string).
+
+    Each predicate IRI is checked once per table, and the subject IRI
+    once, as <base>row0, if the table has rows: `row<i>` adds only ASCII
+    letters and digits after <base>, so it cannot change whether the IRI
+    is valid. Each cell's literal is checked as `literal_for` says."""
     base = base.value if isinstance(base, Iri) else base
     predicates = [Iri(base + col.name) for col in dataset.schema]
+    if dataset.rows:
+        Iri(f"{base}row0")      # raises GraphError if no row IRI is valid
     triples = []
     for i, row in enumerate(dataset.rows):
-        subject = Iri(f"{base}row{i}")
+        subject = _new(Iri, (Iri, f"{base}row{i}"))
         triples += [_new(Triple, (subject, p, literal_for(v))) for p, v in zip(predicates, row)]
     return Graph(triples, {"ds": base})
 
@@ -221,15 +244,30 @@ def csv_to_graph(dataset, base) -> Graph:
 # --- serialization -----------------------------------------------------------
 
 def _term_nt(term):
+    """`term` in N-Triples. Only a string's lexical form is escaped: the
+    lexical spaces of the other datatypes hold no character to escape."""
     if term[0] is Iri:
         return f"<{term[1]}>"
-    return f'"{escape(term[1])}"^^<{DATATYPE_IRIS[term[2]]}>'
+    lexical = escape(term[1]) if term[2] == "string" else term[1]
+    return f'"{lexical}"^^<{DATATYPE_IRIS[term[2]]}>'
+
+
+def _iri_text(term):
+    """The text of a subject or predicate, which must be an IRI."""
+    if term[0] is not Iri:
+        raise GraphError(f"subject or predicate is not an IRI: {term!r}")
+    return term[1]
 
 
 def serialize(g: Graph, format="ntriples") -> str:
-    """Serialize a graph: canonical N-Triples (sorted lines) or RDF-XML."""
+    """Serialize a graph: canonical N-Triples (sorted lines) or RDF-XML.
+
+    A subject or predicate that is not an IRI raises `GraphError`. Each
+    distinct subject and predicate is checked and written once; each
+    object is written once per triple, its lexical form escaped only if
+    it is a string (see `_term_nt`)."""
     if format == "ntriples":
-        nt = _Memo(_term_nt)        # subjects and predicates repeat
+        nt = _Memo(lambda t: f"<{_iri_text(t)}>")     # subjects and predicates repeat
         lines = sorted([f"{nt[s]} {nt[p]} {_term_nt(o)} ." for s, p, o in g.triples])
         return "\n".join(lines) + ("\n" if lines else "")
     if format == "rdfxml":
@@ -275,8 +313,9 @@ def _serialize_rdfxml(g: Graph) -> str:
             iri_to_prefix[ns] = f"ns{counter}"
         return f"{iri_to_prefix[ns]}:{local}"
 
+    text = _Memo(_iri_text)         # subjects and predicates repeat
     by_subject = {}
-    for t in sorted(g.triples, key=lambda t: (t.subject, t.predicate, _term_nt(t.object))):
+    for t in sorted(g.triples, key=lambda t: (text[t[0]], text[t[1]], _term_nt(t[2]))):
         by_subject.setdefault(t.subject, []).append(t)
 
     body = []
@@ -298,11 +337,19 @@ def _serialize_rdfxml(g: Graph) -> str:
             f"<rdf:RDF{attrs}>\n" + "\n".join(body) + "\n</rdf:RDF>\n")
 
 
-# terms are separated by spaces and tabs, the N-Triples whitespace
+# a line of one triple: spaces and tabs, the N-Triples whitespace, between
+# its terms and around it, and a CR that may end it (CRLF). A literal's
+# text is runs of plain characters between escapes, which the regex engine
+# takes a run at a time.
 _NT_LINE = re.compile(
-    r'<(?P<s>[^>]+)>[ \t]+<(?P<p>[^>]+)>[ \t]+'
-    r'(?:<(?P<o_iri>[^>]+)>|"(?P<o_lex>(?:[^"\\]|\\.)*)"'
-    r'(?:\^\^<(?P<o_dt>[^>]+)>)?)[ \t]*\.')
+    r'[ \t]*<(?P<s>[^>]+)>[ \t]+<(?P<p>[^>]+)>[ \t]+'
+    r'(?:<(?P<o_iri>[^>]+)>|"(?P<o_lex>[^"\\]*(?:\\.[^"\\]*)*)"'
+    r'(?:\^\^<(?P<o_dt>[^>]+)>)?)[ \t]*\.[ \t]*\r?')
+
+# datatype IRI (None for an untyped literal, a string) -> the datatype and
+# the test of its lexical space
+_LITERAL_KINDS = {None: ("string", None),
+                  **{iri: (dt, _LEXICAL_SPACES[dt]) for dt, iri in DATATYPE_IRIS.items()}}
 
 
 def _literal_error(_, message):
@@ -312,16 +359,20 @@ def _literal_error(_, message):
 def parse_ntriples(text: str) -> Graph:
     """Parse N-Triples as produced by serialize(); duplicate lines collapse.
     Spaces and tabs may stand around a line and between its terms, and a
-    CR may end it (CRLF); no other whitespace is taken. Each distinct IRI
-    text is checked and made into an `Iri` once."""
+    CR may end it (CRLF); no other whitespace is taken. A line is stripped
+    and tested for a blank or a comment only when it is not a triple.
+
+    Each distinct IRI text is checked and made into an `Iri` once. Each
+    literal is checked once: its datatype IRI is looked up, and its
+    lexical form tested against that datatype's lexical space."""
     iris = _Memo(Iri)
     triples = []
     for lineno, raw in enumerate(text.split("\n"), 1):
-        line = raw.removesuffix("\r").strip(" \t")
-        if not line or line.startswith("#"):
-            continue
-        m = _NT_LINE.fullmatch(line)
+        m = _NT_LINE.fullmatch(raw)
         if m is None:
+            line = raw.removesuffix("\r").strip(" \t")
+            if not line or line.startswith("#"):
+                continue
             reason = "missing terminal '.'" if not line.endswith(".") else "malformed triple"
             raise NTriplesSyntaxError(lineno, reason)
         s, p, o_iri, lex, dt_iri = m.groups()
@@ -333,13 +384,13 @@ def parse_ntriples(text: str) -> Graph:
             else:
                 if "\\" in lex:
                     lex = unescape(lex, _literal_error)
-                if dt_iri is None:
-                    datatype = "string"
-                else:
-                    datatype = _IRI_TO_DATATYPE.get(dt_iri)
-                    if datatype is None:
-                        raise GraphError(f"unsupported datatype IRI {dt_iri!r}")
-                obj = Literal(lex, datatype)
+                kind = _LITERAL_KINDS.get(dt_iri)
+                if kind is None:
+                    raise GraphError(f"unsupported datatype IRI {dt_iri!r}")
+                datatype, in_space = kind
+                if in_space is not None and not in_space(lex):
+                    raise GraphError(f"bad {datatype} lexical form: {lex!r}")
+                obj = _new(Literal, (Literal, lex, datatype))
         except GraphError as exc:
             raise NTriplesSyntaxError(lineno, str(exc)) from None
         triples.append(_new(Triple, (subject, predicate, obj)))

@@ -1,8 +1,10 @@
 import copy
 import pickle
 import random
+import re
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -143,6 +145,14 @@ class TestCsvToGraph:
         d = ingest.parse_dataset("X,Y,month,day,FFMC,DMC,DC,ISI,temp,RH,wind,rain,area\n")
         g = csv_to_graph(d, EX)
         assert len(g) == 0 and g.prefixes
+
+    def test_row_iri_is_checked_once_per_table(self):
+        # "urn" + ":x" is an absolute IRI, "urn" + "row0" has no scheme
+        schema = [ingest.Column(":x", "numeric")]
+        with pytest.raises(GraphError, match="not an absolute IRI: 'urnrow0'"):
+            csv_to_graph(ingest.Dataset(schema, [(1.5,), (2,)]), "urn")
+        g = csv_to_graph(ingest.Dataset(schema, []), "urn")
+        assert len(g) == 0 and g.prefixes == {"ds": "urn"}
 
     def test_triple_count_invariant_random(self):
         rng = random.Random(4)
@@ -326,6 +336,67 @@ class TestXsdLexicalSpaces:
         with pytest.raises(GraphError):
             semweb.literal_for(value)
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(),
+                     st.integers(min_value=-10**400, max_value=10**400)))
+    def test_literal_for_builds_only_checked_literals(self, value):
+        literal = semweb.literal_for(value)
+        assert semweb._NUMERIC_LEXICAL[literal.datatype].fullmatch(literal.lexical)
+        checked = Literal(literal.lexical, literal.datatype)
+        assert literal == checked and type(literal) is Literal
+        assert type(literal.lexical) is str
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.text())
+    def test_literal_for_keeps_any_text(self, value):
+        assert semweb.literal_for(value) == Literal(value, "string")
+
+    class Count(int):
+        def __str__(self):
+            return "many"
+
+    class Ratio(float):
+        def __repr__(self):
+            return "half"
+
+    class Whole(int):
+        pass
+
+    class Real(float):
+        pass
+
+    class Name(str):
+        pass
+
+    @pytest.mark.parametrize("value,literal", [
+        (True, Literal("true", "boolean")), (False, Literal("false", "boolean")),
+        (Whole(5), Literal("5", "integer")), (Real(0.5), Literal("0.5", "decimal")),
+        (Name("aug"), Literal("aug")), (None, Literal("None")),
+    ], ids=repr)
+    def test_literal_for_other_types_keep_the_checked_result(self, value, literal):
+        got = semweb.literal_for(value)
+        assert got == literal and type(got.lexical) is str
+
+    @pytest.mark.parametrize("value,message", [
+        (Count(3), "bad integer lexical form: 'many'"),
+        (Ratio(0.5), "bad decimal lexical form: 'half'"),
+    ], ids=repr)
+    def test_literal_for_other_types_keep_the_checked_error(self, value, message):
+        with pytest.raises(GraphError, match=re.escape(message)):
+            semweb.literal_for(value)
+
+    def test_literal_for_numpy_float_takes_the_checked_path(self):
+        # numpy 2 writes np.float64(0.5), outside the decimal space; numpy 1
+        # writes 0.5
+        value = np.float64(0.5)
+        try:
+            expected = Literal(repr(value), "decimal")
+        except GraphError as exc:
+            with pytest.raises(GraphError, match=re.escape(str(exc))):
+                semweb.literal_for(value)
+        else:
+            assert semweb.literal_for(value) == expected
+
     def test_integer_past_the_int_string_digit_limit(self):
         digits = "1" * 5000
         xsd = semweb.XSD
@@ -376,6 +447,20 @@ class TestRdfXml:
     def test_unknown_format_rejected(self):
         with pytest.raises(GraphError):
             serialize(Graph(), "turtle")
+
+
+@pytest.mark.parametrize("place", ["subject", "predicate"])
+@pytest.mark.parametrize("format", ["ntriples", "rdfxml"])
+def test_literal_subject_or_predicate_is_refused(place, format):
+    # beside a good triple, RDF-XML's sort would compare an Iri with the
+    # Literal; alone, the Literal's missing `value` would be read
+    terms = {"subject": iri("s"), "predicate": iri("p"), "object": iri("o")}
+    terms[place] = Literal("a")
+    g = Graph([Triple(iri("s"), iri("p"), iri("o")), Triple(*terms.values())])
+    with pytest.raises(GraphError, match=re.escape(repr(Literal("a")))):
+        serialize(g, format)
+    with pytest.raises(GraphError, match=re.escape(repr(Literal("a")))):
+        serialize(Graph([Triple(*terms.values())]), format)
 
 
 REGION_QUERY = """\
