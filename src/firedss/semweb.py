@@ -105,6 +105,8 @@ class Literal(Term):
     def __new__(cls, lexical, datatype="string"):
         if datatype not in _LEXICAL_SPACES:
             raise GraphError(f"unsupported datatype: {datatype}")
+        if not isinstance(lexical, str):
+            raise GraphError(f"{datatype} lexical form is not text: {lexical!r}")
         in_space = _LEXICAL_SPACES[datatype]
         if in_space is not None and not in_space(lexical):
             raise GraphError(f"bad {datatype} lexical form: {lexical!r}")
@@ -245,11 +247,16 @@ def csv_to_graph(dataset, base) -> Graph:
 
 def _term_nt(term):
     """`term` in N-Triples. Only a string's lexical form is escaped: the
-    lexical spaces of the other datatypes hold no character to escape."""
-    if term[0] is Iri:
-        return f"<{term[1]}>"
-    lexical = escape(term[1]) if term[2] == "string" else term[1]
-    return f'"{lexical}"^^<{DATATYPE_IRIS[term[2]]}>'
+    lexical spaces of the other datatypes hold no character to escape.
+    An object without the items of an `Iri` or a `Literal` (a text, a rule
+    term, None) raises GraphError naming it."""
+    try:
+        if term[0] is Iri:
+            return f"<{term[1]}>"
+        lexical = escape(term[1]) if term[2] == "string" else term[1]
+        return f'"{lexical}"^^<{DATATYPE_IRIS[term[2]]}>'
+    except (TypeError, IndexError, KeyError, AttributeError):
+        raise GraphError(f"not an RDF term: {term!r}") from None
 
 
 def _iri_text(term):

@@ -17,13 +17,29 @@ naming its record, whatever the band trigger. Then:
 * the six code columns are aggregated (max by default) and classified,
   emitting one alert per quantity; a mean past the float range fails the
   batch naming its first record;
-* the rule set, compiled once per RuleSet, is saturated over the facts,
-  and each derived fact becomes a RULE alert, its offsets taken from the
-  batch's individual -> offset map (any other ``rec_<n>`` giving n, for n
-  in canonical decimal form). RULE alerts come in the order of their
-  facts' ``rules.format_atom`` text, which is joined from one per-batch
-  table of each argument term's text and offsets rather than formatted
-  per fact.
+* a record-local rule set (every rule has a body atom and reads one
+  record: each atom has the rule's one record variable first, heads are
+  unary, and each code
+  value is a fresh variable that builtins compare only with numbers; see
+  _record_tests) derives for a record only what its signature fixes: its
+  named label predicates and the outcome of each distinct (code,
+  comparison, constant) test. Such a set is saturated once per signature,
+  over the facts of the first record that has it, and a memo keeps the
+  (head predicate, rule) pairs it derived; every record takes its RULE
+  alerts from the memo. A batch_evaluate call has its own memo, and a
+  run_pipeline call shares one across its batches. Whether a set is
+  record local, and its signature's layout, are decided once per
+  (ClassBands, RuleSet), with the encoding;
+* any other rule set, compiled once per RuleSet, is saturated over the
+  facts of the whole batch, and each derived fact becomes a RULE alert,
+  its offsets taken from the batch's individual -> offset map (any other
+  ``rec_<n>`` giving n, for n in canonical decimal form). Only such a set
+  can raise a TypeClash.
+
+RULE alerts come in the order of their facts' ``rules.format_atom`` text,
+which is joined from the record's individual (and, on the whole-batch
+path, from one per-batch table of each argument term's text and offsets)
+rather than formatted per fact, so both paths write the same lines.
 
 A batch's sink lines are written from templates: the fixed parts of a
 line are cut from one ``AlertEvent.to_json`` call per (batch, kind,
@@ -47,6 +63,7 @@ with CorruptCheckpoint.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import functools
 import hashlib
 import itertools
@@ -356,32 +373,136 @@ def _label_table(bands):
     return table
 
 
-_ENCODINGS = weakref.WeakKeyDictionary()   # RuleSet -> {ClassBands: its _encoding}
+_ENCODINGS = weakref.WeakKeyDictionary()   # RuleSet -> {ClassBands: its _Encoding}
+
+# code predicate -> its position in alert order
+_CODE_POSITIONS = {code: k for k, (_, _, code, _) in enumerate(_ALERT_QUANTITIES)}
+# per comparison builtin, the operator f with f(constant, code) its outcome
+# when written op(?code, constant), then when written op(constant, ?code)
+_TEST_OPERATORS = {"lessThan": (operator.gt, operator.lt),
+                   "lessThanOrEqual": (operator.ge, operator.le),
+                   "greaterThan": (operator.lt, operator.gt),
+                   "greaterThanOrEqual": (operator.le, operator.ge),
+                   "equal": (operator.eq, operator.eq),
+                   "notEqual": (operator.ne, operator.ne)}
+
+
+class _Encoding(namedtuple("_Encoding", "quantities labels tests")):
+    """What batch_evaluate needs of one (ClassBands, RuleSet) pair.
+    `quantities`: per quantity in alert order whose label or code predicate
+    a rule names, (its position, its label predicates by band index with
+    None for each that no rule names, or None for none, its code predicate
+    or None). `labels`: (position, label predicates) of those with named
+    labels. `tests`: None if the rule set is not record local, else its
+    distinct code tests as (position, test), test(code) their outcome."""
+
+    __slots__ = ()
+
+
+def _record_tests(rules):
+    """The distinct (code position, comparison, constant) tests of a record
+    local rule set, each as (position, test) with test(code) its outcome;
+    None if the set is not record local. It is when every rule has a body
+    atom, every body and head atom has the rule's one record variable
+    first, heads are unary, every binary body atom is a code atom whose
+    value is a variable that no other atom uses, and every builtin
+    compares such a variable with a number. No binding then joins facts
+    of two records, so a record's derivations depend only on its named
+    labels and the outcomes of these tests."""
+    tests = {}
+    for rule in rules:
+        atoms = rule.positive_atoms()
+        record = atoms[0][1][:1] if atoms else ()
+        if not record or record[0][0] is not rules_mod.Variable:
+            return None
+        if any(args != record for _, args in rule.head):
+            return None
+        codes = {}      # code variable -> its quantity position
+        for predicate, args in atoms:
+            if args == record:
+                continue
+            if len(args) != 2 or args[0] != record[0] or predicate not in _CODE_POSITIONS:
+                return None
+            value = args[1]
+            if value[0] is not rules_mod.Variable or value == record[0] or value in codes:
+                return None
+            codes[value] = _CODE_POSITIONS[predicate]
+        for builtin in rule.builtins():
+            a, b = builtin.args
+            if a in codes and b[0] is rules_mod.Num:
+                tests[codes[a], _TEST_OPERATORS[builtin.op][0], b[1]] = None
+            elif b in codes and a[0] is rules_mod.Num:
+                tests[codes[b], _TEST_OPERATORS[builtin.op][1], a[1]] = None
+            else:
+                return None
+    return tuple((k, functools.partial(test, constant)) for k, test, constant in tests)
 
 
 def _encoding(bands, rules):
-    """The part of record_facts' encoding that `rules` can read: per
-    quantity in alert order whose label or code predicate a rule names,
-    (its position, its label predicates by band index with None for each
-    that no rule names, or None for none, its code predicate or None)."""
+    """The _Encoding of (bands, rules), made once per pair."""
     by_bands = _ENCODINGS.get(rules)
     if by_bands is None:
         by_bands = _ENCODINGS.setdefault(rules, weakref.WeakKeyDictionary())
     encoding = by_bands.get(bands)
     if encoding is None:
         named = rules.predicates
-        encoding = []
+        quantities = []
         for k, (labels, (_, _, code, _)) in enumerate(zip(_label_table(bands),
-                                                            _ALERT_QUANTITIES)):
+                                                           _ALERT_QUANTITIES)):
             if labels is not None and not named.isdisjoint(labels):
                 labels = tuple(p if p in named else None for p in labels)
             else:
                 labels = None
             code = code if code in named else None
             if labels or code:
-                encoding.append((k, labels, code))
-        encoding = by_bands[bands] = tuple(encoding)
+                quantities.append((k, labels, code))
+        encoding = by_bands[bands] = _Encoding(
+            tuple(quantities), tuple((k, labels) for k, labels, _ in quantities if labels),
+            _record_tests(rules))
     return encoding
+
+
+def _named_facts(quantities, individual, indexes, values):
+    """The facts of record_facts for one record whose predicate a rule
+    names, in record_facts order; `quantities` as in _Encoding."""
+    make_atom, num = rules_mod.make_atom, rules_mod.Num
+    subject = (individual,)
+    facts = []
+    for k, labels, code in quantities:
+        if labels is not None:
+            label = labels[indexes[k]]
+            if label is not None:
+                facts.append(make_atom((label, subject)))
+        if code is not None:
+            facts.append(make_atom((code, (individual, _Num((num, float(values[k])))))))
+    return facts
+
+
+# the memo of the run_pipeline call in progress: (bands, rules, {record
+# signature: what its record derives})
+_RUN_MEMO = contextvars.ContextVar("firedss.stream run memo", default=None)
+
+
+@contextlib.contextmanager
+def _run_memo(bands, rules):
+    """Let the batch_evaluate calls of (bands, rules) inside the block share
+    one signature memo."""
+    token = _RUN_MEMO.set((bands, rules, {}))
+    try:
+        yield
+    finally:
+        _RUN_MEMO.reset(token)
+
+
+def _record_derivations(rules, quantities, name, indexes, values):
+    """(sort-key prefix, head predicate, rule) per fact that the rules
+    derive from one record's named facts alone, the record's individual
+    being `name`."""
+    individual = _Individual((rules_mod.Individual, name))
+    saturated = rules_mod.evaluate(rules, rules_mod.FactBase(
+        _named_facts(quantities, individual, indexes, values)))
+    return tuple([(fact[0] + "(", fact[0], saturated.rule_of(fact))
+                  for fact in saturated.derived()])
 
 
 _first = operator.itemgetter(0)
@@ -429,14 +550,19 @@ def batch_evaluate(batch, bands=fwi.DEFAULT_BANDS, rules=None, aggregate="max"):
     """Alerts for one batch: six aggregate-classification alerts plus one
     RULE alert per fact the rule set derives from the record facts.
 
-    One pass per record classifies its six codes in alert order and, with
-    rules, encodes those of the facts that record_facts gives for the
-    record and its classification whose predicate a rule body or head
-    names, in record_facts order. The others are not built: they can join
-    no body and a head cannot assert them again, so they cannot change a
-    derivation. The first code out of range, or an aggregate mean past
-    the float range, raises BatchEvaluationError naming the batch and the
-    record (the batch's first for a mean)."""
+    One pass per record classifies its six codes in alert order. With
+    rules, only the facts that record_facts gives for the record and its
+    classification whose predicate a rule body or head names are encoded,
+    in record_facts order: the others can join no body and a head cannot
+    assert them again, so they cannot change a derivation. A record-local
+    rule set (see _record_tests) is saturated once per record signature,
+    its named label predicates and its code test outcomes, over the facts
+    of the first record with that signature; every record takes its RULE
+    alerts from that memo, which run_pipeline keeps for its whole run.
+    Any other rule set is saturated over the facts of the whole batch. The
+    first code out of range, or an aggregate mean past the float range,
+    raises BatchEvaluationError naming the batch and the record (the
+    batch's first for a mean)."""
     _label_table(bands)         # all six quantities
     if not batch.records:
         raise StreamError(f"batch {batch.seq} is empty")
@@ -445,9 +571,11 @@ def batch_evaluate(batch, bands=fwi.DEFAULT_BANDS, rules=None, aggregate="max"):
     now = int(time.time() * 1000)
     use_rules = rules is not None and len(rules) > 0
     band_index = bands.band_index
-    encoding = _encoding(bands, rules) if use_rules else ()
-    make_atom, individual_kind, num = rules_mod.make_atom, rules_mod.Individual, rules_mod.Num
-    rows, facts, terms = [], [], {}
+    quantities, labels, tests = _encoding(bands, rules) if use_rules else ((), (), None)
+    if tests is not None:
+        run = _RUN_MEMO.get()
+        memo = run[2] if run is not None and run[0] is bands and run[1] is rules else {}
+    rows, facts, terms, keyed = [], [], {}, []
     for offset, record in batch.records:
         try:
             values = _codes_of(fwi.compute_codes(record))
@@ -455,18 +583,22 @@ def batch_evaluate(batch, bands=fwi.DEFAULT_BANDS, rules=None, aggregate="max"):
         except fwi.OutOfRange as exc:
             raise BatchEvaluationError(batch.seq, offset, exc) from None
         rows.append(values)
-        if use_rules:
-            name = f"rec_{offset}"
-            individual = _Individual((individual_kind, name))
+        if not use_rules:
+            continue
+        name = f"rec_{offset}"
+        if tests is not None:
+            signature = tuple([predicates[indexes[k]] for k, predicates in labels]
+                              + [test(float(values[k])) for k, test in tests])
+            derived = memo.get(signature)
+            if derived is None:
+                derived = memo[signature] = _record_derivations(
+                    rules, quantities, name, indexes, values)
+            for prefix, predicate, rule in derived:
+                keyed.append((prefix + name + ")", predicate, offset, rule))
+        else:
+            individual = _Individual((rules_mod.Individual, name))
             terms[individual] = (name, (offset,))
-            subject = (individual,)
-            for k, labels, code in encoding:
-                if labels is not None:
-                    label = labels[indexes[k]]
-                    if label is not None:
-                        facts.append(make_atom((label, subject)))
-                if code is not None:
-                    facts.append(make_atom((code, (individual, _Num((num, float(values[k])))))))
+            facts += _named_facts(quantities, individual, indexes, values)
 
     offsets = [offset for offset, _ in batch.records]
     events = []
@@ -483,7 +615,11 @@ def batch_evaluate(batch, bands=fwi.DEFAULT_BANDS, rules=None, aggregate="max"):
             raise BatchEvaluationError(batch.seq, hit[0], exc) from None
         events.append(AlertEvent(batch.seq, kind, severity, agg, hit, None, now))
 
-    if use_rules:
+    if tests is not None:
+        keyed.sort(key=_first)
+        events += [_alert_event((batch.seq, "RULE", predicate, None, (offset,), rule, now))
+                   for _, predicate, offset, rule in keyed]
+    elif use_rules:
         try:
             saturated = rules_mod.evaluate(rules, rules_mod.FactBase(facts))
         except rules_mod.TypeClash as exc:
@@ -631,7 +767,7 @@ def run_pipeline(source_spec, sink_path, checkpoint_path=None, batch_size=20,
             sink = open(sink_path, "a", encoding="utf-8")
         except OSError as exc:
             raise IoError(f"cannot open sink {sink_path}: {exc}") from None
-        with sink:
+        with sink, _run_memo(bands, rules):
             for batch in cut_batches(source, batch_size, first_seq):
                 events = batch_evaluate(batch, bands, rules, aggregate)
                 cut = len(tail) % len(events)   # the lines past whole copies of the batch

@@ -463,6 +463,27 @@ def test_literal_subject_or_predicate_is_refused(place, format):
         serialize(Graph([Triple(*terms.values())]), format)
 
 
+@pytest.mark.parametrize("lexical", [5, 5.0, None, b"5", ["5"]])
+@pytest.mark.parametrize("datatype", ["string", "integer", "decimal", "boolean"])
+def test_lexical_form_that_is_not_text_is_refused(lexical, datatype):
+    with pytest.raises(GraphError, match=re.escape(f"{datatype} lexical form is not text: "
+                                                   f"{lexical!r}")):
+        Literal(lexical, datatype)
+
+
+@pytest.mark.parametrize("obj", ["x", "", 5, None, (), ("a",), (semweb.Iri,),
+                                 rules.Str("v"), rules.Individual("rec_1")],
+                         ids=["text", "empty-text", "int", "none", "empty-tuple", "1-tuple",
+                              "bare-kind", "rule-string", "rule-individual"])
+@pytest.mark.parametrize("format", ["ntriples", "rdfxml"])
+def test_object_that_is_not_a_term_is_refused_by_name(obj, format):
+    # beside a good triple and alone
+    bad = Triple(iri("s"), iri("p"), obj)
+    for g in (Graph([Triple(iri("s"), iri("p"), iri("o")), bad]), Graph([bad])):
+        with pytest.raises(GraphError, match=re.escape(f"not an RDF term: {obj!r}")):
+            serialize(g, format)
+
+
 REGION_QUERY = """\
 PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
 PREFIX ex: <http://example.org/forest#>

@@ -25,6 +25,8 @@ from firedss.stream import (
     run_pipeline,
 )
 
+from oracles import naive_saturate
+
 HEADER = "X,Y,month,day,FFMC,DMC,DC,ISI,temp,RH,wind,rain,area"
 TRIGGER_ROW = "8,6,aug,mon,92.3,88.9,495.6,8.5,24.1,27,3.1,0.0,0.0"
 CALM_ROW = "4,5,jan,tue,30.0,2.0,10.0,0.5,5.0,80,2.0,0.0,0.0"
@@ -886,18 +888,21 @@ class TestRealKill:
         rng = random.Random(16)
         sink, cp = tmp_path / "alerts.jsonl", tmp_path / "cp"
         kills = mid_run = episode_kills = 0
-        for _ in range(60):
+        for attempt in range(60):
             if kills >= 20 and mid_run >= kills / 3:
                 break
             size = sink.stat().st_size if sink.exists() else 0
-            delay = rng.uniform(0, wall)
             child = start(sink, cp)
-            # a delay past the reference start-up is timed from this child's
-            # own first sink write, so the share of kills that land mid-run
-            # does not fall when the host slows down
-            if delay > startup:
+            # the draw is stratified: one attempt in three kills during
+            # start-up, the others mid-run, timed from this child's own
+            # first sink write, so the share of kills that land mid-run
+            # depends on neither the host's speed nor the share of the
+            # child's wall time that start-up takes
+            if attempt % 3 == 0:
+                delay = rng.uniform(0, startup)
+            else:
+                delay = rng.uniform(0, wall - startup)
                 first_write(child, sink, size)
-                delay -= startup
             try:
                 child.wait(timeout=delay)
             except subprocess.TimeoutExpired:
@@ -1114,10 +1119,13 @@ class TestBatchPathParity:
             "batch 5, offset 7: dc_class value inf not finite and >= 0")
 
     @staticmethod
-    def _reference(batch, bands, rs, aggregate):
+    def _reference(batch, bands, rs, aggregate, saturate=None):
         """The batch path as it was before one-pass records: fwi.classify and
         record_facts per record, offsets parsed back from rec_<n>; each code
-        of each record, and each aggregate, classified first."""
+        of each record, and each aggregate, classified first. The facts of
+        the whole batch are saturated by rules.evaluate, or by `saturate`,
+        which returns (facts, {derived fact: Derivation}) as
+        oracles.naive_saturate does."""
         per_record = []
         for offset, record in batch.records:
             try:
@@ -1142,11 +1150,15 @@ class TestBatchPathParity:
                 raise stream.BatchEvaluationError(batch.seq, offsets[0], exc) from None
             events.append((kind, severity, agg, offsets, None))
         facts = [f for o, c, cls in per_record for f in stream.record_facts(o, c, cls)]
-        out = rules.evaluate(rs, rules.FactBase(facts))
-        for fact in sorted(out.derived(), key=rules.format_atom):
+        if saturate is None:
+            out = rules.evaluate(rs, rules.FactBase(facts))
+            made = {fact: out.derivations[fact].rule for fact in out.derived()}
+        else:
+            made = {fact: d.rule for fact, d in saturate(rs, facts)[1].items()}
+        for fact in sorted(made, key=rules.format_atom):
             offsets = tuple(int(a.name[4:]) for a in fact.args
                             if isinstance(a, rules.Individual) and a.name.startswith("rec_"))
-            events.append(("RULE", fact.predicate, None, offsets, out.derivations[fact].rule))
+            events.append(("RULE", fact.predicate, None, offsets, made[fact]))
         return events
 
     def test_random_batches_match_the_reference(self, dataset_text, rules_alerts_text):
@@ -1178,14 +1190,15 @@ class TestBatchPathParity:
             outcomes["alerts"] += 1
         assert set(outcomes) == {"alerts", "BatchEvaluationError"}
 
-    def test_saturated_facts_are_the_named_record_facts(self, monkeypatch, alert_rules):
-        # the batch hands the rules the record facts whose predicate a rule
-        # body or head names, in record_facts order, and no others
-        bands = fwi.ClassBands(dict(
-            fwi.DEFAULT_BANDS.bands,
-            dc_class=[(100, "calm"), (300, "a-b"), (math.inf, "très-grim / 2")],
-            spread_rate=[(4, "a b"), (math.inf, "a+b")]), [("dc_class", "a-b")])
-        batch = batch_of([CALM_ROW, TRIGGER_ROW, HIGH_DC_ROW, CALM_ROW], start_offset=9)
+    # dc_class has a label that no rule names, and spread_rate none that one does
+    _NAMING_BANDS = fwi.ClassBands(dict(
+        fwi.DEFAULT_BANDS.bands,
+        dc_class=[(100, "calm"), (300, "a-b"), (math.inf, "très-grim / 2")],
+        spread_rate=[(4, "a b"), (math.inf, "a+b")]), [("dc_class", "a-b")])
+
+    @staticmethod
+    def _handed(monkeypatch, batch, bands, rs):
+        """The facts of each rules.evaluate call that batch_evaluate makes."""
         handed = []
         evaluate = rules.evaluate
 
@@ -1194,18 +1207,58 @@ class TestBatchPathParity:
             return evaluate(rs, facts)
 
         monkeypatch.setattr(rules, "evaluate", recording)
-        batch_evaluate(batch, bands, alert_rules)
-        named = {atom.predicate for rule in alert_rules
-                 for atom in rule.positive_atoms() + rule.head}
-        expected = []
+        batch_evaluate(batch, bands, rs)
+        return handed
+
+    @staticmethod
+    def _named_facts(batch, bands, rs):
+        """Per record, its record_facts whose predicate a rule body or head names."""
+        named = {atom.predicate for rule in rs for atom in rule.positive_atoms() + rule.head}
+        out = []
         for offset, record in batch.records:
             codes = fwi.compute_codes(record)
-            expected.extend(f for f in stream.record_facts(offset, codes, fwi.classify(codes, bands))
-                            if f.predicate in named)
+            out.append([f for f in stream.record_facts(offset, codes, fwi.classify(codes, bands))
+                        if f.predicate in named])
+        return out
+
+    def test_saturated_facts_are_the_named_record_facts(self, monkeypatch, rules_alerts_text):
+        # a rule set that is not record local hands the rules the record
+        # facts whose predicate a rule body or head names, in record_facts
+        # order, and no others, in one call per batch
+        rs = rules.parse_rules(rules_alerts_text + "rule pair: when fireTrigger(?r), "
+                               "mopUpNeeded(?s) then assert pair(?r)\n")
+        assert stream._encoding(self._NAMING_BANDS, rs).tests is None
+        batch = batch_of([CALM_ROW, TRIGGER_ROW, HIGH_DC_ROW, CALM_ROW], start_offset=9)
+        handed = self._handed(monkeypatch, batch, self._NAMING_BANDS, rs)
+        expected = [f for facts in self._named_facts(batch, self._NAMING_BANDS, rs) for f in facts]
         assert handed == [expected]
         # these bands have no DcClass_difficult_and_extensive or SpreadRate_fast
         assert {f.predicate for f in expected} == {
             "DmcClass_difficult_and_extensive", "IgnitionPotential_extremely_easy", "hasDc"}
+
+    def test_record_local_rules_saturate_each_signature_once(self, monkeypatch, alert_rules):
+        # each call is handed one record's named facts, in record_facts
+        # order: those of the first record of each distinct signature, which
+        # here is its named labels and whether its DC is at least 600
+        assert stream._encoding(self._NAMING_BANDS, alert_rules).tests is not None
+        rows = [CALM_ROW, TRIGGER_ROW, HIGH_DC_ROW, CALM_ROW, TRIGGER_ROW, HIGH_DC_ROW]
+        batch = batch_of(rows, start_offset=9)
+        handed = self._handed(monkeypatch, batch, self._NAMING_BANDS, alert_rules)
+        firsts = {}
+        for facts in self._named_facts(batch, self._NAMING_BANDS, alert_rules):
+            signature = (frozenset(f.predicate for f in facts if len(f.args) == 1),
+                         tuple(f.args[1].value >= 600 for f in facts if f.predicate == "hasDc"))
+            firsts.setdefault(signature, facts)
+        assert handed == list(firsts.values())
+        assert [{f.args[0] for f in facts} for facts in handed] == [
+            {rules.Individual(f"rec_{o}")} for o in (9, 10, 11)]
+        # the records after the first of each signature take their alerts
+        # from the memo, as saturating the whole batch gives them
+        got = [(e.kind, e.severity, e.value, e.offsets, e.rule)
+               for e in batch_evaluate(batch, self._NAMING_BANDS, alert_rules) if e.kind == "RULE"]
+        assert got == [e for e in self._reference(batch, self._NAMING_BANDS, alert_rules, "max")
+                       if e[0] == "RULE"]
+        assert {e[3] for e in got} == {(11,), (14,)}     # record 14 from the memo
 
     def test_head_that_asserts_an_input_label_alerts_only_where_it_is_new(self):
         # no body reads DmcClass_*: the records that carry the label already
@@ -1280,3 +1333,210 @@ class TestBatchPathParity:
             derived["input head"] += any(a.predicate in self._UNARY[:-2] + self._BINARY[:-2]
                                          for rule in rs for a in rule.head)
         assert derived["some"] >= 80 and derived["none"] >= 20 and derived["input head"] >= 100
+
+
+_CODE_PREDICATES = tuple(predicate for _, _, predicate, _ in stream._ALERT_QUANTITIES)
+
+
+def _code_values(rows):
+    """Per quantity in alert order, the code values of `rows`."""
+    columns = [[] for _ in _CODE_PREDICATES]
+    for record in records_of(*rows):
+        codes = fwi.compute_codes(record)
+        for column, (_, quantity, _, _) in zip(columns, stream._ALERT_QUANTITIES):
+            column.append(float(getattr(codes, fwi.QUANTITIES[quantity])))
+    return columns
+
+
+class TestRecordLocalDifferential:
+    """batch_evaluate against the whole batch's record_facts saturated by
+    oracles.naive_saturate, for random record-local programs (one
+    saturation per record signature) and programs that join two records
+    (one saturation per batch), under random bands."""
+
+    EXTREME = [TestBatchPathParity.BUI_INF_ROW, TestBatchPathParity.FWI_INF_ROW,
+               "8,6,aug,mon,92.3,1.0,1e308,8.5,24.1,27,3.1,0.0,0.0"]   # a mean past the range
+    _VOCABULARY = ("low", "a-b", "a b", "high", "très grim", "x")
+
+    @classmethod
+    def _random_bands(cls, rng, columns):
+        """Bands of 1-4 labels per quantity, bounds drawn from `columns` and
+        labels from a vocabulary in which "a-b" and "a b" are one predicate."""
+        bands = {}
+        for (_, quantity, _, _), column in zip(stream._ALERT_QUANTITIES, columns):
+            values = sorted({v for v in column if v > 0})
+            uppers = sorted(rng.sample(values, rng.randint(0, min(3, len(values)))))
+            bands[quantity] = [(u, rng.choice(cls._VOCABULARY)) for u in uppers + [math.inf]]
+        return fwi.ClassBands(bands, [])
+
+    @staticmethod
+    def _local_rules(rng, labels, derived, columns):
+        """1-5 record-local rules: bodies of 1-3 label, derived or code
+        atoms, code values compared 0-2 times with a value that a record of
+        the batch has, in either order; heads of 1-2 derived or input labels."""
+        out = []
+        for n in range(rng.randint(1, 5)):
+            record = rules.Variable(rng.choice("rx"))
+            body = []
+            for i in range(rng.randint(1, 3)):
+                if rng.random() < 0.55:
+                    body.append(rules.Atom(rng.choice(labels + derived), (record,)))
+                    continue
+                k = rng.randrange(len(_CODE_PREDICATES))
+                value = rules.Variable(f"v{i}")
+                body.append(rules.Atom(_CODE_PREDICATES[k], (record, value)))
+                for _ in range(rng.choice([0, 1, 1, 2])):
+                    constant = rules.Num(rng.choice(columns[k]))
+                    body.append(rules.Builtin(rng.choice(rules.BUILTIN_OPS), (
+                        (value, constant) if rng.random() < 0.5 else (constant, value))))
+            heads = tuple(rules.Atom(rng.choice(derived if rng.random() < 0.7 else labels),
+                                     (record,)) for _ in range(rng.randint(1, 2)))
+            out.append(rules.RuleDef(f"r{n}", tuple(body), heads))
+        return out
+
+    @staticmethod
+    def _joining_rule(rng, labels, derived):
+        """A rule that joins two records: two record variables, one code
+        value shared by two records, or two code values compared."""
+        r, s = rules.Variable("r"), rules.Variable("s")
+        a, b = rules.Variable("a"), rules.Variable("b")
+        first, second = rng.sample(_CODE_PREDICATES, 2)
+        body = rng.choice([
+            (rules.Atom(rng.choice(labels + derived), (r,)),
+             rules.Atom(rng.choice(labels + derived), (s,))),
+            (rules.Atom(first, (r, a)), rules.Atom(first, (s, a))),
+            (rules.Atom(first, (r, a)), rules.Atom(second, (s, b)),
+             rules.Builtin(rng.choice(rules.BUILTIN_OPS), (a, b))),
+        ])
+        return rules.RuleDef("join", body, (rules.Atom(rng.choice(derived), (rng.choice([r, s]),)),))
+
+    def test_random_programs_match_naive_saturation_of_the_batch(self, dataset_text):
+        rows = dataset_text.splitlines()[1:]
+        everything = _code_values(rows)
+        rng = random.Random(31)
+        seen = Counter()
+        for case in range(320):
+            bands = self._random_bands(rng, everything)
+            labels = [stream._label_predicate(prefix, label)
+                      for _, quantity, _, prefix in stream._ALERT_QUANTITIES if prefix
+                      for label in bands.labels(quantity)]
+            derived = [f"D{i}" for i in range(4)]
+            picked = [rng.choice(rows) for _ in range(rng.randint(1, 30))]
+            program = self._local_rules(rng, labels, derived, _code_values(picked))
+            local = rng.random() < 0.75
+            if not local:
+                program.insert(rng.randint(0, len(program)), self._joining_rule(rng, labels, derived))
+            rs = rules.RuleSet(program)
+            assert (stream._encoding(bands, rs).tests is not None) == local, program
+            if rng.random() < 0.1:
+                picked[rng.randrange(len(picked))] = rng.choice(self.EXTREME)
+            batch = batch_of(picked, seq=case, start_offset=rng.randint(0, 50))
+            aggregate = rng.choice(["max", "mean"])
+            try:
+                expected = TestBatchPathParity._reference(batch, bands, rs, aggregate,
+                                                          naive_saturate)
+            except stream.BatchEvaluationError as exc:
+                with pytest.raises(stream.BatchEvaluationError) as caught:
+                    batch_evaluate(batch, bands, rs, aggregate)
+                assert str(caught.value) == str(exc)
+                seen["error"] += 1
+                continue
+            got = batch_evaluate(batch, bands, rs, aggregate)
+            assert [(e.kind, e.severity, e.value, e.offsets, e.rule) for e in got] == expected, \
+                program
+            rule_alerts = sum(e.kind == "RULE" for e in got)
+            seen["local" if local else "joining"] += 1
+            seen[f"{'local' if local else 'joining'} alerts"] += rule_alerts > 0
+            seen["input head alerts"] += any(e.kind == "RULE" and e.severity in labels
+                                             for e in got)
+            seen["records"] += len(batch)
+        assert seen["local alerts"] >= 120 and seen["joining alerts"] >= 30, seen
+        assert seen["input head alerts"] >= 60 and seen["error"] >= 8, seen
+    
+
+class TestRecordLocality:
+    """Which rule sets batch_evaluate saturates once per record signature
+    (record local) and which over the whole batch."""
+
+    LOCAL = [
+        "rule a: when DcClass_difficult_and_extensive(?r) then assert a(?r)",
+        "rule a: when hasDc(?r, ?dc), greaterThanOrEqual(?dc, 600) then assert a(?r)\n"
+        "rule b: when a(?x), hasDmc(?x, ?v), lessThan(40, ?v), notEqual(?v, 50.5) "
+        "then assert b(?x), DmcClass_easy(?x)",
+        "rule a: when hasFwi(?r, ?v), hasIsi(?r, ?w) then assert a(?r)",
+        "rule a: when Ghost(?r) then assert a(?r)",
+        "rule a: when hasDc(?r) then assert hasDc(?r)",    # unary, so not a code atom
+    ]
+    NON_LOCAL = {
+        "shared code variable": "hasDc(?r, ?v), hasDmc(?r, ?v) then assert a(?r)",
+        "code variable in a label atom": "hasDc(?r, ?v), Ghost(?v) then assert a(?r)",
+        "record variable as a code": "hasDc(?r, ?r) then assert a(?r)",
+        "two record variables": "Ghost(?r), Ghost(?s) then assert a(?r)",
+        "code atom of another variable": "Ghost(?r), hasDc(?s, ?v) then assert a(?r)",
+        "code atom of a constant individual": "Ghost(?r), hasDc(rec_1, ?v) then assert a(?r)",
+        "constant individual in the body": "Ghost(?r), Ghost(rec_1) then assert a(?r)",
+        "constant individual first": "hasDc(rec_1, ?v) then assert a(rec_1)",
+        "constant individual in the head": "Ghost(?r) then assert a(rec_3)",
+        "binary head": "hasDc(?r, ?v) then assert near(?r, ?v)",
+        "builtin between two code variables":
+            "hasDc(?r, ?a), hasDmc(?r, ?b), greaterThan(?a, ?b) then assert a(?r)",
+        "builtin between two numbers": "hasDc(?r, ?v), greaterThan(2, 1) then assert a(?r)",
+        "Str builtin argument": 'hasDc(?r, ?v), equal(?v, "600") then assert a(?r)',
+        "Bool builtin argument": "hasDc(?r, ?v), equal(true, ?v) then assert a(?r)",
+        "individual builtin argument": "hasDc(?r, ?v), notEqual(?v, rec_1) then assert a(?r)",
+        "record variable in a builtin": "hasDc(?r, ?v), lessThan(?r, 5) then assert a(?r)",
+        "constant in a code position": "hasDc(?r, 600) then assert a(?r)",
+        "binary atom of no code": "rel(?r, ?v) then assert a(?r)",
+    }
+
+    @staticmethod
+    def _calls(monkeypatch, batch, rs):
+        calls = []
+        evaluate = rules.evaluate
+
+        def counting(rs, facts):
+            calls.append(len(facts))
+            return evaluate(rs, facts)
+
+        monkeypatch.setattr(rules, "evaluate", counting)
+        try:
+            batch_evaluate(batch, rules=rs)
+        except stream.BatchEvaluationError:     # a clashing builtin fails in its one call
+            pass
+        return calls
+
+    @pytest.mark.parametrize("text", LOCAL)
+    def test_record_local_sets_saturate_once_per_signature(self, monkeypatch, text):
+        rs = rules.parse_rules(text)
+        assert stream._encoding(fwi.DEFAULT_BANDS, rs).tests is not None
+        batch = batch_of([CALM_ROW, TRIGGER_ROW, CALM_ROW, HIGH_DC_ROW, TRIGGER_ROW])
+        assert 1 <= len(self._calls(monkeypatch, batch, rs)) <= 3
+
+    @pytest.mark.parametrize("body", NON_LOCAL.values(), ids=NON_LOCAL.keys())
+    def test_other_sets_saturate_the_whole_batch(self, monkeypatch, body):
+        rs = rules.parse_rules("rule mop_up: when DcClass_difficult_and_extensive(?r) "
+                               f"then assert mopUp(?r)\nrule odd: when {body}")
+        assert stream._encoding(fwi.DEFAULT_BANDS, rs).tests is None
+        batch = batch_of([CALM_ROW, TRIGGER_ROW, CALM_ROW, HIGH_DC_ROW, TRIGGER_ROW])
+        assert len(self._calls(monkeypatch, batch, rs)) == 1
+
+    def test_a_rule_without_body_atoms_is_not_record_local(self):
+        rule = rules.RuleDef("bare", (rules.Builtin("lessThan", (rules.Num(1), rules.Num(2))),),
+                             (rules.Atom("a", (rules.Individual("rec_0"),)),))
+        rs = rules.RuleSet([rule])
+        assert stream._encoding(fwi.DEFAULT_BANDS, rs).tests is None
+        events = batch_evaluate(batch_of([CALM_ROW]), rules=rs)
+        assert [(e.severity, e.offsets, e.rule) for e in events if e.kind == "RULE"] == [
+            ("a", (0,), "bare")]
+
+    @pytest.mark.parametrize("builtin, cause", [
+        ('greaterThan(?dc, "x")', 'greaterThan requires numbers, got 573.5 / "x"'),
+        ("equal(true, ?dc)", "equal on mismatched kinds true / 573.5"),
+    ])
+    def test_a_clash_is_raised_as_before(self, dataset_text, builtin, cause):
+        rows = dataset_text.split("\n")[1:4]
+        clash = rules.parse_rules(f"rule clash: when hasDc(?r, ?dc), {builtin} then assert X(?r)")
+        with pytest.raises(stream.BatchEvaluationError) as caught:
+            batch_evaluate(batch_of(rows, seq=4, start_offset=40), rules=clash)
+        assert str(caught.value) == (
+            f"batch 4, offset 40: rule clash: {cause} (bindings {{?dc=573.5, ?r=rec_40}})")
