@@ -19,6 +19,7 @@ trigger, DEFAULT_BANDS, are read from data/default.bands.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from collections import namedtuple
@@ -248,8 +249,9 @@ class ClassBands:
 
     Bands are half-open [lo, hi); the last band of every quantity is
     unbounded. `trigger` is a conjunction of (quantity, label) pairs that
-    defines the fire-trigger predicate. A value is looked up by bisection
-    of its quantity's upper bounds, tabled once here.
+    defines the fire-trigger predicate. A column of values is looked up by
+    bisection of its quantity's upper bounds, tabled once here, after one
+    range check of the whole column; a single value is a column of one.
     """
 
     def __init__(self, bands, trigger):
@@ -258,7 +260,8 @@ class ClassBands:
         self.trigger = tuple((q, l) for q, l in trigger)
         for q, bs in self.bands.items():
             _check_bands(q, bs)
-        self._uppers = {q: tuple(u for u, _ in bs) for q, bs in self.bands.items()}
+        self._lookups = {q: functools.partial(bisect_right, tuple(u for u, _ in bs))
+                         for q, bs in self.bands.items()}
         for q, label in self.trigger:
             if q not in self.bands:
                 raise BandConfigError(f"trigger references unknown quantity {q}")
@@ -268,11 +271,23 @@ class ClassBands:
     def labels(self, quantity):
         return tuple(l for _, l in self.bands[quantity])
 
+    def band_indexes(self, quantity, values):
+        """The positions of the bands of `quantity` that hold a sequence of
+        values, in its order. Every value must be finite and >= 0: the
+        first that is not raises OutOfRange."""
+        try:    # min finds a negative value, and sum a NaN or an infinite one
+            checked = 0.0 <= min(values) and sum(values) < math.inf
+        except OverflowError:   # a float plus an int past the float range
+            checked = False
+        if not checked:     # or a sum of finite values overflowed
+            for value in values:
+                if not 0.0 <= value < math.inf:
+                    raise OutOfRange(f"{quantity} value {value} not finite and >= 0")
+        return list(map(self._lookups[quantity], values))
+
     def band_index(self, quantity, value):
         """The position of the band of `quantity` that holds `value`."""
-        if not 0.0 <= value < math.inf:
-            raise OutOfRange(f"{quantity} value {value} not finite and >= 0")
-        return bisect_right(self._uppers[quantity], value)
+        return self.band_indexes(quantity, (value,))[0]
 
     def classify_value(self, quantity, value):
         return self.bands[quantity][self.band_index(quantity, value)][1]

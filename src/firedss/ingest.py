@@ -11,6 +11,7 @@ replayable and diffable.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import json
@@ -185,8 +186,9 @@ def _canonical_schema():
 
 
 def _token_parser(name):
-    """The parser of a month or day cell: its token, lower-cased, which
-    must be in the column's vocabulary."""
+    """The parsers of a month or day cell and of a column of them: a
+    token is the cell's text, lower-cased, which must be in the column's
+    vocabulary."""
     vocabulary = frozenset(VOCABULARIES[name])
 
     def parse(line, text):
@@ -194,15 +196,22 @@ def _token_parser(name):
         if token not in vocabulary:
             raise RangeViolation(line, name, token)
         return token
-    return parse
+
+    def parse_column(texts):
+        tokens = list(map(str.lower, texts))
+        if not vocabulary.issuperset(tokens):   # or a cell has spaces around its token
+            tokens = list(map(str.lower, map(str.strip, texts)))
+            if not vocabulary.issuperset(tokens):
+                return None
+        return tokens
+    return parse, parse_column
 
 
 def _number_parser(name, kind, lo, hi):
-    """The parser of a numeric cell: `kind` of its text, a float finite,
-    then in [lo, hi] (None: unbounded on that side). The bounds compare
-    with the value as it is, so a huge integer cell cannot overflow."""
-    lo = -math.inf if lo is None else lo
-    hi = math.inf if hi is None else hi
+    """The parsers of a numeric cell and of a column of them: `kind` of
+    its text, a float finite, then in [lo, hi] (None: unbounded on that
+    side). The bounds compare with the value as it is, so a huge integer
+    cell cannot overflow."""
     isfinite = math.isfinite if kind is float else None
 
     def parse(line, text):
@@ -213,14 +222,32 @@ def _number_parser(name, kind, lo, hi):
             raise BadCell(line, name, text) from None
         if isfinite is not None and not isfinite(value):
             raise BadCell(line, name, text)
-        if not lo <= value <= hi:
+        if lo is not None and value < lo or hi is not None and value > hi:
             raise RangeViolation(line, name, value)
         return value
-    return parse
+
+    def parse_column(texts):
+        try:
+            values = list(map(kind, texts))
+        except ValueError:
+            # kind() skips the spaces that str.strip does, but for \x1c-\x1f
+            try:
+                values = list(map(kind, map(str.strip, texts)))
+            except ValueError:
+                return None
+        # a NaN or an infinity makes the sum non-finite, as may finite values
+        if (isfinite is not None and not isfinite(sum(values))
+                and not all(map(isfinite, values))
+                or lo is not None and min(values) < lo
+                or hi is not None and max(values) > hi):
+            return None
+        return values
+    return parse, parse_column
 
 
-# per canonical column, parse(line, cell text) -> its value, raising
-# BadCell or RangeViolation with the 1-based line
+# per canonical column, (parse(line, cell text) -> its value, raising
+# BadCell or RangeViolation with the 1-based line; parse_column(cell texts)
+# -> their values, or None where parse would raise for a cell)
 _PARSERS = tuple(_token_parser(name) if name in VOCABULARIES else
                  _number_parser(name, *_NUMBERS[name]) for name in CANONICAL_COLUMNS)
 
@@ -245,21 +272,40 @@ def _header_order(fields):
 
 def _parse_row(line, fields, columns):
     """The values of one row in canonical column order; `columns` pairs
-    each canonical column's parser with its index in the header."""
+    each canonical column's parsers with its index in the header."""
     if len(fields) != len(CANONICAL_COLUMNS):
         raise BadCell(line, "<row>", ",".join(fields))
-    return tuple([parse(line, fields[i]) for parse, i in columns])
+    return tuple([parse(line, fields[i]) for (parse, _), i in columns])
 
 
-def _rows(lines, header):
+def _parse_block(rows, ends, columns):
+    """The value tuples of a block of CSV rows, `ends` holding the line
+    that each row ends on: the block is transposed once and each column
+    parsed as a whole. If a row has the wrong width or a cell fails its
+    column's checks, the block is parsed again row by row, which gives
+    the rows before the first bad cell and then raises its error."""
+    try:
+        cells = tuple(zip(*rows, strict=True))
+    except ValueError:
+        cells = ()
+    if len(cells) == len(CANONICAL_COLUMNS):
+        values = [parse_column(cells[i]) for (_, parse_column), i in columns]
+        if None not in values:
+            return zip(*values)
+    return map(_parse_row, ends, rows, itertools.repeat(columns))
+
+
+def _rows(lines, header, block):
     """Value tuples in canonical column order from CSV lines, skipping one
-    leading byte order mark and blank rows; see iter_records for ``header``.
-    A bad row or a CSV error names the 1-based line that the csv reader
-    had reached, a row that spans lines by its last."""
+    leading byte order mark and blank rows; see iter_records for ``header``
+    and ``block``. A bad row or a CSV error names the 1-based line that the
+    csv reader had reached, a row that spans lines by its last; the rows
+    read before a CSV error are parsed, and their errors raised, first."""
     lines = iter(lines)
     lines = itertools.chain([next(lines, "").removeprefix("\ufeff")], lines)
     reader = csv.reader(lines)
     rows = (f for f in reader if len(f) > 1 or (f and f[0].strip()))
+    pending, ends, error = [], [], None     # rows read and not yet parsed, their last lines
     try:
         first = next(rows, None)
         if first is None:
@@ -274,9 +320,17 @@ def _rows(lines, header):
             rows = itertools.chain([first], rows)
         columns = tuple(zip(_PARSERS, order))
         for fields in rows:
-            yield _parse_row(reader.line_num, fields, columns)
+            pending.append(fields)
+            ends.append(reader.line_num)
+            if len(pending) == block:
+                yield from _parse_block(pending, ends, columns)
+                pending, ends = [], []
     except csv.Error as exc:
-        raise DatasetError(f"line {reader.line_num}: {exc}") from None
+        error = DatasetError(f"line {reader.line_num}: {exc}")
+    if pending:
+        yield from _parse_block(pending, ends, columns)
+    if error is not None:
+        raise error
 
 
 def parse_dataset(csv_text):
@@ -285,13 +339,19 @@ def parse_dataset(csv_text):
     The header is matched case-insensitively and columns may appear in any
     order; rows are re-keyed by header name. Quoted cells are accepted when
     well formed, but this schema never needs quoting and malformed quoting
-    surfaces as a BadCell (wrong cell count after CSV splitting).
+    surfaces as a BadCell (wrong cell count after CSV splitting). The rows
+    are parsed as one block (see iter_records).
     """
     lines = io.StringIO(csv_text) if isinstance(csv_text, str) else csv_text
-    return Dataset(_canonical_schema(), _rows(lines, header=True), ({"name": "parse"},))
+    rows = _rows(lines, header=True, block=None)
+    return Dataset(_canonical_schema(), rows, ({"name": "parse"},))
 
 
-def iter_records(lines, header=True):
+# _record(values) is WeatherRecord(*values) without a Python-level call
+_record = functools.partial(tuple.__new__, WeatherRecord)
+
+
+def iter_records(lines, header=True, block=1):
     """Lazily parse records from an iterable of CSV lines, by the same rules
     as parse_dataset.
 
@@ -299,8 +359,15 @@ def iter_records(lines, header=True):
     header=False reads every row as a record in canonical order, and
     header=None takes the first row as a header exactly when its cells are
     the 13 names.
+
+    Records are parsed by blocks of `block` rows after the header (None:
+    one block). A block is read whole, and no line past it, before its
+    first record is given, and is then parsed column by column, each
+    column by one call of its parser over all its cells. Any error is the
+    one that parsing row by row in file order meets first, raised after
+    the records before it.
     """
-    yield from map(WeatherRecord._make, _rows(lines, header))
+    yield from map(_record, _rows(lines, header, block))
 
 
 def serialize_csv(d: Dataset) -> str:

@@ -4,26 +4,30 @@ classification + rule evaluation, alert emission, and checkpointed resume.
 A source is one generator that holds what it opened (a socket's listener
 and connection, or the file) until it ends or is closed; run_pipeline
 closes it on every exit. Batches are cut by record count (default 20),
-which keeps file replay deterministic. One pass over each record computes
-its codes, classifies all six through ClassBands.band_index and encodes
-the record as facts (record_facts: individual ``rec_<offset>`` with one
-unary atom per classification label and one binary atom per code). Only
-the atoms whose predicate a rule body or head names are built: no other
-fact can join a body or be asserted by a head, so none can change a
-derivation. Which those are is tabled once per (ClassBands, RuleSet). The
-first code outside [0, inf) fails the batch with a BatchEvaluationError
-naming its record, whatever the band trigger. Then:
+which keeps file replay deterministic; run_pipeline's source parses its
+records by blocks of the batch size, so it reads no line past the batch
+it is cutting. A batch is evaluated by columns: the codes of its records
+are computed, each of the six code columns is classified by one
+ClassBands.band_indexes call, and the records are encoded as facts
+(record_facts: individual ``rec_<offset>`` with one unary atom per
+classification label and one binary atom per code). Only the atoms whose
+predicate a rule body or head names are built: no other fact can join a
+body or be asserted by a head, so none can change a derivation. Which
+those are is tabled once per (ClassBands, RuleSet). The first code
+outside [0, inf) fails the batch with a BatchEvaluationError naming its
+record, whatever the band trigger; the batch is then evaluated again
+record by record to find it. Then:
 
 * the six code columns are aggregated (max by default) and classified,
   emitting one alert per quantity; a mean past the float range fails the
   batch naming its first record;
 * a record-local rule set (every rule has a body atom and reads one
   record: each atom has the rule's one record variable first, heads are
-  unary, and each code
-  value is a fresh variable that builtins compare only with numbers; see
-  _record_tests) derives for a record only what its signature fixes: its
-  named label predicates and the outcome of each distinct (code,
-  comparison, constant) test. Such a set is saturated once per signature,
+  unary, and each code value is a fresh variable that builtins compare
+  only with numbers; see _record_tests) derives for a record only what
+  its signature fixes: its named label predicates and the outcome of
+  each distinct (code, comparison, constant) test. The signatures are
+  built a column at a time. Such a set is saturated once per signature,
   over the facts of the first record that has it, and a memo keeps the
   (head predicate, rule) pairs it derived; every record takes its RULE
   alerts from the memo. A batch_evaluate call has its own memo, and a
@@ -253,7 +257,7 @@ def parse_source(spec):
     return SourceSpec(f"file:{path}", "file", path, rate)
 
 
-def open_source(spec, start_offset=0):
+def open_source(spec, start_offset=0, block=1):
     """Open the record source named by a spec (see parse_source) as a
     generator of (offset, WeatherRecord) pairs, offsets counting up from
     start_offset.
@@ -261,14 +265,17 @@ def open_source(spec, start_offset=0):
     Files must start with a header, stdin may, and socket lines are
     headerless records. File replay skips to start_offset for checkpoint
     resume. A socket is bound and a file found here, so a bad source fails
-    at once; closing the generator closes what it has opened.
+    at once; closing the generator closes what it has opened. Records are
+    parsed by blocks of `block` (see ingest.iter_records), so a source
+    reads no line past the block it is giving. A file that is not UTF-8
+    raises IoError naming it and the line of its first bad byte.
     """
-    source = _numbered_records(parse_source(spec), start_offset)
+    source = _numbered_records(parse_source(spec), start_offset, block)
     next(source)
     return source
 
 
-def _numbered_records(spec, start_offset):
+def _numbered_records(spec, start_offset, block):
     """open_source's generator: its first step binds a socket, takes stdin
     or checks that a file exists, and yields None; the rest yields the
     numbered records, holding what it opened until it ends or is closed."""
@@ -285,20 +292,40 @@ def _numbered_records(spec, start_offset):
             yield
             conn, _addr = listener.accept()
             with conn, conn.makefile("r", encoding="utf-8", newline="") as lines:
-                yield from enumerate(ingest.iter_records(lines, header=False), start_offset)
+                records = ingest.iter_records(lines, header=False, block=block)
+                yield from enumerate(records, start_offset)
     elif spec.kind == "stdin":
         yield
-        yield from enumerate(ingest.iter_records(sys.stdin, header=None), start_offset)
+        records = ingest.iter_records(sys.stdin, header=None, block=block)
+        yield from enumerate(records, start_offset)
     elif not Path(spec.target).is_file():
         raise IoError(f"no such file: {spec.target}")
     else:
         yield
         with open(spec.target, "r", encoding="utf-8") as fh:
-            records = itertools.islice(ingest.iter_records(fh, header=True), start_offset, None)
-            for pair in enumerate(records, start_offset):
-                if spec.rate is not None:
-                    time.sleep(1.0 / spec.rate)
-                yield pair
+            records = itertools.islice(ingest.iter_records(fh, header=True, block=block),
+                                       start_offset, None)
+            try:
+                for pair in enumerate(records, start_offset):
+                    if spec.rate is not None:
+                        time.sleep(1.0 / spec.rate)
+                    yield pair
+            except UnicodeDecodeError as exc:
+                raise IoError(_undecodable(spec.target, exc)) from None
+
+
+def _undecodable(path, exc):
+    """The error text of a file that is not UTF-8, `exc` being what its
+    decoder raised: the path, then the line and the file position of the
+    first bad byte, found by decoding the file's bytes again."""
+    try:
+        Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as whole:
+        line = whole.object.count(b"\n", 0, whole.start) + 1
+        return f"cannot read {path}: line {line}: {whole}"
+    except OSError:
+        pass
+    return f"cannot read {path}: {exc}"
 
 
 def _check_batch_size(size):
@@ -546,23 +573,39 @@ def _rule_alerts(saturated, table, seq, now):
     return [event for _, event in keyed]
 
 
+def _first_failure(batch, bands):
+    """Raise BatchEvaluationError for the first record of `batch` whose
+    codes or bands fail, as evaluating it record by record meets it."""
+    for offset, record in batch.records:
+        try:
+            for quantity, value in zip(_quantities, _codes_of(fwi.compute_codes(record))):
+                bands.band_index(quantity, value)
+        except fwi.OutOfRange as exc:
+            raise BatchEvaluationError(batch.seq, offset, exc) from None
+
+
 def batch_evaluate(batch, bands=fwi.DEFAULT_BANDS, rules=None, aggregate="max"):
     """Alerts for one batch: six aggregate-classification alerts plus one
     RULE alert per fact the rule set derives from the record facts.
 
-    One pass per record classifies its six codes in alert order. With
-    rules, only the facts that record_facts gives for the record and its
-    classification whose predicate a rule body or head names are encoded,
-    in record_facts order: the others can join no body and a head cannot
-    assert them again, so they cannot change a derivation. A record-local
-    rule set (see _record_tests) is saturated once per record signature,
-    its named label predicates and its code test outcomes, over the facts
-    of the first record with that signature; every record takes its RULE
-    alerts from that memo, which run_pipeline keeps for its whole run.
-    Any other rule set is saturated over the facts of the whole batch. The
-    first code out of range, or an aggregate mean past the float range,
-    raises BatchEvaluationError naming the batch and the record (the
-    batch's first for a mean)."""
+    The batch is evaluated by columns: each record's codes are computed,
+    and each of the six code columns, in alert order, is banded by one
+    ClassBands.band_indexes call. If any of that fails, the batch is
+    evaluated again record by record to raise the error of the first
+    record that fails. With rules, only the facts that record_facts gives
+    for a record and its classification whose predicate a rule body or
+    head names are encoded, in record_facts order: the others can join no
+    body and a head cannot assert them again, so they cannot change a
+    derivation. A record-local rule set (see _record_tests) is saturated
+    once per record signature, its named label predicates and its code
+    test outcomes, over the facts of the first record with that
+    signature; the signatures are built a column at a time (the label
+    predicates taken by band index, each test mapped over its code
+    column). Every record takes its RULE alerts from that memo, which
+    run_pipeline keeps for its whole run. Any other rule set is saturated
+    over the facts of the whole batch. The first code out of range, or an
+    aggregate mean past the float range, raises BatchEvaluationError
+    naming the batch and the record (the batch's first for a mean)."""
     _label_table(bands)         # all six quantities
     if not batch.records:
         raise StreamError(f"batch {batch.seq} is empty")
@@ -570,62 +613,64 @@ def batch_evaluate(batch, bands=fwi.DEFAULT_BANDS, rules=None, aggregate="max"):
 
     now = int(time.time() * 1000)
     use_rules = rules is not None and len(rules) > 0
-    band_index = bands.band_index
     quantities, labels, tests = _encoding(bands, rules) if use_rules else ((), (), None)
-    if tests is not None:
-        run = _RUN_MEMO.get()
-        memo = run[2] if run is not None and run[0] is bands and run[1] is rules else {}
-    rows, facts, terms, keyed = [], [], {}, []
-    for offset, record in batch.records:
-        try:
-            values = _codes_of(fwi.compute_codes(record))
-            indexes = tuple(map(band_index, _quantities, values))
-        except fwi.OutOfRange as exc:
-            raise BatchEvaluationError(batch.seq, offset, exc) from None
-        rows.append(values)
-        if not use_rules:
-            continue
-        name = f"rec_{offset}"
-        if tests is not None:
-            signature = tuple([predicates[indexes[k]] for k, predicates in labels]
-                              + [test(float(values[k])) for k, test in tests])
-            derived = memo.get(signature)
-            if derived is None:
-                derived = memo[signature] = _record_derivations(
-                    rules, quantities, name, indexes, values)
-            for prefix, predicate, rule in derived:
-                keyed.append((prefix + name + ")", predicate, offset, rule))
-        else:
-            individual = _Individual((rules_mod.Individual, name))
-            terms[individual] = (name, (offset,))
-            facts += _named_facts(quantities, individual, indexes, values)
+    offsets, records = zip(*batch.records)
+    try:
+        rows = list(map(_codes_of, map(fwi.compute_codes, records)))
+        columns = list(zip(*rows))
+        indexes = list(map(bands.band_indexes, _quantities, columns))
+    except fwi.OutOfRange:
+        _first_failure(batch, bands)
+        raise
 
-    offsets = [offset for offset, _ in batch.records]
     events = []
-    for (kind, quantity, _, _), column in zip(_ALERT_QUANTITIES, zip(*rows)):
+    for (kind, quantity, _, _), column in zip(_ALERT_QUANTITIES, columns):
         if aggregate == "max":
             agg = max(column)
-            hit = tuple(o for v, o in zip(column, offsets) if v == agg)
+            hit = tuple(itertools.compress(offsets, map(operator.eq, column,
+                                                        itertools.repeat(agg))))
         else:
             agg = sum(column) / len(column)
-            hit = tuple(offsets)
+            hit = offsets
         try:
             severity = bands.classify_value(quantity, agg)
         except fwi.OutOfRange as exc:   # only a mean can leave the range
             raise BatchEvaluationError(batch.seq, hit[0], exc) from None
         events.append(AlertEvent(batch.seq, kind, severity, agg, hit, None, now))
+    if not use_rules:
+        return events
 
     if tests is not None:
+        run = _RUN_MEMO.get()
+        memo = run[2] if run is not None and run[0] is bands and run[1] is rules else {}
+        parts = ([map(predicates.__getitem__, indexes[k]) for k, predicates in labels]
+                 + [map(test, map(float, columns[k])) for k, test in tests])
+        signatures = zip(*parts) if parts else itertools.repeat(())
+        keyed = []
+        for offset, signature, values, record_indexes in zip(offsets, signatures, rows,
+                                                             zip(*indexes)):
+            derived = memo.get(signature)
+            if derived is None:
+                derived = memo[signature] = _record_derivations(
+                    rules, quantities, f"rec_{offset}", record_indexes, values)
+            for prefix, predicate, rule in derived:
+                keyed.append((f"{prefix}rec_{offset})", predicate, offset, rule))
         keyed.sort(key=_first)
         events += [_alert_event((batch.seq, "RULE", predicate, None, (offset,), rule, now))
                    for _, predicate, offset, rule in keyed]
-    elif use_rules:
-        try:
-            saturated = rules_mod.evaluate(rules, rules_mod.FactBase(facts))
-        except rules_mod.TypeClash as exc:
-            raise BatchEvaluationError(batch.seq, batch.first_offset, exc) from None
-        events += _rule_alerts(saturated, terms, batch.seq, now)
-    return events
+        return events
+
+    facts, terms = [], {}
+    for offset, values, record_indexes in zip(offsets, rows, zip(*indexes)):
+        name = f"rec_{offset}"
+        individual = _Individual((rules_mod.Individual, name))
+        terms[individual] = (name, (offset,))
+        facts += _named_facts(quantities, individual, record_indexes, values)
+    try:
+        saturated = rules_mod.evaluate(rules, rules_mod.FactBase(facts))
+    except rules_mod.TypeClash as exc:
+        raise BatchEvaluationError(batch.seq, batch.first_offset, exc) from None
+    return events + _rule_alerts(saturated, terms, batch.seq, now)
 
 
 # --- checkpoints ---------------------------------------------------------------
@@ -758,7 +803,7 @@ def run_pipeline(source_spec, sink_path, checkpoint_path=None, batch_size=20,
         start_offset, first_seq = cp.offset, cp.batch_seq + 1
 
     stats = PipelineStats()
-    with contextlib.closing(open_source(source_spec, start_offset)) as source:
+    with contextlib.closing(open_source(source_spec, start_offset, batch_size)) as source:
         started = time.perf_counter()
         try:
             # only a file source replays a batch that a kill cut short record for record

@@ -315,7 +315,10 @@ class TestStream:
          "fwi_class value inf not finite and >= 0"),
         (["8,6,aug,mon,92.3,1.0,1e308,8.5,24.1,27,3.1,0.0,0.0"] * 2, ["--aggregate", "mean"],
          "dc_class value inf not finite and >= 0"),
-    ], ids=["bui-overflow", "isi-1e308", "mean-overflow"])
+        (["8,6,aug,mon,92.3,88.9,495.6,1e308,24.1,27,3.1,0.0,0.0",
+          "8,6,aug,mon,92.3,1e308,1e308,8.5,24.1,27,3.1,0.0,0.0"], [],
+         "fwi_class value inf not finite and >= 0"),
+    ], ids=["bui-overflow", "isi-1e308", "mean-overflow", "band-before-a-later-code-error"])
     def test_codes_past_the_float_range_name_the_record(self, capsys, tmp_path, rows,
                                                         flags, cause):
         data = tmp_path / "extreme.csv"
@@ -325,6 +328,38 @@ class TestStream:
         assert code == 1
         assert err == f"firedss: error: batch 0, offset 0: {cause}\n"
 
+    @pytest.mark.parametrize("batch_size, lines", [("1", 12), ("5", 0), ("20", 0)])
+    def test_a_bad_cell_is_reported_before_a_csv_error_after_it(self, capsys, tmp_path,
+                                                                batch_size, lines):
+        # line 4's cell, not line 6's oversized field, whatever the batch size;
+        # with batch size 1 the two batches before it are written
+        huge = ROW.replace(",aug,", ',"' + "a" * 200_000 + '",')
+        data, sink = tmp_path / "order.csv", tmp_path / "alerts.jsonl"
+        data.write_text("\n".join([HEADER, ROW, ROW, ROW.replace("92.3", "abc"), ROW, huge,
+                                   ROW]) + "\n", encoding="utf-8")
+        code, stdout, err = run(capsys, "stream", "--dataset", str(data), "--sink", str(sink),
+                                "--batch-size", batch_size)
+        assert (code, stdout) == (1, "")
+        assert err == "firedss: error: line 4, column FFMC: cannot parse 'abc'\n"
+        assert len(sink.read_text().splitlines()) == lines
+
+    @pytest.mark.parametrize("bad, message", [
+        (ROW.replace("aug", "a\xffg").encode("latin-1") + b"\n" + ROW.encode() + b"\n",
+         "can't decode byte 0xff in position {}: invalid start byte"),
+        (b"\xe2\x82", "can't decode bytes in position {}-{}: unexpected end of data"),
+    ], ids=["bad-start-byte", "cut-sequence-at-the-end"])
+    def test_non_utf8_dataset_exits_1_naming_the_file_and_the_line(self, capsys, tmp_path,
+                                                                     bad, message):
+        # the bad line lies past the decoder's first chunk; the position is
+        # the byte's in the file
+        data, sink = tmp_path / "bad.csv", tmp_path / "alerts.jsonl"
+        good = ("\n".join([HEADER] + [ROW] * 200) + "\n").encode()
+        data.write_bytes(good + bad)
+        at = len(good) + bad.find(b"\xff") if b"\xff" in bad else len(good)
+        code, stdout, err = run(capsys, "stream", "--dataset", str(data), "--sink", str(sink))
+        assert (code, stdout) == (1, "")
+        assert err == (f"firedss: error: cannot read {data}: line 202: 'utf-8' codec "
+                       + message.format(at, at + 1) + "\n")
 
 def _stream_stdin(tmp_path, text):
     """Run `firedss stream --dataset -` in a child process fed ``text``."""

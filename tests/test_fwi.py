@@ -332,6 +332,30 @@ class TestClassify:
                     lookup(quantity, value)
                 assert str(caught.value) == f"{quantity} value {value} not finite and >= 0"
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_column_is_banded_as_each_of_its_values(self, seed):
+        # the first value outside [0, inf) in column order is named; a NaN
+        # anywhere, finite values whose sum overflows and ints past the
+        # float range among floats included
+        rng = random.Random(seed)
+        bands = fwi.DEFAULT_BANDS
+        for _ in range(300):
+            quantity = rng.choice(list(fwi.QUANTITIES))
+            uppers = [u for u, _ in bands.bands[quantity]]
+            column = [rng.choice([rng.uniform(0, 1000), 0.0, 1e308, 10**400, 7])
+                      for _ in range(rng.randint(1, 25))]
+            for _ in range(rng.choice([0, 0, 1, 3])):
+                column[rng.randrange(len(column))] = rng.choice(
+                    [math.nan, math.inf, -math.inf, -1e-300, -1])
+            bad = [v for v in column if not 0.0 <= v < math.inf]
+            if not bad:
+                expected = [sum(u <= v for u in uppers) for v in column]
+                assert bands.band_indexes(quantity, column) == expected, column
+                continue
+            with pytest.raises(OutOfRange) as caught:
+                bands.band_indexes(quantity, column)
+            assert str(caught.value) == f"{quantity} value {bad[0]} not finite and >= 0"
+
     def test_band_index_is_the_label_position(self):
         bands = fwi.DEFAULT_BANDS
         for quantity, entries in bands.bands.items():

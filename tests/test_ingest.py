@@ -219,6 +219,129 @@ class TestUnifiedReader:
             list(ingest.iter_records(io.StringIO(text)))
 
 
+# cells at the edges of each column's parsers: spaces (str.strip's, and
+# those int() and float() take), signs, exponents, underscores, non-ASCII
+# digits, non-finite values, every bound, and tokens in mixed case
+EDGE_CELLS = {
+    "X": ["0", "1", "9", "10", " 4 ", "+5", "1_0", "\u0663", "5.0", "-1", "\x1c4", "4\x1f", ""],
+    "Y": ["1", "2", "9", "10", "0x9", "\u00a07"],
+    "month": ["jan", "AUG", "Dec ", " sEp", "sept", "", "ja n", "\x1cmay"],
+    "day": ["mon", "SUN", "\u2003tue", "xyz", "Fri\x1f"],
+    "FFMC": ["0", "101", "101.0", "101.5", "-0.0", "nan", "NaN", "inf", " 92.3 ", "+1e2",
+             "1E1", "\u0669\u0662.\u0663", "1_0.5", "1__0", "abc", "\x1d50"],
+    "DMC": ["0", "-0.0", "-0.1", "1e308", "1e309", "-nan"],
+    "DC": ["-inf", "0.0", "1_000", "\u00a0700\u2003"],
+    "ISI": ["+0", "-0", ".", "0x1"],
+    "temp": ["-40.5", "-1e308", "-1e309", "nan", "\u00a012", "Infinity"],
+    "RH": ["100", "100.0", "100.1", "0", "-0.0", "-1", "1e2", "1e-2"],
+    "wind": ["0.0", " -0.0", "1e-320", "5e-324"],
+    "rain": ["0", "inf", "+inf"],
+    "area": ["0", "1.5e3", "x", "1_"],
+}
+
+
+def _typed(rows):
+    """Rows as (type, repr) pairs, so that 0.0 and -0.0, or 1 and 1.0, differ."""
+    return [tuple((type(v), repr(v)) for v in row) for row in rows]
+
+
+def _lazy_outcome(rows):
+    """(the rows an iterable gives, typed, and the error that ends it or None)."""
+    got = []
+    try:
+        for row in rows:
+            got.append(row)
+    except ingest.DatasetError as exc:
+        return _typed(got), (type(exc), str(exc))
+    return _typed(got), None
+
+
+def _edge_table(rng, n_rows, p_edge):
+    """A seeded header order, and rows of ROW1's cells with each cell an
+    edge cell with probability p_edge and one in 20 rows a cell short or
+    long, each with its 1-based file line after blank lines."""
+    names = list(ingest.CANONICAL_COLUMNS)
+    rng.shuffle(names)
+    base = dict(zip(ingest.CANONICAL_COLUMNS, ROW1.split(",")))
+    lines, rows, ends = [",".join(names)], [], []
+    for _ in range(n_rows):
+        while rng.random() < 0.1:
+            lines.append("")
+        cells = [rng.choice(EDGE_CELLS[n]) if rng.random() < p_edge else base[n] for n in names]
+        if rng.random() < 0.05:
+            cells = cells[:-1] if rng.random() < 0.5 else cells + ["0"]
+        lines.append(",".join(cells))
+        rows.append(cells)
+        ends.append(len(lines))
+    return names, "\n".join(lines) + "\n", rows, ends
+
+
+class TestBlockParser:
+    """A block of rows is parsed a column at a time; parsing it row by row
+    with _parse_row, in file order, is the oracle."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_each_column_parser_agrees_with_its_cell_parser(self, seed):
+        rng = random.Random(seed)
+        base = dict(zip(ingest.CANONICAL_COLUMNS, ROW1.split(",")))
+        for name, (parse, parse_column) in zip(ingest.CANONICAL_COLUMNS, ingest._PARSERS):
+            for _ in range(60):
+                p_edge = rng.choice([0.05, 0.3, 1.0])
+                cells = tuple(rng.choice(EDGE_CELLS[name]) if rng.random() < p_edge
+                              else base[name] for _ in range(rng.randint(1, 12)))
+                try:
+                    expected = [parse(1, c) for c in cells]
+                except ingest.DatasetError:
+                    expected = None
+                got = parse_column(cells)
+                if expected is None:
+                    assert got is None, (name, cells)
+                else:
+                    assert got is not None, (name, cells)
+                    assert _typed([got]) == _typed([expected]), (name, cells)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_blocks_give_the_rows_or_the_first_error_of_parsing_row_by_row(self, seed,
+                                                                           monkeypatch):
+        parse_row, row_parses = ingest._parse_row, []
+        monkeypatch.setattr(ingest, "_parse_row",
+                            lambda *args: row_parses.append(args) or parse_row(*args))
+        rng = random.Random(seed)
+        for _ in range(40):
+            n_rows = rng.randint(1, 30)
+            p_edge = rng.choice([0.0, 0.01, 0.05, 0.2])
+            names, text, rows, ends = _edge_table(rng, n_rows, p_edge)
+            columns = tuple(zip(ingest._PARSERS, ingest._header_order(names)))
+            expected = _lazy_outcome(
+                parse_row(line, cells, columns) for line, cells in zip(ends, rows))
+            for block in {1, rng.randint(2, n_rows + 1), n_rows, None}:
+                row_parses.clear()
+                got = _lazy_outcome(ingest.iter_records(io.StringIO(text), block=block))
+                assert got == expected, (seed, text, block)
+                # rows are parsed one by one only to report an error
+                assert expected[1] is not None or not row_parses
+            if expected[1] is None:
+                assert _typed(ingest.parse_dataset(text).rows) == expected[0]
+            else:
+                with pytest.raises(expected[1][0]) as err:
+                    ingest.parse_dataset(text)
+                assert str(err.value) == expected[1][1]
+
+    @pytest.mark.parametrize("block", [None, 1, 5, 20])
+    def test_a_bad_cell_is_reported_before_a_csv_error_after_it(self, block):
+        # line 4's cell fails before the reader meets line 6's oversized field
+        huge = ROW1.replace(",aug,", ',"' + "a" * 200_000 + '",')
+        text = make_csv(ROW1, ROW1, ROW1.replace("92.3", "abc"), ROW1, huge, ROW1)
+        message = "^line 4, column FFMC: cannot parse 'abc'$"
+        records = ingest.iter_records(io.StringIO(text), block=block)
+        assert [tuple(next(records)) for _ in range(2)] == \
+            [ingest.parse_dataset(make_csv(ROW1)).rows[0]] * 2
+        with pytest.raises(BadCell, match=message):
+            next(records)
+        with pytest.raises(BadCell, match=message):
+            ingest.parse_dataset(text)
+
+
 class TestByteOrderMark:
     """The reader drops one byte order mark before the first line, in every
     header mode (header=None: TestUnifiedReader.test_detected_header)."""

@@ -170,6 +170,45 @@ class TestSources:
         socket.create_server(("127.0.0.1", port)).close()
         assert (caught.value.batch_seq, caught.value.offset) == (0, 0)
 
+    def test_a_live_source_reads_no_record_past_the_batch_it_cuts(self, tmp_path):
+        # the client sends one batch and keeps the connection open: the
+        # batch's alerts must be written before more input comes
+        listener_probe = socket.socket()
+        listener_probe.bind(("127.0.0.1", 0))
+        port = listener_probe.getsockname()[1]
+        listener_probe.close()
+        sink, outcome = tmp_path / "alerts.jsonl", {}
+        rows = [TRIGGER_ROW, CALM_ROW, HIGH_DC_ROW, CALM_ROW, TRIGGER_ROW]
+
+        def serve():
+            try:
+                outcome["stats"] = run_pipeline(f"socket:127.0.0.1:{port}", sink, batch_size=5)
+            except Exception as exc:
+                outcome["error"] = exc
+
+        server = threading.Thread(target=serve)
+        server.start()
+        deadline = time.monotonic() + 10
+        while True:     # run_pipeline binds the port after the thread starts
+            try:
+                client = socket.create_connection(("127.0.0.1", port))
+                break
+            except ConnectionRefusedError:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+        with client:
+            client.sendall("".join(row + "\n" for row in rows).encode())
+            deadline = time.monotonic() + 10
+            while (not sink.exists() or sink.read_text().count("\n") < 6) \
+                    and time.monotonic() < deadline:
+                time.sleep(0.01)
+            written = sink.read_text() if sink.exists() else ""
+        server.join(timeout=10)
+        assert not server.is_alive() and "error" not in outcome
+        assert strip_ts(json.loads(line) for line in written.splitlines()) == \
+            strip_ts(json.loads(e.to_json()) for e in batch_evaluate(batch_of(rows)))
+        assert (outcome["stats"].records_in, outcome["stats"].batches_out) == (5, 1)
+
 
 class TestSourceSpec:
     @pytest.mark.parametrize("spec", ["x.csv", "file:x.csv", "file:x.csv?rate=5",
