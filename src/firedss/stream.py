@@ -6,8 +6,10 @@ and connection, or the file) until it ends or is closed; run_pipeline
 closes it on every exit. Batches are cut by record count (default 20),
 which keeps file replay deterministic; run_pipeline's source parses its
 records by blocks of the batch size, so it reads no line past the batch
-it is cutting. A batch is evaluated by columns: the codes of its records
-are computed, each of the six code columns is classified by one
+it is cutting. A file that is not UTF-8 gives the records of the lines
+before its first bad byte, then raises IoError naming it and that line.
+A batch is evaluated by columns: the codes of its records are computed,
+each of the six code columns is classified by one
 ClassBands.band_indexes call, and the records are encoded as facts
 (record_facts: individual ``rec_<offset>`` with one unary atom per
 classification label and one binary atom per code). Only the atoms whose
@@ -30,10 +32,10 @@ record by record to find it. Then:
   built a column at a time. Such a set is saturated once per signature,
   over the facts of the first record that has it, and a memo keeps the
   (head predicate, rule) pairs it derived; every record takes its RULE
-  alerts from the memo. A batch_evaluate call has its own memo, and a
-  run_pipeline call shares one across its batches. Whether a set is
-  record local, and its signature's layout, are decided once per
-  (ClassBands, RuleSet), with the encoding;
+  alerts from the memo. Whether a set is record local, its signature's
+  layout and its memo are kept once per (ClassBands, RuleSet), with the
+  encoding, for as long as both live: every batch_evaluate call with the
+  pair shares the memo;
 * any other rule set, compiled once per RuleSet, is saturated over the
   facts of the whole batch, and each derived fact becomes a RULE alert,
   its offsets taken from the batch's individual -> offset map (any other
@@ -41,9 +43,7 @@ record by record to find it. Then:
   can raise a TypeClash.
 
 RULE alerts come in the order of their facts' ``rules.format_atom`` text,
-which is joined from the record's individual (and, on the whole-batch
-path, from one per-batch table of each argument term's text and offsets)
-rather than formatted per fact, so both paths write the same lines.
+so both paths write the same lines.
 
 A batch's sink lines are written from templates: the fixed parts of a
 line are cut from one ``AlertEvent.to_json`` call per (batch, kind,
@@ -67,9 +67,9 @@ with CorruptCheckpoint.
 from __future__ import annotations
 
 import contextlib
-import contextvars
 import functools
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -268,7 +268,8 @@ def open_source(spec, start_offset=0, block=1):
     at once; closing the generator closes what it has opened. Records are
     parsed by blocks of `block` (see ingest.iter_records), so a source
     reads no line past the block it is giving. A file that is not UTF-8
-    raises IoError naming it and the line of its first bad byte.
+    gives the records of the lines before its first bad byte, then raises
+    IoError naming it and that line.
     """
     source = _numbered_records(parse_source(spec), start_offset, block)
     next(source)
@@ -302,30 +303,46 @@ def _numbered_records(spec, start_offset, block):
         raise IoError(f"no such file: {spec.target}")
     else:
         yield
+        offsets = itertools.count(start_offset)
         with open(spec.target, "r", encoding="utf-8") as fh:
-            records = itertools.islice(ingest.iter_records(fh, header=True, block=block),
-                                       start_offset, None)
             try:
-                for pair in enumerate(records, start_offset):
-                    if spec.rate is not None:
-                        time.sleep(1.0 / spec.rate)
-                    yield pair
+                yield from _paced(zip(offsets, itertools.islice(
+                    ingest.iter_records(fh, header=True, block=block), start_offset, None)),
+                    spec.rate)
+                return
             except UnicodeDecodeError as exc:
-                raise IoError(_undecodable(spec.target, exc)) from None
+                text, error = _undecodable(spec.target, exc)
+        # the decoder failed on a chunk that may start lines before the bad
+        # one, and zip drew an offset for the record whose read failed: give
+        # those lines' records from that one on, unless all are blank (no header)
+        start = next(offsets) - 1
+        if text.removeprefix("\ufeff").strip():
+            yield from _paced(zip(itertools.count(start), itertools.islice(
+                ingest.iter_records(io.StringIO(text, None), header=True, block=block),
+                start, None)), spec.rate)
+        raise IoError(error)
+
+
+def _paced(pairs, rate):
+    """`pairs`, one each 1/rate s when a rate is given."""
+    return pairs if rate is None else (time.sleep(1.0 / rate) or pair for pair in pairs)
 
 
 def _undecodable(path, exc):
-    """The error text of a file that is not UTF-8, `exc` being what its
-    decoder raised: the path, then the line and the file position of the
-    first bad byte, found by decoding the file's bytes again."""
+    """The text of the lines before the first bad byte of a file that is
+    not UTF-8, `exc` being what its decoder raised, and the error text: the
+    path, then the line and the file position of that byte, found by
+    decoding the file's bytes again."""
     try:
         Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as whole:
-        line = whole.object.count(b"\n", 0, whole.start) + 1
-        return f"cannot read {path}: line {line}: {whole}"
+        start = whole.object.rfind(b"\n", 0, whole.start) + 1
+        line = whole.object.count(b"\n", 0, start) + 1
+        return (whole.object[:start].decode("utf-8"),
+                f"cannot read {path}: line {line}: {whole}")
     except OSError:
         pass
-    return f"cannot read {path}: {exc}"
+    return "", f"cannot read {path}: {exc}"
 
 
 def _check_batch_size(size):
@@ -383,21 +400,12 @@ def record_facts(offset, codes, classification):
     return facts
 
 
-_LABEL_TABLES = weakref.WeakKeyDictionary()     # ClassBands -> its _label_table
-
-
-def _label_table(bands):
-    """Per quantity in alert order, its label predicates by band index
-    (None if it has no label)."""
-    table = _LABEL_TABLES.get(bands)
-    if table is None:
+def _check_bands(bands):
+    """Refuse bands that lack one of the six quantities, as bands built in
+    code may."""
+    if not bands.bands.keys() >= fwi.QUANTITIES.keys():
         missing = [q for q in fwi.QUANTITIES if q not in bands.bands]
-        if missing:     # bands built in code may leave quantities out
-            raise StreamError(f"bands lack the quantities {', '.join(missing)}")
-        table = _LABEL_TABLES[bands] = tuple(
-            prefix and tuple(_label_predicate(prefix, l) for l in bands.labels(quantity))
-            for _, quantity, _, prefix in _ALERT_QUANTITIES)
-    return table
+        raise StreamError(f"bands lack the quantities {', '.join(missing)}")
 
 
 _ENCODINGS = weakref.WeakKeyDictionary()   # RuleSet -> {ClassBands: its _Encoding}
@@ -414,14 +422,17 @@ _TEST_OPERATORS = {"lessThan": (operator.gt, operator.lt),
                    "notEqual": (operator.ne, operator.ne)}
 
 
-class _Encoding(namedtuple("_Encoding", "quantities labels tests")):
+class _Encoding(namedtuple("_Encoding", "quantities labels tests heads memo")):
     """What batch_evaluate needs of one (ClassBands, RuleSet) pair.
     `quantities`: per quantity in alert order whose label or code predicate
     a rule names, (its position, its label predicates by band index with
     None for each that no rule names, or None for none, its code predicate
     or None). `labels`: (position, label predicates) of those with named
     labels. `tests`: None if the rule set is not record local, else its
-    distinct code tests as (position, test), test(code) their outcome."""
+    distinct code tests as (position, test), test(code) their outcome.
+    `heads`: the head predicates in the order of their facts' format_atom
+    text (no predicate holds "("). `memo`: record signature -> the (head
+    predicate, rule) pairs that a record with it derives."""
 
     __slots__ = ()
 
@@ -472,20 +483,23 @@ def _encoding(bands, rules):
         by_bands = _ENCODINGS.setdefault(rules, weakref.WeakKeyDictionary())
     encoding = by_bands.get(bands)
     if encoding is None:
+        _check_bands(bands)
         named = rules.predicates
         quantities = []
-        for k, (labels, (_, _, code, _)) in enumerate(zip(_label_table(bands),
-                                                           _ALERT_QUANTITIES)):
-            if labels is not None and not named.isdisjoint(labels):
+        for k, (_, quantity, code, prefix) in enumerate(_ALERT_QUANTITIES):
+            labels = prefix and tuple(_label_predicate(prefix, label)
+                                      for label in bands.labels(quantity))
+            if labels and not named.isdisjoint(labels):
                 labels = tuple(p if p in named else None for p in labels)
             else:
                 labels = None
             code = code if code in named else None
             if labels or code:
                 quantities.append((k, labels, code))
+        heads = sorted({atom[0] for rule in rules for atom in rule.head}, key=lambda p: p + "(")
         encoding = by_bands[bands] = _Encoding(
             tuple(quantities), tuple((k, labels) for k, labels, _ in quantities if labels),
-            _record_tests(rules))
+            _record_tests(rules), tuple(heads), {})
     return encoding
 
 
@@ -505,34 +519,17 @@ def _named_facts(quantities, individual, indexes, values):
     return facts
 
 
-# the memo of the run_pipeline call in progress: (bands, rules, {record
-# signature: what its record derives})
-_RUN_MEMO = contextvars.ContextVar("firedss.stream run memo", default=None)
-
-
-@contextlib.contextmanager
-def _run_memo(bands, rules):
-    """Let the batch_evaluate calls of (bands, rules) inside the block share
-    one signature memo."""
-    token = _RUN_MEMO.set((bands, rules, {}))
-    try:
-        yield
-    finally:
-        _RUN_MEMO.reset(token)
-
-
 def _record_derivations(rules, quantities, name, indexes, values):
-    """(sort-key prefix, head predicate, rule) per fact that the rules
-    derive from one record's named facts alone, the record's individual
-    being `name`."""
+    """(head predicate, rule) per fact that the rules derive from one
+    record's named facts alone, the record's individual being `name`."""
     individual = _Individual((rules_mod.Individual, name))
     saturated = rules_mod.evaluate(rules, rules_mod.FactBase(
         _named_facts(quantities, individual, indexes, values)))
-    return tuple([(fact[0] + "(", fact[0], saturated.rule_of(fact))
-                  for fact in saturated.derived()])
+    return tuple([(fact[0], saturated.rule_of(fact)) for fact in saturated.derived()])
 
 
 _first = operator.itemgetter(0)
+_kind_of = operator.itemgetter(1)     # an AlertEvent's kind
 
 
 def _term_entry(term):
@@ -602,18 +599,21 @@ def batch_evaluate(batch, bands=fwi.DEFAULT_BANDS, rules=None, aggregate="max"):
     signature; the signatures are built a column at a time (the label
     predicates taken by band index, each test mapped over its code
     column). Every record takes its RULE alerts from that memo, which
-    run_pipeline keeps for its whole run. Any other rule set is saturated
-    over the facts of the whole batch. The first code out of range, or an
-    aggregate mean past the float range, raises BatchEvaluationError
-    naming the batch and the record (the batch's first for a mean)."""
-    _label_table(bands)         # all six quantities
+    lasts as long as (bands, rules), ordered as format_atom orders their
+    facts: by head predicate, then by the offset's text. Any other rule
+    set is saturated over the facts of the whole batch. The first code out
+    of range, or an aggregate mean past the float range, raises
+    BatchEvaluationError naming the batch and the record (the batch's
+    first for a mean)."""
+    _check_bands(bands)
     if not batch.records:
         raise StreamError(f"batch {batch.seq} is empty")
     _check_aggregate(aggregate)
 
     now = int(time.time() * 1000)
     use_rules = rules is not None and len(rules) > 0
-    quantities, labels, tests = _encoding(bands, rules) if use_rules else ((), (), None)
+    quantities, labels, tests, heads, memo = (_encoding(bands, rules) if use_rules
+                                              else ((), (), None, (), None))
     offsets, records = zip(*batch.records)
     try:
         rows = list(map(_codes_of, map(fwi.compute_codes, records)))
@@ -641,23 +641,23 @@ def batch_evaluate(batch, bands=fwi.DEFAULT_BANDS, rules=None, aggregate="max"):
         return events
 
     if tests is not None:
-        run = _RUN_MEMO.get()
-        memo = run[2] if run is not None and run[0] is bands and run[1] is rules else {}
         parts = ([map(predicates.__getitem__, indexes[k]) for k, predicates in labels]
                  + [map(test, map(float, columns[k])) for k, test in tests])
-        signatures = zip(*parts) if parts else itertools.repeat(())
-        keyed = []
-        for offset, signature, values, record_indexes in zip(offsets, signatures, rows,
-                                                             zip(*indexes)):
-            derived = memo.get(signature)
-            if derived is None:
-                derived = memo[signature] = _record_derivations(
-                    rules, quantities, f"rec_{offset}", record_indexes, values)
-            for prefix, predicate, rule in derived:
-                keyed.append((f"{prefix}rec_{offset})", predicate, offset, rule))
-        keyed.sort(key=_first)
-        events += [_alert_event((batch.seq, "RULE", predicate, None, (offset,), rule, now))
-                   for _, predicate, offset, rule in keyed]
+        signatures = list(zip(*parts)) if parts else [()] * len(offsets)
+        derived = list(map(memo.get, signatures))
+        while None in derived:      # a new signature, saturated over its first record
+            i = derived.index(None)
+            memo[signatures[i]] = _record_derivations(
+                rules, quantities, f"rec_{offsets[i]}", [column[i] for column in indexes], rows[i])
+            derived = list(map(memo.get, signatures))
+        buckets = {predicate: [] for predicate in heads}
+        for _, offset, pairs in sorted(zip(map(str, offsets), offsets, derived), key=_first):
+            where = (offset,)
+            for predicate, rule in pairs:
+                buckets[predicate].append(
+                    _alert_event((batch.seq, "RULE", predicate, None, where, rule, now)))
+        for bucket in buckets.values():
+            events += bucket
         return events
 
     facts, terms = [], {}
@@ -782,7 +782,7 @@ def run_pipeline(source_spec, sink_path, checkpoint_path=None, batch_size=20,
     rules under a checkpoint come with their text, so a refused run creates
     no sink and leaves an existing one as it was.
     """
-    _label_table(bands)         # all six quantities
+    _check_bands(bands)
     _check_batch_size(batch_size)
     _check_aggregate(aggregate)
     if rules and not rules_text and checkpoint_path is not None:
@@ -812,7 +812,7 @@ def run_pipeline(source_spec, sink_path, checkpoint_path=None, batch_size=20,
             sink = open(sink_path, "a", encoding="utf-8")
         except OSError as exc:
             raise IoError(f"cannot open sink {sink_path}: {exc}") from None
-        with sink, _run_memo(bands, rules):
+        with sink:
             for batch in cut_batches(source, batch_size, first_seq):
                 events = batch_evaluate(batch, bands, rules, aggregate)
                 cut = len(tail) % len(events)   # the lines past whole copies of the batch
@@ -832,7 +832,7 @@ def run_pipeline(source_spec, sink_path, checkpoint_path=None, batch_size=20,
                     crash_hook("after_checkpoint", batch.seq)
                 stats.records_in += len(batch)
                 stats.batches_out += 1
-                stats.alerts_by_kind.update(event.kind for event in events)
+                stats.alerts_by_kind.update(map(_kind_of, events))
     stats.duration_ms = (time.perf_counter() - started) * 1000.0
     return stats
 

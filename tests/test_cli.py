@@ -361,6 +361,57 @@ class TestStream:
         assert err == (f"firedss: error: cannot read {data}: line 202: 'utf-8' codec "
                        + message.format(at, at + 1) + "\n")
 
+    @pytest.mark.parametrize("batch_size", ["20", "7"])
+    def test_non_utf8_dataset_delivers_every_batch_before_the_bad_line(self, capsys, tmp_path,
+                                                                       batch_size):
+        # the decoder's 8 KB chunk that holds the bad byte on line 202 starts
+        # on line 155; those lines' batches reach the sink as they do when
+        # line 202 holds a bad cell
+        good = "\n".join([HEADER] + [ROW] * 200) + "\n"
+        bad_byte, bad_cell = tmp_path / "byte.csv", tmp_path / "cell.csv"
+        bad_byte.write_bytes(good.encode() + ROW.replace("aug", "a\xffg").encode("latin-1")
+                             + b"\n" + ROW.encode() + b"\n")
+        bad_cell.write_text(good + ROW.replace("92.3", "abc") + "\n" + ROW + "\n")
+        sinks = []
+        for data, cause in [(bad_byte, f"cannot read {bad_byte}: line 202: 'utf-8' codec"),
+                            (bad_cell, "line 202, column FFMC: cannot parse 'abc'")]:
+            sink = tmp_path / f"{data.stem}.jsonl"
+            code, stdout, err = run(capsys, "stream", "--dataset", str(data), "--sink",
+                                    str(sink), "--batch-size", batch_size)
+            assert (code, stdout) == (1, "")
+            assert err.startswith(f"firedss: error: {cause}")
+            sinks.append([{k: v for k, v in json.loads(line).items() if k != "ts_ms"}
+                          for line in sink.read_text().splitlines()])
+        assert len(sinks[0]) == 6 * (200 // int(batch_size))
+        assert sinks[0] == sinks[1]
+
+    @pytest.mark.parametrize("head, line", [(b"", 1), (b"\xef\xbb\xbf\n  \n\n", 4)],
+                             ids=["first-line", "after-blank-lines"])
+    def test_a_bad_byte_in_the_header_is_named(self, capsys, tmp_path, head, line):
+        # the lines before it hold no header, so no record and no other error
+        data, sink = tmp_path / "head.csv", tmp_path / "alerts.jsonl"
+        data.write_bytes(head + HEADER.replace("month", "m\xffnth").encode("latin-1") + b"\n"
+                         + ROW.encode() + b"\n")
+        code, stdout, err = run(capsys, "stream", "--dataset", str(data), "--sink", str(sink))
+        assert (code, stdout) == (1, "")
+        assert err.startswith(f"firedss: error: cannot read {data}: line {line}: 'utf-8' codec")
+        assert sink.read_text() == ""
+
+    @pytest.mark.parametrize("batch_size, lines", [("20", 54), ("1", 6 * 188)])
+    def test_a_bad_cell_before_a_bad_byte_in_its_chunk_is_reported(self, capsys, tmp_path,
+                                                                    batch_size, lines):
+        # line 190 lies in the decoder's chunk that holds line 202's bad byte
+        rows = [ROW] * 200
+        rows[188] = ROW.replace("92.3", "abc")
+        data, sink = tmp_path / "both.csv", tmp_path / "alerts.jsonl"
+        data.write_bytes(("\n".join([HEADER] + rows) + "\n").encode()
+                         + ROW.replace("aug", "a\xffg").encode("latin-1") + b"\n")
+        code, stdout, err = run(capsys, "stream", "--dataset", str(data), "--sink", str(sink),
+                                "--batch-size", batch_size)
+        assert (code, stdout) == (1, "")
+        assert err == "firedss: error: line 190, column FFMC: cannot parse 'abc'\n"
+        assert len(sink.read_text().splitlines()) == lines
+
 def _stream_stdin(tmp_path, text):
     """Run `firedss stream --dataset -` in a child process fed ``text``."""
     env = dict(os.environ, PYTHONPATH=str(Path(firedss.__file__).parents[1]))

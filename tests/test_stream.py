@@ -12,6 +12,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -1449,12 +1450,14 @@ class TestRecordLocalDifferential:
         ])
         return rules.RuleDef("join", body, (rules.Atom(rng.choice(derived), (rng.choice([r, s]),)),))
 
-    def test_random_programs_match_naive_saturation_of_the_batch(self, dataset_text):
+    def _check_random_cases(self, dataset_text, seed, cases, start_offset):
+        """Run `cases` seeded cases, each batch starting at
+        start_offset(rng, its length); returns what the cases covered."""
         rows = dataset_text.splitlines()[1:]
         everything = _code_values(rows)
-        rng = random.Random(31)
+        rng = random.Random(seed)
         seen = Counter()
-        for case in range(320):
+        for case in range(cases):
             bands = self._random_bands(rng, everything)
             labels = [stream._label_predicate(prefix, label)
                       for _, quantity, _, prefix in stream._ALERT_QUANTITIES if prefix
@@ -1469,7 +1472,7 @@ class TestRecordLocalDifferential:
             assert (stream._encoding(bands, rs).tests is not None) == local, program
             if rng.random() < 0.1:
                 picked[rng.randrange(len(picked))] = rng.choice(self.EXTREME)
-            batch = batch_of(picked, seq=case, start_offset=rng.randint(0, 50))
+            batch = batch_of(picked, seq=case, start_offset=start_offset(rng, len(picked)))
             aggregate = rng.choice(["max", "mean"])
             try:
                 expected = TestBatchPathParity._reference(batch, bands, rs, aggregate,
@@ -1489,8 +1492,26 @@ class TestRecordLocalDifferential:
             seen["input head alerts"] += any(e.kind == "RULE" and e.severity in labels
                                              for e in got)
             seen["records"] += len(batch)
+            rule_offsets = [(e.severity, e.offsets) for e in got if e.kind == "RULE"]
+            seen["text order is not number order"] += rule_offsets != sorted(rule_offsets)
+        return seen
+
+    def test_random_programs_match_naive_saturation_of_the_batch(self, dataset_text):
+        seen = self._check_random_cases(dataset_text, 31, 320,
+                                        lambda rng, n: rng.randint(0, 50))
         assert seen["local alerts"] >= 120 and seen["joining alerts"] >= 30, seen
         assert seen["input head alerts"] >= 60 and seen["error"] >= 8, seen
+
+    def test_batches_whose_offsets_gain_a_digit(self, dataset_text):
+        # each batch holds 9 and 10, 99 and 100 or 999 and 1000 (one record:
+        # the offset before), where the offsets' text order (rec_10 before
+        # rec_9) is not their number order
+        def start_offset(rng, n):
+            return rng.choice((10, 100, 1000)) - rng.randint(1, max(1, n - 1))
+
+        seen = self._check_random_cases(dataset_text, 32, 160, start_offset)
+        assert seen["local alerts"] >= 60 and seen["joining alerts"] >= 15, seen
+        assert seen["text order is not number order"] >= 60 and seen["error"] >= 4, seen
     
 
 class TestRecordLocality:
@@ -1529,7 +1550,7 @@ class TestRecordLocality:
     }
 
     @staticmethod
-    def _calls(monkeypatch, batch, rs):
+    def _calls(monkeypatch, batch, rs, bands=fwi.DEFAULT_BANDS):
         calls = []
         evaluate = rules.evaluate
 
@@ -1539,7 +1560,7 @@ class TestRecordLocality:
 
         monkeypatch.setattr(rules, "evaluate", counting)
         try:
-            batch_evaluate(batch, rules=rs)
+            batch_evaluate(batch, bands, rs)
         except stream.BatchEvaluationError:     # a clashing builtin fails in its one call
             pass
         return calls
@@ -1550,6 +1571,31 @@ class TestRecordLocality:
         assert stream._encoding(fwi.DEFAULT_BANDS, rs).tests is not None
         batch = batch_of([CALM_ROW, TRIGGER_ROW, CALM_ROW, HIGH_DC_ROW, TRIGGER_ROW])
         assert 1 <= len(self._calls(monkeypatch, batch, rs)) <= 3
+
+    def test_the_memo_lasts_as_long_as_the_bands_and_rules(self, monkeypatch,
+                                                           rules_alerts_text):
+        # a later call with the same pair saturates only the signatures that
+        # no call has met (here HIGH_DC_ROW's); other bands or rules start afresh
+        rs = rules.parse_rules(rules_alerts_text)
+        first = batch_of([CALM_ROW, TRIGGER_ROW, CALM_ROW])
+        second = batch_of([TRIGGER_ROW, HIGH_DC_ROW, CALM_ROW, HIGH_DC_ROW], seq=1,
+                          start_offset=3)
+        assert len(self._calls(monkeypatch, first, rs)) == 2
+        assert len(self._calls(monkeypatch, second, rs)) == 1
+        assert self._calls(monkeypatch, second, rs) == []
+        fresh = rules.parse_rules(rules_alerts_text)
+        assert len(self._calls(monkeypatch, second, fresh)) == 3
+        bands = fwi.ClassBands(fwi.DEFAULT_BANDS.bands, fwi.DEFAULT_BANDS.trigger)
+        assert len(self._calls(monkeypatch, second, rs, bands)) == 3
+        monkeypatch.undo()
+        assert [e[:6] for e in batch_evaluate(second, rules=rs)] == [
+            e[:6] for e in batch_evaluate(second, rules=fresh)]
+        # the pair's entry goes when its rules are collected
+        gc.collect()
+        held, rules_ref = len(stream._ENCODINGS), weakref.ref(rs)
+        del rs
+        gc.collect()
+        assert rules_ref() is None and len(stream._ENCODINGS) == held - 1
 
     @pytest.mark.parametrize("body", NON_LOCAL.values(), ids=NON_LOCAL.keys())
     def test_other_sets_saturate_the_whole_batch(self, monkeypatch, body):
