@@ -71,9 +71,10 @@ def _setting(args, config, key, default=None):
     return default
 
 
-def _read(path):
+def _read(path, newline=None):
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            return fh.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
@@ -96,7 +97,8 @@ def _load_bands(args, config):
 # --- subcommands ---------------------------------------------------------------
 
 def cmd_convert(args, config):
-    dataset = ingest.parse_dataset(_read(args.input))
+    # newline="": a dataset's CRs are the CSV reader's, as they are in a stream
+    dataset = ingest.parse_dataset(_read(args.input, newline=""))
     graph = semweb.csv_to_graph(dataset, args.namespace)
     _write(args.output, semweb.serialize(graph, args.format))
     print(f"{len(graph)} triples -> {args.output}")
@@ -139,7 +141,7 @@ def _apply_op(dataset, op_text, seed):
 
 
 def cmd_preprocess(args, config):
-    dataset = ingest.parse_dataset(_read(args.input))
+    dataset = ingest.parse_dataset(_read(args.input, newline=""))
     seed = _setting(args, config, "seed", 0)
     for op_text in args.op or []:
         dataset = _apply_op(dataset, op_text, seed)

@@ -300,7 +300,8 @@ def _rows(lines, header, block):
     leading byte order mark and blank rows; see iter_records for ``header``
     and ``block``. A bad row or a CSV error names the 1-based line that the
     csv reader had reached, a row that spans lines by its last; the rows
-    read before a CSV error are parsed, and their errors raised, first."""
+    read before a CSV error, or before a UnicodeDecodeError that `lines`
+    raises, are parsed, and their errors raised, first."""
     lines = iter(lines)
     lines = itertools.chain([next(lines, "").removeprefix("\ufeff")], lines)
     reader = csv.reader(lines)
@@ -327,6 +328,8 @@ def _rows(lines, header, block):
                 pending, ends = [], []
     except csv.Error as exc:
         error = DatasetError(f"line {reader.line_num}: {exc}")
+    except UnicodeDecodeError as exc:      # raised by `lines`
+        error = exc
     if pending:
         yield from _parse_block(pending, ends, columns)
     if error is not None:
@@ -365,7 +368,8 @@ def iter_records(lines, header=True, block=1):
     first record is given, and is then parsed column by column, each
     column by one call of its parser over all its cells. Any error is the
     one that parsing row by row in file order meets first, raised after
-    the records before it.
+    the records before it; a UnicodeDecodeError that `lines` raises is
+    raised after the records of the rows read before it.
     """
     yield from map(_record, _rows(lines, header, block))
 

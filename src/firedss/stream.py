@@ -6,8 +6,8 @@ and connection, or the file) until it ends or is closed; run_pipeline
 closes it on every exit. Batches are cut by record count (default 20),
 which keeps file replay deterministic; run_pipeline's source parses its
 records by blocks of the batch size, so it reads no line past the batch
-it is cutting. A file that is not UTF-8 gives the records of the lines
-before its first bad byte, then raises IoError naming it and that line.
+it is cutting. Every source is decoded as UTF-8 a line at a time (see
+open_source).
 A batch is evaluated by columns: the codes of its records are computed,
 each of the six code columns is classified by one
 ClassBands.band_indexes call, and the records are encoded as facts
@@ -69,7 +69,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import hashlib
-import io
 import itertools
 import json
 import math
@@ -267,9 +266,11 @@ def open_source(spec, start_offset=0, block=1):
     resume. A socket is bound and a file found here, so a bad source fails
     at once; closing the generator closes what it has opened. Records are
     parsed by blocks of `block` (see ingest.iter_records), so a source
-    reads no line past the block it is giving. A file that is not UTF-8
-    gives the records of the lines before its first bad byte, then raises
-    IoError naming it and that line.
+    reads no line past the block it is giving. Lines end in LF or CRLF and
+    are decoded as UTF-8 one at a time: a line that is not gives the records
+    of the lines before it, then raises IoError("cannot read <name>: line
+    N: <codec message>"), <name> the path, ``stdin`` or the socket spec, and
+    the message's position the bad byte's in the stream.
     """
     source = _numbered_records(parse_source(spec), start_offset, block)
     next(source)
@@ -292,57 +293,45 @@ def _numbered_records(spec, start_offset, block):
         with listener:
             yield
             conn, _addr = listener.accept()
-            with conn, conn.makefile("r", encoding="utf-8", newline="") as lines:
-                records = ingest.iter_records(lines, header=False, block=block)
-                yield from enumerate(records, start_offset)
+            with conn, conn.makefile("rb") as raw:
+                yield from enumerate(_utf8_records(raw, spec.source_id, False, block),
+                                     start_offset)
     elif spec.kind == "stdin":
         yield
-        records = ingest.iter_records(sys.stdin, header=None, block=block)
-        yield from enumerate(records, start_offset)
+        yield from enumerate(_utf8_records(sys.stdin.buffer, "stdin", None, block), start_offset)
     elif not Path(spec.target).is_file():
         raise IoError(f"no such file: {spec.target}")
     else:
         yield
-        offsets = itertools.count(start_offset)
-        with open(spec.target, "r", encoding="utf-8") as fh:
-            try:
-                yield from _paced(zip(offsets, itertools.islice(
-                    ingest.iter_records(fh, header=True, block=block), start_offset, None)),
-                    spec.rate)
-                return
-            except UnicodeDecodeError as exc:
-                text, error = _undecodable(spec.target, exc)
-        # the decoder failed on a chunk that may start lines before the bad
-        # one, and zip drew an offset for the record whose read failed: give
-        # those lines' records from that one on, unless all are blank (no header)
-        start = next(offsets) - 1
-        if text.removeprefix("\ufeff").strip():
-            yield from _paced(zip(itertools.count(start), itertools.islice(
-                ingest.iter_records(io.StringIO(text, None), header=True, block=block),
-                start, None)), spec.rate)
-        raise IoError(error)
+        with open(spec.target, "rb") as raw:
+            records = itertools.islice(_utf8_records(raw, spec.target, True, block),
+                                       start_offset, None)
+            pairs = enumerate(records, start_offset)
+            if spec.rate is not None:       # one pair each 1/rate s
+                pairs = (time.sleep(1.0 / spec.rate) or pair for pair in pairs)
+            yield from pairs
 
 
-def _paced(pairs, rate):
-    """`pairs`, one each 1/rate s when a rate is given."""
-    return pairs if rate is None else (time.sleep(1.0 / rate) or pair for pair in pairs)
+def _utf8_records(raw, name, header, block):
+    """ingest.iter_records(lines, header, block) over the lines of the
+    binary stream `raw`, each decoded as it is read; see open_source."""
+    read = [0, 0]       # the lines read, the bytes before the last of them
 
+    def lines():
+        for line in raw:
+            read[0] += 1
+            yield line.decode("utf-8")
+            read[1] += len(line)
 
-def _undecodable(path, exc):
-    """The text of the lines before the first bad byte of a file that is
-    not UTF-8, `exc` being what its decoder raised, and the error text: the
-    path, then the line and the file position of that byte, found by
-    decoding the file's bytes again."""
     try:
-        Path(path).read_bytes().decode("utf-8")
-    except UnicodeDecodeError as whole:
-        start = whole.object.rfind(b"\n", 0, whole.start) + 1
-        line = whole.object.count(b"\n", 0, start) + 1
-        return (whole.object[:start].decode("utf-8"),
-                f"cannot read {path}: line {line}: {whole}")
-    except OSError:
-        pass
-    return "", f"cannot read {path}: {exc}"
+        yield from ingest.iter_records(lines(), header, block)
+    except UnicodeDecodeError as exc:
+        number, at = read
+        start, end = at + exc.start, at + exc.end - 1
+        where = (f"byte 0x{exc.object[exc.start]:02x} in position {start}" if start == end
+                 else f"bytes in position {start}-{end}")
+        raise IoError(f"cannot read {name}: line {number}: "
+                      f"'{exc.encoding}' codec can't decode {where}: {exc.reason}") from None
 
 
 def _check_batch_size(size):

@@ -1,8 +1,11 @@
 import hashlib
 import json
 import os
+import socket
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -412,6 +415,60 @@ class TestStream:
         assert err == "firedss: error: line 190, column FFMC: cannot parse 'abc'\n"
         assert len(sink.read_text().splitlines()) == lines
 
+    def test_non_utf8_socket_input_names_the_source_and_delivers_the_batch_before(
+            self, capsys, tmp_path):
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+        probe.close()
+        bad = ROW.replace("aug", "a\xffg").encode("latin-1")
+
+        def feed():     # the stream binds the port after this thread starts
+            deadline = time.monotonic() + 10
+            while True:
+                try:
+                    client = socket.create_connection(("127.0.0.1", port))
+                    break
+                except ConnectionRefusedError:
+                    if time.monotonic() > deadline:
+                        raise
+                    time.sleep(0.01)
+            with client:
+                client.sendall(ROW.encode() + b"\n" + bad + b"\n" + ROW.encode() + b"\n")
+
+        data, expected = tmp_path / "one.csv", tmp_path / "one.jsonl"
+        sink = tmp_path / "alerts.jsonl"
+        data.write_text(f"{HEADER}\n{ROW}\n", encoding="utf-8")
+        assert run(capsys, "stream", "--dataset", str(data), "--sink", str(expected))[0] == 0
+        feeder = threading.Thread(target=feed)
+        feeder.start()
+        code, stdout, err = run(capsys, "stream", "--dataset", f"socket:127.0.0.1:{port}",
+                                "--sink", str(sink), "--batch-size", "1")
+        feeder.join(timeout=10)
+        at = len(ROW) + 1 + bad.find(b"\xff")
+        assert (code, stdout) == (1, "")
+        assert err == (f"firedss: error: cannot read socket:127.0.0.1:{port}: line 2: 'utf-8' "
+                       f"codec can't decode byte 0xff in position {at}: invalid start byte\n")
+        assert [_strip_ts(line) for line in sink.read_text().splitlines()] == \
+            [_strip_ts(line) for line in expected.read_text().splitlines()]
+
+    def test_lone_cr_line_ends_are_refused_as_convert_refuses_them(self, capsys, tmp_path):
+        # every reader splits lines at LF only, so a lone CR is the CSV
+        # reader's to refuse
+        data = tmp_path / "cr.csv"
+        data.write_bytes(f"{HEADER}\r{ROW}\r".encode())
+        message = ("firedss: error: line 1: new-line character seen in unquoted field - "
+                   "do you need to open the file in universal-newline mode?\n")
+        for argv in (["convert", str(data), str(tmp_path / "o.nt")],
+                     ["preprocess", str(data), str(tmp_path / "o.csv")],
+                     ["stream", "--dataset", str(data), "--sink", str(tmp_path / "a.jsonl")]):
+            assert run(capsys, *argv) == (1, "", message), argv
+
+def _strip_ts(line):
+    """A sink line's fields but ts_ms."""
+    return {k: v for k, v in json.loads(line).items() if k != "ts_ms"}
+
+
 def _stream_stdin(tmp_path, text):
     """Run `firedss stream --dataset -` in a child process fed ``text``."""
     env = dict(os.environ, PYTHONPATH=str(Path(firedss.__file__).parents[1]))
@@ -458,6 +515,24 @@ class TestStreamStdin:
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout)["records_in"] == 0
         assert events == []
+
+    def test_non_utf8_stdin_names_stdin_and_the_line(self, tmp_path):
+        # stdin is read as bytes, as a file is: the bad byte is named, not
+        # read into a cell
+        env = dict(os.environ, PYTHONPATH=str(Path(firedss.__file__).parents[1]))
+        sink = tmp_path / "stdin.jsonl"
+        good = f"{HEADER}\n{ROW}\n".encode()
+        bad = ROW.replace("aug", "a\xffg").encode("latin-1") + b"\n"
+        done = subprocess.run(
+            [sys.executable, "-m", "firedss", "stream", "--dataset", "-",
+             "--sink", str(sink), "--batch-size", "1"],
+            input=good + bad, capture_output=True, env=env, timeout=60)
+        at = len(good) + bad.find(b"\xff")
+        assert (done.returncode, done.stdout) == (1, b"")
+        assert done.stderr.decode() == (
+            f"firedss: error: cannot read stdin: line 3: 'utf-8' codec can't decode "
+            f"byte 0xff in position {at}: invalid start byte\n")
+        assert len(sink.read_text().splitlines()) == 6
 
 
 class TestQuery:

@@ -341,6 +341,23 @@ class TestBlockParser:
         with pytest.raises(BadCell, match=message):
             ingest.parse_dataset(text)
 
+    @pytest.mark.parametrize("block", [1, 3, None])     # 1, k - 1 and one block
+    def test_a_decode_error_of_the_lines_is_raised_after_the_rows_before_it(self, block):
+        # the k-th line raises, as a stream source's UTF-8 reader does
+        k = 4
+        error = UnicodeDecodeError("utf-8", b"a\xffg\n", 1, 2, "invalid start byte")
+
+        def lines():
+            yield from [ROW1 + "\n"] * (k - 1)
+            raise error
+
+        records = ingest.iter_records(lines(), header=False, block=block)
+        assert [tuple(next(records)) for _ in range(k - 1)] == \
+            [ingest.parse_dataset(make_csv(ROW1)).rows[0]] * (k - 1)
+        with pytest.raises(UnicodeDecodeError) as caught:
+            next(records)
+        assert caught.value is error
+
 
 class TestByteOrderMark:
     """The reader drops one byte order mark before the first line, in every

@@ -15,8 +15,10 @@ import time
 import weakref
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from firedss import data_path, fwi, ingest, rules, stream
 from firedss.stream import (
@@ -209,6 +211,55 @@ class TestSources:
         assert strip_ts(json.loads(line) for line in written.splitlines()) == \
             strip_ts(json.loads(e.to_json()) for e in batch_evaluate(batch_of(rows)))
         assert (outcome["stats"].records_in, outcome["stats"].batches_out) == (5, 1)
+
+
+# bytes that CSV splitting, line ends and UTF-8 decoding treat specially
+_SPLICE_PIECES = st.sampled_from([b",", b'"', b"\r", b"\n", b"\r\n", b" ", b"-", b"e9",
+                                  b"\xef\xbb\xbf", b"\xc3\xa9", b"\xe2\x82", b"\xff"])
+
+
+def _outcome(pairs):
+    """The (offset, record) pairs that `pairs` gives, then its error's type
+    and text (None, None if it ends); any other exception escapes."""
+    got = []
+    try:
+        for pair in pairs:
+            got.append(pair)
+    except (ingest.DatasetError, IoError) as exc:
+        return got, type(exc), str(exc)
+    return got, None, None
+
+
+class TestInputEdges:
+    """Random bytes spliced into the bundled table's rows: a file and stdin
+    are read by the one UTF-8 line reader, so they give the same records and
+    then the same error, which is a DatasetError or an IoError."""
+
+    LINES = data_path("forestfires_synthetic.csv").read_bytes().splitlines(keepends=True)[:31]
+
+    @given(st.integers(0, 10 ** 6),
+           st.one_of(st.binary(min_size=1, max_size=6),
+                     st.lists(_SPLICE_PIECES, min_size=1, max_size=4).map(b"".join)),
+           st.booleans(), st.sampled_from([1, 7]))
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_a_file_and_stdin_give_the_same_records_then_the_same_error(
+            self, tmp_path_factory, where, spliced, overwrite, block):
+        head, body = self.LINES[0], b"".join(self.LINES[1:])
+        where %= len(body) + 1
+        data = head + body[:where] + spliced + body[where + overwrite * len(spliced):]
+        path = tmp_path_factory.getbasetemp() / "spliced.csv"
+        path.write_bytes(data)
+        from_file = _outcome(open_source(str(path), block=block))
+        with mock.patch.object(sys, "stdin", io.TextIOWrapper(io.BytesIO(data))):
+            from_stdin = _outcome(open_source("-", block=block))
+        records, error, text = from_file
+        assert from_stdin == (records, error,
+                              text and text.replace(f"cannot read {path}:", "cannot read stdin:"))
+        if error is IoError:    # the first bad byte in the whole input, by its line
+            with pytest.raises(UnicodeDecodeError) as whole:
+                data.decode("utf-8")
+            line = data.count(b"\n", 0, whole.value.start) + 1
+            assert text == f"cannot read {path}: line {line}: {whole.value}"
 
 
 class TestSourceSpec:
@@ -842,7 +893,8 @@ class TestRunPipeline:
                                tmp_path / "cp")
 
         def run(sink, cp=None, rows=rows, crash_hook=None):
-            monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(rows) + "\n"))
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(
+                ("\n".join(rows) + "\n").encode())))
             run_pipeline("-", sink, cp, batch_size=5, rules=alert_rules,
                          rules_text=rules_alerts_text, crash_hook=crash_hook)
 
