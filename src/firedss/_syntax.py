@@ -4,7 +4,8 @@ shared by config and band files.
 
 Both front ends tokenize with `token_pattern(...)`: the shared groups
 `ws` (space, `\t`, `\r`, `\n`: the SPARQL 1.1 `WS` set), `comment` (`#`
-to the end of the line), `string`, `number` and `var`, then the front
+up to the next CR or LF, which end a line in SPARQL 1.1 and in a text read
+with universal newlines), `string`, `number` and `var`, then the front
 end's own groups. A token is a `(kind, text, pos)` tuple: the name of the
 group that matched, the matched text, and its 0-based offset in the
 input. A `Cursor` reports an error at an offset by its 1-based line and
@@ -21,7 +22,7 @@ import re
 
 _SHARED_GROUPS = r"""
     (?P<ws>[ \t\r\n]+)
-  | (?P<comment>\#[^\n]*)
+  | (?P<comment>\#[^\r\n]*)
   | (?P<string>"(?:[^"\\\n]|\\.)*")
   | (?P<number>-?[0-9]+(?:\.[0-9]+)?)
   | (?P<var>\?[A-Za-z][A-Za-z0-9_]*)

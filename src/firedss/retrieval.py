@@ -186,6 +186,24 @@ def embed(text: str, config: EmbedderConfig = EmbedderConfig()) -> np.ndarray:
     return _embed_rows([text], config)[0]
 
 
+def _repeated_rows(vectors):
+    """(later, first): the rows of `vectors` whose bytes an earlier row has,
+    ascending, and for each the first row with its bytes; None if no two
+    rows have the same bytes."""
+    words = vectors.view(np.uint64)
+    # per row, a sum of its words times odd weights, wrapping around: equal
+    # rows have equal keys, and rows whose words are permuted rarely do
+    weights = np.arange(1, 2 * words.shape[1], 2, dtype=np.uint64) * _FNV_PRIME
+    _, inverse, counts = np.unique(words @ weights, return_inverse=True, return_counts=True)
+    seen, later, first = {}, [], []
+    for i in np.flatnonzero(counts[inverse] > 1).tolist():
+        j = seen.setdefault(vectors[i].tobytes(), i)
+        if j != i:
+            later.append(i)
+            first.append(j)
+    return (np.array(later), np.array(first)) if later else None
+
+
 class VectorIndex:
     """Exact cosine top-k: a flat inner-product scan over one matrix, made
     with the index from all its documents.
@@ -194,8 +212,11 @@ class VectorIndex:
     so a search is one matrix-vector product and an exact ranking of its
     scores (FAISS calls this an ``IndexFlatIP``). Rows are embedded from
     grams of 3 characters. Ties are broken by ascending id through an
-    id-rank array. Nothing changes after construction, so searches may run
-    concurrently. A repeated document id raises DuplicateDocId.
+    id-rank array. A BLAS product may round equal rows differently (by
+    their place in its blocks), so where rows repeat, each document takes
+    the score of the first row equal to its own, and equal rows tie. Nothing
+    changes after construction, so searches may run concurrently. A
+    repeated document id raises DuplicateDocId.
     """
 
     def __init__(self, docs=(), config: EmbedderConfig = EmbedderConfig()):
@@ -210,6 +231,7 @@ class VectorIndex:
         order = sorted(range(len(self.docs)), key=lambda i: self.docs[i].id)
         self._rank = np.empty(len(order), dtype=np.intp)
         self._rank[order] = np.arange(len(order))
+        self._repeated = _repeated_rows(self._vectors)
 
     def __len__(self):
         return len(self.docs)
@@ -230,6 +252,9 @@ class VectorIndex:
                 f"query embedded under {query_fingerprint!r}, "
                 f"index built under {self.fingerprint!r}")
         scores = self._vectors @ embed(query_text, self.config)  # all rows unit-norm or zero
+        if self._repeated is not None:
+            later, first = self._repeated
+            scores[later] = scores[first]
         # rank only the rows scoring at least the k-th largest score: every
         # row tied with it stays, so the tie rule is applied exactly
         m = min(k, len(scores))

@@ -1,6 +1,7 @@
 """Horn-clause rule DSL and forward-chaining fact saturation.
 
-Rules are written one per statement, `#` starts a comment:
+Rules are written one per statement, `#` starts a comment that ends at a
+CR or LF:
 
     rule r1: when PreventiveAction(?a), hasScenario(?a, ?s),
                   hasIgnitionRisk(?s, ?r), lessThanOrEqual(?r, 0.5)

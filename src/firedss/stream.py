@@ -30,9 +30,9 @@ record by record to find it. Then:
   its signature fixes: its named label predicates and the outcome of
   each distinct (code, comparison, constant) test. The signatures are
   built a column at a time. Such a set is saturated once per signature,
-  over the facts of the first record that has it, and a memo keeps the
-  (head predicate, rule) pairs it derived; every record takes its RULE
-  alerts from the memo. Whether a set is record local, its signature's
+  over the facts of the first record that has it, and a memo keeps, per
+  head predicate, the rule that derives it or None; every record takes its
+  RULE alerts from the memo. Whether a set is record local, its signature's
   layout and its memo are kept once per (ClassBands, RuleSet), with the
   encoding, for as long as both live: every batch_evaluate call with the
   pair shares the memo;
@@ -45,10 +45,10 @@ record by record to find it. Then:
 RULE alerts come in the order of their facts' ``rules.format_atom`` text,
 so both paths write the same lines.
 
-A batch's sink lines are written from templates: the fixed parts of a
-line are cut from one ``AlertEvent.to_json`` call per (batch, kind,
-severity, rule, ts_ms), so only the offsets and the value are formatted
-per alert, and every line is the one ``to_json`` writes.
+batch_evaluate returns a BatchAlerts: a read-only sequence of AlertEvents,
+the six aggregate alerts and then the RULE alerts. Its length is known
+without building the RULE events, which iterating or indexing builds once.
+Every sink line is the one ``AlertEvent.to_json`` writes for its alert.
 
 Delivery is at-least-once: alerts are flushed to the sink before the
 checkpoint is saved, so a crash in between replays one whole batch.
@@ -80,6 +80,7 @@ import threading
 import time
 import weakref
 from collections import Counter, namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -170,29 +171,102 @@ class AlertEvent(namedtuple("AlertEvent", "batch kind severity value offsets rul
 # _alert_event((batch, kind, ...)) is AlertEvent(batch, kind, ...) without a Python-level call
 _alert_event = functools.partial(tuple.__new__, AlertEvent)
 
-# the stand-in offset from which sink_text cuts a line's fixed parts: JSON
-# escapes every control character that a field holds
+
+class BatchAlerts(Sequence):
+    """The alerts of one batch, as batch_evaluate returns them: a read-only
+    sequence of AlertEvents. `events` are the aggregate alerts and any RULE
+    alerts made one by one; each of `runs`, (head predicate, rule, offset
+    texts), stands for one RULE alert per offset, after them in run order.
+    The length counts the runs without building their events; iterating or
+    indexing builds them once."""
+
+    __slots__ = ("seq", "ts_ms", "events", "runs", "_len", "_all")
+
+    def __init__(self, seq, ts_ms, events, runs=()):
+        self.seq, self.ts_ms, self.events, self.runs = seq, ts_ms, events, runs
+        self._len = len(events) + sum([len(offsets) for _, _, offsets in runs])
+        self._all = None
+
+    def __len__(self):
+        return self._len
+
+    def __getitem__(self, index):
+        return self._built()[index]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def _built(self):
+        built = self._all
+        if built is None:
+            seq, now = self.seq, self.ts_ms
+            built = list(self.events)
+            for predicate, rule, offsets in self.runs:
+                built += [_alert_event((seq, "RULE", predicate, None, (int(offset),), rule, now))
+                          for offset in offsets]
+            built = self._all = tuple(built)
+        return built
+
+
+# the stand-in offset from which the fixed parts of a sink line are cut:
+# JSON escapes every control character that a field holds
 _MARK = "\x00"
+
+
+def _line_parts(parts, kind, severity, rule, batch, ts_ms):
+    """The fixed parts of the sink lines with this kind, severity and rule,
+    kept in `parts`: what follows the batch number up to the offsets, what
+    follows them up to ts_ms, what follows it up to the value, and the end.
+    They are cut from one to_json() call with a stand-in offset."""
+    key = kind, severity, rule
+    part = parts.get(key)
+    if part is None:
+        line = AlertEvent(batch, kind, severity, None, (_MARK,), rule, ts_ms).to_json()
+        head, _, rest = line.partition(_MARK)
+        middle, ts_key, rest = rest.rpartition('"ts_ms": ')
+        before_value, _, end = rest[len(f"{ts_ms:d}"):].rpartition("null")
+        part = parts[key] = (", " + head.partition(", ")[2], middle + ts_key, before_value,
+                             end + "\n")
+    return part
+
+
+def _value_text(value):
+    """`value` as json.dumps writes it; float.__repr__ for a finite float."""
+    if value is None:
+        return "null"
+    if type(value) is float and math.isfinite(value):
+        return float.__repr__(value)
+    return _json_value(value)
 
 
 def sink_text(events):
     """The sink lines of `events`, each as `to_json()` writes it and ended
-    by a newline. The fixed parts of a line (batch, kind, rule, severity,
-    ts_ms) come from one to_json() call per distinct (batch, kind,
-    severity, rule, ts_ms), made with a stand-in offset and no value; only
-    the offsets and the value are formatted per event."""
-    parts, lines = {}, []
-    for batch, kind, severity, value, offsets, rule, ts_ms in events:
-        fixed = (batch, kind, severity, rule, ts_ms)
-        part = parts.get(fixed)
-        if part is None:
-            line = AlertEvent(batch, kind, severity, None, (_MARK,), rule, ts_ms).to_json()
-            head, _, rest = line.partition(_MARK)
-            middle, _, tail = rest.rpartition("null")
-            part = parts[fixed] = (head, middle, tail + "\n")
-        head, middle, tail = part
-        lines.append(f"{head}{offsets[0] if len(offsets) == 1 else ', '.join(map(str, offsets))}"
-                     f"{middle}{'null' if value is None else _json_value(value)}{tail}")
+    by a newline."""
+    return _sink_text(events, {})
+
+
+def _sink_text(events, parts):
+    """sink_text, the fixed parts of a line (see _line_parts) kept in
+    `parts` per (kind, severity, rule): only the batch, the offsets, ts_ms
+    and the value are formatted per event, and each run of a BatchAlerts
+    is written with one join of its offsets."""
+    alerts = events if isinstance(events, BatchAlerts) else None
+    lines = []
+    for batch, kind, severity, value, offsets, rule, ts_ms in (
+            events if alerts is None else alerts.events):
+        kind_part, middle, before_value, end = _line_parts(
+            parts, kind, severity, rule, batch, ts_ms)
+        lines.append(f'{{"batch": {batch:d}{kind_part}{", ".join(map(str, offsets))}{middle}'
+                     f'{ts_ms:d}{before_value}{_value_text(value)}{end}')
+    if alerts is not None and alerts.runs:
+        batch, ts_ms = alerts.seq, alerts.ts_ms
+        batch_key, ts_text = f'{{"batch": {batch:d}', f"{ts_ms:d}"
+        for predicate, rule, offsets in alerts.runs:
+            kind_part, middle, before_value, end = _line_parts(
+                parts, "RULE", predicate, rule, batch, ts_ms)
+            head = batch_key + kind_part
+            tail = f"{middle}{ts_text}{before_value}null{end}"
+            lines += (head, (tail + head).join(offsets), tail)
     return "".join(lines)
 
 
@@ -420,8 +494,9 @@ class _Encoding(namedtuple("_Encoding", "quantities labels tests heads memo")):
     labels. `tests`: None if the rule set is not record local, else its
     distinct code tests as (position, test), test(code) their outcome.
     `heads`: the head predicates in the order of their facts' format_atom
-    text (no predicate holds "("). `memo`: record signature -> the (head
-    predicate, rule) pairs that a record with it derives."""
+    text (no predicate holds "("). `memo`: record signature -> per head
+    predicate in `heads` order, the rule that derives it for a record with
+    that signature, or None."""
 
     __slots__ = ()
 
@@ -508,16 +583,20 @@ def _named_facts(quantities, individual, indexes, values):
     return facts
 
 
-def _record_derivations(rules, quantities, name, indexes, values):
-    """(head predicate, rule) per fact that the rules derive from one
-    record's named facts alone, the record's individual being `name`."""
+def _record_derivations(rules, quantities, heads, name, indexes, values):
+    """Per head predicate in `heads`, the rule that derives its fact from
+    one record's named facts alone, or None; the record's individual is
+    `name`. A record derives at most one fact per head predicate, as heads
+    are unary."""
     individual = _Individual((rules_mod.Individual, name))
     saturated = rules_mod.evaluate(rules, rules_mod.FactBase(
         _named_facts(quantities, individual, indexes, values)))
-    return tuple([(fact[0], saturated.rule_of(fact)) for fact in saturated.derived()])
+    rule_of = {fact[0]: saturated.rule_of(fact) for fact in saturated.derived()}
+    return tuple(map(rule_of.get, heads))
 
 
 _first = operator.itemgetter(0)
+_second = operator.itemgetter(1)
 _kind_of = operator.itemgetter(1)     # an AlertEvent's kind
 
 
@@ -571,8 +650,9 @@ def _first_failure(batch, bands):
 
 
 def batch_evaluate(batch, bands=fwi.DEFAULT_BANDS, rules=None, aggregate="max"):
-    """Alerts for one batch: six aggregate-classification alerts plus one
-    RULE alert per fact the rule set derives from the record facts.
+    """Alerts for one batch, as a BatchAlerts: six aggregate-classification
+    alerts plus one RULE alert per fact the rule set derives from the
+    record facts.
 
     The batch is evaluated by columns: each record's codes are computed,
     and each of the six code columns, in alert order, is banded by one
@@ -627,7 +707,7 @@ def batch_evaluate(batch, bands=fwi.DEFAULT_BANDS, rules=None, aggregate="max"):
             raise BatchEvaluationError(batch.seq, hit[0], exc) from None
         events.append(AlertEvent(batch.seq, kind, severity, agg, hit, None, now))
     if not use_rules:
-        return events
+        return BatchAlerts(batch.seq, now, events)
 
     if tests is not None:
         parts = ([map(predicates.__getitem__, indexes[k]) for k, predicates in labels]
@@ -637,17 +717,28 @@ def batch_evaluate(batch, bands=fwi.DEFAULT_BANDS, rules=None, aggregate="max"):
         while None in derived:      # a new signature, saturated over its first record
             i = derived.index(None)
             memo[signatures[i]] = _record_derivations(
-                rules, quantities, f"rec_{offsets[i]}", [column[i] for column in indexes], rows[i])
+                rules, quantities, heads, f"rec_{offsets[i]}",
+                [column[i] for column in indexes], rows[i])
             derived = list(map(memo.get, signatures))
-        buckets = {predicate: [] for predicate in heads}
-        for _, offset, pairs in sorted(zip(map(str, offsets), offsets, derived), key=_first):
-            where = (offset,)
-            for predicate, rule in pairs:
-                buckets[predicate].append(
-                    _alert_event((batch.seq, "RULE", predicate, None, where, rule, now)))
-        for bucket in buckets.values():
-            events += bucket
-        return events
+        # the records in the text order of their offsets; per head predicate,
+        # the runs of its alerts, split where the rule changes. A run's
+        # offsets taken from an iterator are a list: a tuple built from one
+        # is resized, and once freed it stays in the tuple free list of its
+        # size, which grew the peak RSS by megabytes over many batches.
+        texts, derived = zip(*sorted(zip(map(str, offsets), derived), key=_first))
+        runs, nones = [], (None,) * len(texts)
+        for predicate, column in zip(heads, zip(*derived)):
+            found = set(column)
+            found.discard(None)
+            if len(found) == 1:
+                rule, = found
+                runs.append((predicate, rule, texts if None not in column else
+                             list(itertools.compress(texts, map(operator.is_not, column, nones)))))
+            elif found:
+                hits = itertools.compress(zip(texts, column), map(operator.is_not, column, nones))
+                for rule, run in itertools.groupby(hits, _second):
+                    runs.append((predicate, rule, list(map(_first, run))))
+        return BatchAlerts(batch.seq, now, events, runs)
 
     facts, terms = [], {}
     for offset, values, record_indexes in zip(offsets, rows, zip(*indexes)):
@@ -659,7 +750,7 @@ def batch_evaluate(batch, bands=fwi.DEFAULT_BANDS, rules=None, aggregate="max"):
         saturated = rules_mod.evaluate(rules, rules_mod.FactBase(facts))
     except rules_mod.TypeClash as exc:
         raise BatchEvaluationError(batch.seq, batch.first_offset, exc) from None
-    return events + _rule_alerts(saturated, terms, batch.seq, now)
+    return BatchAlerts(batch.seq, now, events + _rule_alerts(saturated, terms, batch.seq, now))
 
 
 # --- checkpoints ---------------------------------------------------------------
@@ -673,6 +764,8 @@ def checkpoint_save(path, cp: Checkpoint, previous=None):
     """Write the body line and its integrity hash line: a new file by temp +
     rename, an existing one in place by one pwrite at offset 0 and a truncate
     (a rename over it would make the file system flush it on every save).
+    The body is json.dumps(cp._asdict(), sort_keys=True), formatted field by
+    field as AlertEvent.to_json formats a line.
     Refuses to regress behind `previous`, the checkpoint the caller last
     wrote there, or, without one, behind an existing valid checkpoint."""
     if previous is None and os.path.exists(path):
@@ -684,7 +777,8 @@ def checkpoint_save(path, cp: Checkpoint, previous=None):
         raise StaleCheckpoint(
             f"refusing to regress checkpoint from batch {previous.batch_seq} "
             f"to {cp.batch_seq}")
-    body = _to_json(cp._asdict())
+    body = (f'{{"batch_seq": {cp.batch_seq:d}, "fingerprint": {_json_str(cp.fingerprint)}, '
+            f'"offset": {cp.offset:d}, "source_id": {_json_str(cp.source_id)}}}')
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
     data = (body + "\n" + digest + "\n").encode("utf-8")
     try:
@@ -791,7 +885,7 @@ def run_pipeline(source_spec, sink_path, checkpoint_path=None, batch_size=20,
                 f"checkpoint belongs to {cp.source_id!r}, not {source_id!r}")
         start_offset, first_seq = cp.offset, cp.batch_seq + 1
 
-    stats = PipelineStats()
+    stats, parts = PipelineStats(), {}     # parts: the sink lines' fixed parts
     with contextlib.closing(open_source(source_spec, start_offset, batch_size)) as source:
         started = time.perf_counter()
         try:
@@ -808,7 +902,7 @@ def run_pipeline(source_spec, sink_path, checkpoint_path=None, batch_size=20,
                 if cut:
                     sink.truncate(sink.tell() - sum(tail[-cut:]))
                 tail = ()
-                sink.write(sink_text(events))
+                sink.write(_sink_text(events, parts))
                 sink.flush()
                 if crash_hook is not None:
                     crash_hook("after_sink", batch.seq)
@@ -821,7 +915,9 @@ def run_pipeline(source_spec, sink_path, checkpoint_path=None, batch_size=20,
                     crash_hook("after_checkpoint", batch.seq)
                 stats.records_in += len(batch)
                 stats.batches_out += 1
-                stats.alerts_by_kind.update(map(_kind_of, events))
+                stats.alerts_by_kind.update(map(_kind_of, events.events))
+                if events.runs:
+                    stats.alerts_by_kind["RULE"] += len(events) - len(events.events)
     stats.duration_ms = (time.perf_counter() - started) * 1000.0
     return stats
 

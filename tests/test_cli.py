@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import firedss
-from firedss import cli, data_path
+from firedss import cli, data_path, rules
 
 
 HEADER = "X,Y,month,day,FFMC,DMC,DC,ISI,temp,RH,wind,rain,area"
@@ -698,6 +698,18 @@ class TestRulesCheck:
         code, stdout, _ = run(capsys, "rules-check", str(crlf))
         _, lf_stdout, _ = run(capsys, "rules-check", str(data_path(name)))
         assert code == 0 and stdout == lf_stdout
+
+    @pytest.mark.parametrize("name", ["fwi_alerts.rules", "tables_3_4_5.rules"])
+    def test_lone_cr_rule_file_reads_as_the_library_reads_it(self, capsys, tmp_path, name):
+        cr = tmp_path / name
+        cr.write_bytes(data_path(name).read_bytes().replace(b"\n", b"\r"))
+        code, stdout, _ = run(capsys, "rules-check", str(cr))
+        _, lf_stdout, _ = run(capsys, "rules-check", str(data_path(name)))
+        library = rules.parse_rules(cr.read_bytes().decode("utf-8"))
+        assert code == 0 and stdout == lf_stdout
+        assert stdout.endswith(f"\n{len(library)} rules OK\n")
+        assert [line.split(":")[0] for line in stdout.splitlines()[:-1]] == \
+            [rule.name for rule in library]
 
 
 class TestRetrieve:

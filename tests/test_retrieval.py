@@ -196,6 +196,25 @@ class TestSearch:
         top = idx.search("identical text", k=2)
         assert [d.id for d, _ in top] == ["alpha", "zeta"]
 
+    @pytest.mark.parametrize("size", range(40, 49))
+    def test_equal_texts_tie_wherever_they_stand(self, size):
+        # one text at 10 places, the last among them, ids descending by
+        # place: a BLAS product can round the rows at the end of the
+        # matrix apart from their equals
+        same = "cover exposed fuel and keep a watch on the drought code"
+        places = set(range(size - 1, 0, -4)[:10])
+        docs = [DocRecord(f"d{size - i:03d}", same if i in places else f"other text {i} on fwi")
+                for i in range(size)]
+        idx = VectorIndex(docs)
+        top = idx.search(same, k=10)
+        assert [d.id for d, _ in top] == sorted(docs[i].id for i in places)
+        assert len({score for _, score in top}) == 1
+        products = idx._vectors @ embed(same)
+        first = min(places)
+        for doc, score in idx.search(same, k=size):
+            i = docs.index(doc)
+            assert score == products[first if i in places else i]
+
 
 class TestCorpus:
     def test_bundled_corpus_loads(self, corpus_text):

@@ -133,6 +133,13 @@ class TestParser:
         assert rules.parse_rules(text.replace("\n", "\r\n")).rules == \
             rules.parse_rules(text).rules
 
+    @pytest.mark.parametrize("name", ["fwi_alerts.rules", "tables_3_4_5.rules"])
+    def test_lone_cr_file_parses_like_lf(self, name):
+        # both files start with a comment line, which ends at its CR
+        text = data_text(name)
+        assert rules.parse_rules(text.replace("\n", "\r")).rules == \
+            rules.parse_rules(text).rules
+
 
 class TestParseFacts:
     def test_one_ground_atom_per_line(self):

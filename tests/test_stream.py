@@ -1677,3 +1677,18 @@ class TestRecordLocality:
             batch_evaluate(batch_of(rows, seq=4, start_offset=40), rules=clash)
         assert str(caught.value) == (
             f"batch 4, offset 40: rule clash: {cause} (bindings {{?dc=573.5, ?r=rec_40}})")
+
+
+class TestCheckpointBody:
+    @pytest.mark.parametrize("source_id", [
+        'file:a "quoted" name.csv', "file:C:\\data\\x.csv", "file:\x00\x07\x1f\n\r\t\x7f.csv",
+        "file:données/日本/\U0001f525.csv", "file:\udcff.csv", "socket:[::1]:9999", "stdin:"])
+    def test_body_is_json_dumps_with_sorted_keys(self, tmp_path, source_id):
+        path = tmp_path / "stream.ckpt"
+        for seq in (3, 4):      # a new file, then one written in place
+            cp = Checkpoint(source_id, seq, 20 * seq + 20, hashlib.sha256(b"x").hexdigest())
+            checkpoint_save(path, cp)
+            body, digest, end = path.read_text(encoding="utf-8").split("\n")
+            assert body == json.dumps(cp._asdict(), sort_keys=True)
+            assert digest == hashlib.sha256(body.encode("utf-8")).hexdigest() and end == ""
+            assert checkpoint_load(path) == cp

@@ -220,3 +220,11 @@ def test_key_values_skips_comments_and_rejects_repeats():
         list(key_values("a = 1\nb = 2\n a=3", fail))
     with pytest.raises(ValueError, match="^2: expected 'key = value'$"):
         list(key_values("a = 1\nb # = 2", fail))
+
+
+def test_a_comment_ends_at_a_lone_cr():
+    rule_text = ("# alerts\rrule a: when A(?x) then assert B(?x)  # one\r"
+                 "rule b: when B(?x) then assert C(?x)\r")
+    assert parse_rules(rule_text).rules == parse_rules(rule_text.replace("\r", "\n")).rules
+    query = "SELECT ?s # the subjects\rWHERE { ?s <http://example.org/t#p> ?v }"
+    assert parse_query(query) == parse_query(query.replace("\r", "\n"))
