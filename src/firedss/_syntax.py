@@ -1,19 +1,16 @@
 r"""The one lexical layer of the rule and query front ends, the string
-escapes that they and N-Triples share, and the `key = value` line reader
-shared by config and band files.
+escapes that they and N-Triples share, the `key = value` reader of config
+and band files, and `lf`, the line ends of every text reader but CSV's.
 
 Both front ends tokenize with `token_pattern(...)`: the shared groups
-`ws` (space, `\t`, `\r`, `\n`: the SPARQL 1.1 `WS` set), `comment` (`#`
-up to the next CR or LF, which end a line in SPARQL 1.1 and in a text read
-with universal newlines), `string`, `number` and `var`, then the front
-end's own groups. A token is a `(kind, text, pos)` tuple: the name of the
-group that matched, the matched text, and its 0-based offset in the
-input. A `Cursor` reports an error at an offset by its 1-based line and
-column.
+`ws` (space, `\t`, `\n`), `comment` (`#` up to the end of its line),
+`string`, `number` and `var`, then the front end's own groups. A token is
+a `(kind, text, pos)` tuple: the name of the group that matched, the
+matched text, and its 0-based offset in the text after `lf`. A `Cursor`
+reports an error at an offset by its 1-based line and column.
 
-A string is the text between double quotes, a raw line feed excluded,
-with the escapes `\\ \" \n \r \t` of N-Triples; any other escape is an
-error.
+A string is the text between double quotes, a raw line end excluded, with
+the escapes `\\ \" \n \r \t` of N-Triples; any other escape is an error.
 """
 
 from __future__ import annotations
@@ -21,12 +18,17 @@ from __future__ import annotations
 import re
 
 _SHARED_GROUPS = r"""
-    (?P<ws>[ \t\r\n]+)
-  | (?P<comment>\#[^\r\n]*)
+    (?P<ws>[ \t\n]+)
+  | (?P<comment>\#[^\n]*)
   | (?P<string>"(?:[^"\\\n]|\\.)*")
   | (?P<number>-?[0-9]+(?:\.[0-9]+)?)
   | (?P<var>\?[A-Za-z][A-Za-z0-9_]*)
 """
+
+
+def lf(text):
+    """`text` with each CRLF and lone CR made an LF; without a CR, `text` itself."""
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def token_pattern(groups):
@@ -65,7 +67,7 @@ class Cursor:
     `first_line`."""
 
     def __init__(self, text, first_line=1):
-        self.text = text
+        self.text = text = lf(text)
         self.first_line = first_line
         self.tokens = tokens = []
         match = self.pattern.match
@@ -82,8 +84,7 @@ class Cursor:
         self.i = 0
 
     def line_column(self, pos):
-        """Line (counted from `first_line`) and 1-based column of offset
-        `pos`; only `\\n` ends a line."""
+        """Line (counted from `first_line`) and 1-based column of offset `pos`."""
         text = self.text
         return (text.count("\n", 0, pos) + self.first_line,
                 pos - text.rfind("\n", 0, pos))
@@ -117,12 +118,11 @@ class Cursor:
 
 def key_values(text, fail):
     """(line number, key, value) for each `key = value` line of `text`,
-    counted from 1; only `\n` ends a line, so a CRLF file numbers its lines
-    like an LF one. `#` starts a comment and blank lines are skipped. The
+    counted from 1. `#` starts a comment and blank lines are skipped. The
     key is stripped, the value is the text after the first `=`. A line
     without `=` or a key seen before raises `fail(line number, message)`."""
     seen = set()
-    for lineno, raw in enumerate(text.split("\n"), 1):
+    for lineno, raw in enumerate(lf(text).split("\n"), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, fwi, ingest, metrics, retrieval, rules, semweb, stream
-from ._syntax import key_values
+from ._syntax import key_values, lf
 
 CONFIG_KEYS = ("dataset", "rules", "bands", "corpus", "checkpoint", "sink",
                "batch_size", "aggregate", "embed_dim", "seed")
@@ -71,9 +71,9 @@ def _setting(args, config, key, default=None):
     return default
 
 
-def _read(path, newline=None):
+def _read(path):
     try:
-        with open(path, encoding="utf-8", newline=newline) as fh:
+        with open(path, encoding="utf-8", newline="") as fh:
             return fh.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
@@ -97,8 +97,7 @@ def _load_bands(args, config):
 # --- subcommands ---------------------------------------------------------------
 
 def cmd_convert(args, config):
-    # newline="": a dataset's CRs are the CSV reader's, as they are in a stream
-    dataset = ingest.parse_dataset(_read(args.input, newline=""))
+    dataset = ingest.parse_dataset(_read(args.input))
     graph = semweb.csv_to_graph(dataset, args.namespace)
     _write(args.output, semweb.serialize(graph, args.format))
     print(f"{len(graph)} triples -> {args.output}")
@@ -141,7 +140,7 @@ def _apply_op(dataset, op_text, seed):
 
 
 def cmd_preprocess(args, config):
-    dataset = ingest.parse_dataset(_read(args.input, newline=""))
+    dataset = ingest.parse_dataset(_read(args.input))
     seed = _setting(args, config, "seed", 0)
     for op_text in args.op or []:
         dataset = _apply_op(dataset, op_text, seed)
@@ -209,7 +208,7 @@ def cmd_metrics(args, config):
         summary = metrics.summarize(semweb.parse_ntriples(_read(args.graph)))
     else:
         try:
-            raw = json.loads(_read(args.counts))
+            raw = json.loads(lf(_read(args.counts)))
             summary = metrics.OntologySummary(**raw)
         except (RecursionError, TypeError, ValueError) as exc:
             raise CliError(f"bad counts file: {exc}") from None

@@ -26,7 +26,7 @@ from collections import namedtuple
 from dataclasses import dataclass, fields
 
 from . import data_text
-from ._syntax import key_values
+from ._syntax import key_values, lf
 
 FFMC_START = 85.0
 DMC_START = 6.0
@@ -357,7 +357,7 @@ def load_bands(text: str) -> ClassBands:
         bands[key] = entries
     missing = [q for q in QUANTITIES if q not in bands]
     if missing:
-        last_line = text.count("\n") + (not text.endswith("\n"))
+        last_line = lf(text).removesuffix("\n").count("\n") + 1
         raise fail(last_line, f"no bands for {', '.join(missing)}")
     try:
         return ClassBands(bands, trigger)

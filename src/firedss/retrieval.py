@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._syntax import lf
+
 
 class RetrievalError(ValueError):
     pass
@@ -270,7 +272,7 @@ def load_corpus(text: str, config: EmbedderConfig = EmbedderConfig()) -> VectorI
     naming the 1-based line.
     """
     docs, line_of = [], {}
-    for lineno, raw in enumerate(text.split("\n"), 1):
+    for lineno, raw in enumerate(lf(text).split("\n"), 1):
         line = raw.strip()
         if not line:
             continue

@@ -1,7 +1,6 @@
 """Horn-clause rule DSL and forward-chaining fact saturation.
 
-Rules are written one per statement, `#` starts a comment that ends at a
-CR or LF:
+Rules are written one per statement; a `#` comment runs to the line's end:
 
     rule r1: when PreventiveAction(?a), hasScenario(?a, ?s),
                   hasIgnitionRisk(?s, ?r), lessThanOrEqual(?r, 0.5)
@@ -32,7 +31,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from ._syntax import Cursor, escape, token_pattern
+from ._syntax import Cursor, escape, lf, token_pattern
 from ._terms import (COMPARISONS, PositionIndex, Variable, compile_patterns, ground, grounder,
                      join, term_class, variables)
 
@@ -400,7 +399,7 @@ def parse_rules(text: str) -> RuleSet:
 def parse_facts(text: str) -> FactBase:
     """Parse ground atoms, one per line, into a FactBase (test/demo helper)."""
     facts = []
-    for lineno, line in enumerate(text.split("\n"), 1):
+    for lineno, line in enumerate(lf(text).split("\n"), 1):
         parser = _Parser(line, lineno)
         if parser.at("eof"):
             continue  # blank or comment-only line

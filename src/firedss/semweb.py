@@ -25,7 +25,7 @@ import re
 from collections import namedtuple
 from dataclasses import dataclass
 
-from ._syntax import Cursor, escape, token_pattern, unescape
+from ._syntax import Cursor, escape, lf, token_pattern, unescape
 from ._terms import (COMPARISONS, PositionIndex, Term, Variable, bound_positions,
                      compile_patterns, grounder, join, variables)
 
@@ -345,13 +345,12 @@ def _serialize_rdfxml(g: Graph) -> str:
 
 
 # a line of one triple: spaces and tabs, the N-Triples whitespace, between
-# its terms and around it, and a CR that may end it (CRLF). A literal's
-# text is runs of plain characters between escapes, which the regex engine
-# takes a run at a time.
+# its terms and around it. A literal's text is runs of plain characters
+# between escapes, which the regex engine takes a run at a time.
 _NT_LINE = re.compile(
     r'[ \t]*<(?P<s>[^>]+)>[ \t]+<(?P<p>[^>]+)>[ \t]+'
     r'(?:<(?P<o_iri>[^>]+)>|"(?P<o_lex>[^"\\]*(?:\\.[^"\\]*)*)"'
-    r'(?:\^\^<(?P<o_dt>[^>]+)>)?)[ \t]*\.[ \t]*\r?')
+    r'(?:\^\^<(?P<o_dt>[^>]+)>)?)[ \t]*\.[ \t]*')
 
 # datatype IRI (None for an untyped literal, a string) -> the datatype and
 # the test of its lexical space
@@ -365,19 +364,19 @@ def _literal_error(_, message):
 
 def parse_ntriples(text: str) -> Graph:
     """Parse N-Triples as produced by serialize(); duplicate lines collapse.
-    Spaces and tabs may stand around a line and between its terms, and a
-    CR may end it (CRLF); no other whitespace is taken. A line is stripped
-    and tested for a blank or a comment only when it is not a triple.
+    Spaces and tabs may stand around a line and between its terms; no
+    other whitespace is taken. A line is stripped and tested for a blank
+    or a comment only when it is not a triple.
 
     Each distinct IRI text is checked and made into an `Iri` once. Each
     literal is checked once: its datatype IRI is looked up, and its
     lexical form tested against that datatype's lexical space."""
     iris = _Memo(Iri)
     triples = []
-    for lineno, raw in enumerate(text.split("\n"), 1):
+    for lineno, raw in enumerate(lf(text).split("\n"), 1):
         m = _NT_LINE.fullmatch(raw)
         if m is None:
-            line = raw.removesuffix("\r").strip(" \t")
+            line = raw.strip(" \t")
             if not line or line.startswith("#"):
                 continue
             reason = "missing terminal '.'" if not line.endswith(".") else "malformed triple"

@@ -84,7 +84,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import fwi, ingest, rules as rules_mod
+from . import _syntax, fwi, ingest, rules as rules_mod
 
 # json.dumps(x, sort_keys=True) without building an encoder on every call
 _to_json = json.JSONEncoder(sort_keys=True).encode
@@ -756,7 +756,7 @@ def batch_evaluate(batch, bands=fwi.DEFAULT_BANDS, rules=None, aggregate="max"):
 # --- checkpoints ---------------------------------------------------------------
 
 def config_fingerprint(rules_text="", bands=fwi.DEFAULT_BANDS):
-    payload = (rules_text + "\x00" + fwi.dump_bands(bands)).encode("utf-8")
+    payload = (_syntax.lf(rules_text) + "\x00" + fwi.dump_bands(bands)).encode("utf-8")
     return hashlib.sha256(payload).hexdigest()
 
 

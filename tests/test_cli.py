@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import firedss
-from firedss import cli, data_path, rules
+from firedss import cli, data_path, rules, stream
 
 
 HEADER = "X,Y,month,day,FFMC,DMC,DC,ISI,temp,RH,wind,rain,area"
@@ -190,6 +190,22 @@ class TestStream:
         stats = json.loads(stdout)
         assert stats["records_in"] == 517 and stats["batches_out"] == 26
         assert {json.loads(l)["batch"] for l in sink.read_text().splitlines()} == set(range(26))
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_rule_file_line_ends_keep_the_checkpoint_fingerprint(self, capsys, tmp_path,
+                                                                 small_csv, end):
+        lf_text = data_path("fwi_alerts.rules").read_text(encoding="utf-8")
+        copy = tmp_path / "alerts.rules"
+        copy.write_bytes(lf_text.replace("\n", end).encode("utf-8"))
+        fingerprints = []
+        for i, rules_path in enumerate((data_path("fwi_alerts.rules"), copy)):
+            checkpoint = tmp_path / f"cp{i}"
+            code, _, _ = run(capsys, "stream", "--dataset", small_csv, "--rules", str(rules_path),
+                             "--sink", str(tmp_path / f"alerts{i}.jsonl"),
+                             "--checkpoint", str(checkpoint))
+            assert code == 0
+            fingerprints.append(stream.checkpoint_load(checkpoint).fingerprint)
+        assert fingerprints == [stream.config_fingerprint(lf_text)] * 2
 
     def test_config_file_supplies_defaults_flags_win(self, capsys, tmp_path,
                                                      dataset_csv):
@@ -453,8 +469,8 @@ class TestStream:
             [_strip_ts(line) for line in expected.read_text().splitlines()]
 
     def test_lone_cr_line_ends_are_refused_as_convert_refuses_them(self, capsys, tmp_path):
-        # every reader splits lines at LF only, so a lone CR is the CSV
-        # reader's to refuse
+        # CSV takes LF and CRLF line ends only, so a lone CR is the CSV
+        # reader's to refuse, whichever command reads the file
         data = tmp_path / "cr.csv"
         data.write_bytes(f"{HEADER}\r{ROW}\r".encode())
         message = ("firedss: error: line 1: new-line character seen in unquoted field - "

@@ -390,6 +390,19 @@ class TestBandConfig:
         loaded = fwi.load_bands(data_text("default.bands"))
         assert loaded.bands == fwi.DEFAULT_BANDS.bands
 
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_bundled_file_with_other_line_ends_matches_defaults(self, end):
+        # with lone CRs, the file once read as one comment line and failed
+        # with "line 1: no bands for ..."
+        from firedss import data_text
+        loaded = fwi.load_bands(data_text("default.bands").replace("\n", end))
+        assert (loaded.bands, loaded.trigger) == \
+            (fwi.DEFAULT_BANDS.bands, fwi.DEFAULT_BANDS.trigger)
+
+    def test_missing_bands_name_the_last_line_of_a_lone_cr_text(self):
+        with pytest.raises(fwi.BandConfigError, match=r"^line 3: no bands for "):
+            fwi.load_bands("# bands\rbui_class = 40:low, inf:high\r# end\r")
+
     def test_shipped_bands_are_read_from_the_bundled_file(self, tmp_path):
         # a fresh interpreter outside the source tree reads the file at import
         from firedss import data_text

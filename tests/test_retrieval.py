@@ -239,6 +239,16 @@ class TestCorpus:
         with pytest.raises(retrieval.RetrievalError, match="line 1"):
             retrieval.load_corpus("not json\n")
 
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_bundled_corpus_with_other_line_ends_loads_like_lf(self, corpus_text, end):
+        # with lone CRs, the corpus once failed with "corpus line 1: Extra data"
+        assert retrieval.load_corpus(corpus_text.replace("\n", end)).docs == \
+            retrieval.load_corpus(corpus_text).docs
+
+    def test_a_lone_cr_corpus_names_the_line_of_a_bad_document(self):
+        with pytest.raises(retrieval.RetrievalError, match=r"^corpus line 3: "):
+            retrieval.load_corpus('{"id": "a", "text": "x"}\r\r{"id": "b"}\r')
+
 
 class TestPrfScores:
     def test_identical_texts(self):

@@ -260,6 +260,19 @@ class TestNTriples:
         assert parse_ntriples(text) == Graph([Triple(iri("s"), iri("p"), iri("o")),
                                               Triple(iri("s"), iri("p"), iri("o2"))])
 
+    def test_a_lone_cr_ends_a_line(self, regions_graph_text):
+        # as N-Triples' EOL, [#xD#xA]+; the bundled graph once failed with
+        # "line 1: malformed triple"
+        assert parse_ntriples(regions_graph_text.replace("\n", "\r")) == \
+            parse_ntriples(regions_graph_text)
+        with pytest.raises(NTriplesSyntaxError, match=r"^line 3: malformed triple$"):
+            parse_ntriples(f"<{EX}s> <{EX}p> <{EX}o> .\r# c\r<{EX}s> <{EX}p> .\r")
+
+    def test_a_raw_cr_in_a_literal_ends_its_line(self):
+        # N-Triples excludes #xD from a literal; "\\r" is its escape
+        with pytest.raises(NTriplesSyntaxError, match=r"^line 1: missing terminal '\.'$"):
+            parse_ntriples(f'<{EX}s> <{EX}p> "a\rb" .\n')
+
     def test_untyped_literal_reads_as_string(self):
         g = parse_ntriples(f'<{EX}s> <{EX}p> "plain" .\n')
         (t,) = g.triples

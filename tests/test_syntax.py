@@ -2,6 +2,8 @@
 arbitrary text failing only with the module's own exceptions; and the
 `key = value` reader of config and band files."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -178,7 +180,10 @@ def edits(draw, seed):
     return text
 
 
-def _inside(exc, lines):
+def _inside(exc, text):
+    """Whether exc's line and column lie in `text`, whose lines end at LF,
+    CRLF or a lone CR."""
+    lines = re.split(r"\r\n?|\n", text)
     return 1 <= exc.line <= len(lines) and 1 <= exc.column <= len(lines[exc.line - 1]) + 1
 
 
@@ -191,13 +196,13 @@ def test_arbitrary_text_fails_only_with_the_front_end_errors(rule_text, fact_tex
             try:
                 parse(text)
             except RuleSyntaxError as exc:
-                assert _inside(exc, text.split("\n")), (exc.line, exc.column)
+                assert _inside(exc, text), (exc.line, exc.column)
             except RuleError:
                 pass
         try:
             parse_query(text)
         except QuerySyntaxError as exc:
-            assert _inside(exc, text.split("\n")), (exc.line, exc.column)
+            assert _inside(exc, text), (exc.line, exc.column)
         except GraphError:
             pass
 
@@ -220,6 +225,25 @@ def test_key_values_skips_comments_and_rejects_repeats():
         list(key_values("a = 1\nb = 2\n a=3", fail))
     with pytest.raises(ValueError, match="^2: expected 'key = value'$"):
         list(key_values("a = 1\nb # = 2", fail))
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_an_error_after_a_line_end_names_the_line_and_column_after_it(end):
+    # with lone CRs, this rule text's error was once named at line 1,
+    # column 69, where the CLI named line 2, column 32
+    rule_text = f"rule a: when A(?x) then assert B(?x){end}rule b: when A(?x) then assert %"
+    with pytest.raises(RuleSyntaxError, match=r"^line 2, column 32: unexpected character '%'$"):
+        parse_rules(rule_text)
+    with pytest.raises(QuerySyntaxError, match=r"^line 2, column 6: unexpected character '\$'$"):
+        parse_query(f"SELECT ?s WHERE {{{end}  ?s $ ?o }}")
+
+
+def test_a_raw_cr_in_a_string_ends_its_line():
+    # SPARQL 1.1 excludes #xD from a string; "\\r" is its escape
+    with pytest.raises(RuleSyntaxError, match=r"^line 2, column 12: unexpected character '\"'$"):
+        parse_facts('hasName(a, "x")\nhasName(b, "a\rb")')
+    assert list(parse_facts('hasName(b, "a\\rb")').facts) == \
+        [Atom("hasName", (Individual("b"), Str("a\rb")))]
 
 
 def test_a_comment_ends_at_a_lone_cr():
